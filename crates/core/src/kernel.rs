@@ -402,6 +402,86 @@ pub trait SimdWaveKernel: WaveKernel {
     );
 }
 
+/// The bulk body a tier resolves to: the scalar-bulk [`WaveKernel`]
+/// path or the vectorized [`SimdWaveKernel`] path. Both consume the
+/// same interior-run slices, so executors dispatch with one match
+/// instead of re-deriving tier logic per run.
+pub enum RunBody<'a, T> {
+    /// [`WaveKernel::compute_run`].
+    Wave(&'a dyn WaveKernel<Cell = T>),
+    /// [`SimdWaveKernel::compute_run_simd`].
+    Simd(&'a dyn SimdWaveKernel<Cell = T>),
+}
+
+impl<T> Clone for RunBody<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for RunBody<'_, T> {}
+
+impl<'a, T: Copy + Send + Sync + PartialEq + fmt::Debug + Default> RunBody<'a, T> {
+    /// The tier `kernel` runs at under `cap` — the fastest its hooks and
+    /// the host support, lowered to `cap` and past any rung the kernel
+    /// lacks — and that tier's body (`None` at the scalar tier). A
+    /// `BitParallel` cap caps nothing: bit-parallel execution is an
+    /// answer-level path callers route themselves.
+    pub fn resolve<K: Kernel<Cell = T> + ?Sized>(
+        kernel: &'a K,
+        cap: Option<ExecTier>,
+    ) -> (ExecTier, Option<Self>) {
+        let wave = kernel.wave_kernel();
+        let simd = kernel.simd_kernel().filter(|_| simd_available());
+        let auto = if simd.is_some() {
+            ExecTier::Simd
+        } else if wave.is_some() {
+            ExecTier::Bulk
+        } else {
+            ExecTier::Scalar
+        };
+        let tier = cap
+            .filter(|t| *t != ExecTier::BitParallel)
+            .map_or(auto, |t| t.min(auto));
+        // A kernel may expose a SIMD hook without a scalar-bulk one;
+        // downgrade past any missing rung rather than mis-reporting.
+        match tier {
+            ExecTier::Simd if simd.is_some() => (ExecTier::Simd, simd.map(RunBody::Simd)),
+            ExecTier::Simd | ExecTier::Bulk if wave.is_some() => {
+                (ExecTier::Bulk, wave.map(RunBody::Wave))
+            }
+            _ => (ExecTier::Scalar, None),
+        }
+    }
+
+    /// The lane width run boundaries should align to (1 for the scalar
+    /// bulk path).
+    pub fn lanes(&self) -> usize {
+        match self {
+            RunBody::Wave(_) => 1,
+            RunBody::Simd(k) => k.lanes().max(1),
+        }
+    }
+
+    /// Computes one interior run, as [`WaveKernel::compute_run`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn compute_run(
+        &self,
+        i: usize,
+        j0: usize,
+        out: &mut [T],
+        w: &[T],
+        nw: &[T],
+        n: &[T],
+        ne: &[T],
+    ) {
+        match self {
+            RunBody::Wave(k) => k.compute_run(i, j0, out, w, nw, n, ne),
+            RunBody::Simd(k) => k.compute_run_simd(i, j0, out, w, nw, n, ne),
+        }
+    }
+}
+
 impl<K: Kernel + ?Sized> Kernel for &K {
     type Cell = K::Cell;
 

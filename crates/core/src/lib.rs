@@ -48,7 +48,7 @@ pub use framework::{choose_execution, Adapter, Classification, MirroredKernel, T
 pub use grid::{Grid, Layout, LayoutKind};
 pub use kernel::{
     avx512_available, simd_available, simd_backend, ClosureKernel, ExecTier, Kernel, Neighbors,
-    SimdWaveKernel, WaveKernel,
+    RunBody, SimdWaveKernel, WaveKernel,
 };
 pub use pattern::{classify, Pattern, ProfileShape};
 pub use tuner_cache::{TuneKey, TunedConfig, TunerCache};

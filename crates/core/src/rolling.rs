@@ -29,14 +29,16 @@
 //!
 //! Patterns other than anti-diagonal are rejected with
 //! [`Error::PlanMismatch`]; the caller falls back to a full-table
-//! solve. The multi-threaded rolling path lives in `lddp-parallel`,
-//! layered over the same indexing scheme.
+//! solve. The multi-threaded rolling path lives in `lddp-parallel`; it
+//! computes its waves through the same [`Ring`].
 
-use crate::cell::RepCell;
+use crate::cell::{ContributingSet, RepCell};
 use crate::error::{Error, Result};
-use crate::kernel::{simd_available, ExecTier, Kernel};
-use crate::kernel::{MemoryMode, Neighbors};
+use crate::kernel::{ExecTier, Kernel};
+use crate::kernel::{MemoryMode, Neighbors, RunBody};
 use crate::pattern::{classify, Pattern};
+use crate::wavefront::Dims;
+use std::ops::Range;
 
 /// What a rolling solve used and touched, for telemetry and tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,30 +64,6 @@ pub fn rolling_bytes<K: Kernel + ?Sized>(kernel: &K) -> usize {
     3 * d.rows.min(d.cols) * std::mem::size_of::<K::Cell>()
 }
 
-/// Resolves the tier a rolling solve will run interior runs on:
-/// auto-selects the best available rung, honors an explicit request by
-/// downgrading past rungs the kernel doesn't implement. `BitParallel`
-/// is answer-level and table-free, so it maps to auto here.
-pub fn resolve_tier<K: Kernel + ?Sized>(kernel: &K, requested: Option<ExecTier>) -> ExecTier {
-    let auto = if kernel.simd_kernel().is_some() && simd_available() {
-        ExecTier::Simd
-    } else if kernel.wave_kernel().is_some() {
-        ExecTier::Bulk
-    } else {
-        ExecTier::Scalar
-    };
-    match requested {
-        None | Some(ExecTier::BitParallel) => auto,
-        Some(t) => {
-            let mut t = t.min(auto);
-            if t == ExecTier::Bulk && kernel.wave_kernel().is_none() {
-                t = ExecTier::Scalar;
-            }
-            t
-        }
-    }
-}
-
 /// Is `kernel` eligible for rolling execution? True exactly when its
 /// contributing set schedules as a pure anti-diagonal wavefront with
 /// dependencies no deeper than two waves back (`W`, `NW`, `N`).
@@ -93,6 +71,118 @@ pub fn supports_rolling<K: Kernel + ?Sized>(kernel: &K) -> bool {
     let set = kernel.contributing_set();
     classify(set).map(Pattern::canonical) == Some(Pattern::AntiDiagonal)
         && !set.contains(RepCell::Ne)
+}
+
+/// The ring of three wave bands a rolling solve cycles through. Wave
+/// `w` of the anti-diagonal schedule lives in slot `w % 3` — a band of
+/// `min(rows, cols)` cells — at its position in the wave, column
+/// `j_lo(w) + p` at `p`. Waves `w - 1` and `w - 2`, every dependency a
+/// `{W, NW, N}` set reaches, stay resident while wave `w` is computed,
+/// and each dependency direction of a run of wave `w` is a contiguous
+/// stretch of their slots.
+#[derive(Debug, Clone, Copy)]
+pub struct Ring {
+    rows: usize,
+    cols: usize,
+    band: usize,
+    has_w: bool,
+    has_nw: bool,
+    has_n: bool,
+}
+
+impl Ring {
+    /// The ring of a `dims` table under contributing set `set`.
+    pub fn new(dims: Dims, set: ContributingSet) -> Ring {
+        Ring {
+            rows: dims.rows,
+            cols: dims.cols,
+            band: dims.rows.min(dims.cols),
+            has_w: set.contains(RepCell::W),
+            has_nw: set.contains(RepCell::Nw),
+            has_n: set.contains(RepCell::N),
+        }
+    }
+
+    /// Cells per slot.
+    pub fn band(&self) -> usize {
+        self.band
+    }
+
+    /// The columns of wave `w`: `j_lo(w)..=j_hi(w)`.
+    pub fn wave_cols(&self, w: usize) -> Range<usize> {
+        w.saturating_sub(self.rows - 1)..(self.cols - 1).min(w) + 1
+    }
+
+    /// Computes columns `cols` of wave `w` into `out` (`out[k]` is
+    /// column `cols.start + k`), reading wave `w - 1` from its slot
+    /// `prev1` and wave `w - 2` from `prev2`. Interior columns (every
+    /// dependency in bounds: `i ≥ 1` and `j ≥ 1`) form one run that
+    /// goes through `body`; the rest — all of them without a body — go
+    /// through [`Kernel::compute`] one by one.
+    #[allow(clippy::too_many_arguments)]
+    pub fn compute_wave<K: Kernel + ?Sized>(
+        &self,
+        kernel: &K,
+        body: Option<RunBody<'_, K::Cell>>,
+        w: usize,
+        cols: Range<usize>,
+        out: &mut [K::Cell],
+        prev1: &[K::Cell],
+        prev2: &[K::Cell],
+    ) {
+        let lo = cols.start;
+        let j_lo1 = self.wave_cols(w.saturating_sub(1)).start;
+        let j_lo2 = self.wave_cols(w.saturating_sub(2)).start;
+        let cell = |j: usize| {
+            let i = w - j;
+            let mut nb = Neighbors::empty();
+            if j > 0 {
+                // (i, j-1) sits on wave w-1; (i-1, j-1) on wave w-2.
+                if self.has_w {
+                    nb.w = Some(prev1[j - 1 - j_lo1]);
+                }
+                if self.has_nw && i > 0 {
+                    nb.nw = Some(prev2[j - 1 - j_lo2]);
+                }
+            }
+            if self.has_n && i > 0 {
+                nb.n = Some(prev1[j - j_lo1]);
+            }
+            kernel.compute(i, j, &nb)
+        };
+        let Some(body) = body else {
+            for j in cols {
+                out[j - lo] = cell(j);
+            }
+            return;
+        };
+        let ji_lo = lo.max(1).min(cols.end);
+        let ji_hi = ((self.cols - 1).min(w.saturating_sub(1)) + 1).clamp(ji_lo, cols.end);
+        for j in (lo..ji_lo).chain(ji_hi..cols.end) {
+            out[j - lo] = cell(j);
+        }
+        if ji_lo < ji_hi {
+            let count = ji_hi - ji_lo;
+            let empty: &[K::Cell] = &[];
+            let w_run = if self.has_w {
+                &prev1[ji_lo - 1 - j_lo1..][..count]
+            } else {
+                empty
+            };
+            let nw_run = if self.has_nw {
+                &prev2[ji_lo - 1 - j_lo2..][..count]
+            } else {
+                empty
+            };
+            let n_run = if self.has_n {
+                &prev1[ji_lo - j_lo1..][..count]
+            } else {
+                empty
+            };
+            let out = &mut out[ji_lo - lo..ji_hi - lo];
+            body.compute_run(w - ji_lo, ji_lo, out, w_run, nw_run, n_run, empty);
+        }
+    }
 }
 
 /// Walks the anti-diagonal wave schedule over a ring of three band
@@ -124,7 +214,7 @@ where
             found: format!("{set:?}"),
         });
     }
-    let tier = resolve_tier(kernel, requested);
+    let (tier, body) = RunBody::resolve(kernel, requested);
     if dims.is_empty() {
         return Ok(RollingStats {
             tier,
@@ -132,106 +222,26 @@ where
             peak_bytes: 0,
         });
     }
-    let (rows, cols) = (dims.rows, dims.cols);
-    let band = rows.min(cols);
-    let num_waves = rows + cols - 1;
-    let mut bufs: [Vec<K::Cell>; 3] = [
-        vec![K::Cell::default(); band],
-        vec![K::Cell::default(); band],
-        vec![K::Cell::default(); band],
-    ];
-    let has_w = set.contains(RepCell::W);
-    let has_nw = set.contains(RepCell::Nw);
-    let has_n = set.contains(RepCell::N);
-    let wave_body = kernel.wave_kernel();
-    let simd_body = kernel.simd_kernel();
-
+    let ring = Ring::new(dims, set);
+    let num_waves = dims.rows + dims.cols - 1;
+    let mut bufs: [Vec<K::Cell>; 3] = std::array::from_fn(|_| vec![K::Cell::default(); ring.band]);
     for w in 0..num_waves {
-        let j_lo = w.saturating_sub(rows - 1);
-        let j_hi = (cols - 1).min(w);
-        // Band positions of the two previous waves in the ring.
-        let j_lo1 = (w.saturating_sub(1)).saturating_sub(rows - 1);
-        let j_lo2 = (w.saturating_sub(2)).saturating_sub(rows - 1);
+        let cols = ring.wave_cols(w);
+        let len = cols.len();
         let [b0, b1, b2] = &mut bufs;
         let (cur, prev1, prev2) = match w % 3 {
             0 => (&mut b0[..], &b2[..], &b1[..]),
             1 => (&mut b1[..], &b0[..], &b2[..]),
             _ => (&mut b2[..], &b1[..], &b0[..]),
         };
-        // Interior columns: every declared dependency in bounds
-        // (i ≥ 1 and j ≥ 1), so bulk/SIMD run bodies apply.
-        let ji_lo = j_lo.max(1);
-        let ji_hi = j_hi.min(w.saturating_sub(1));
-        let interior = tier != ExecTier::Scalar && ji_lo <= ji_hi && w >= 1;
-
-        let scalar_cell = |cur: &mut [K::Cell], j: usize| {
-            let i = w - j;
-            let mut nb = Neighbors::empty();
-            if j > 0 {
-                // (i, j-1) sits on wave w-1; (i-1, j-1) on wave w-2.
-                if has_w {
-                    nb.w = Some(prev1[j - 1 - j_lo1]);
-                }
-                if has_nw && i > 0 {
-                    nb.nw = Some(prev2[j - 1 - j_lo2]);
-                }
-            }
-            if has_n && i > 0 {
-                nb.n = Some(prev1[j - j_lo1]);
-            }
-            cur[j - j_lo] = kernel.compute(i, j, &nb);
-        };
-
-        if !interior {
-            for j in j_lo..=j_hi {
-                scalar_cell(cur, j);
-            }
-        } else {
-            for j in j_lo..ji_lo {
-                scalar_cell(cur, j);
-            }
-            for j in (ji_hi + 1)..=j_hi {
-                scalar_cell(cur, j);
-            }
-            let count = ji_hi - ji_lo + 1;
-            let i0 = w - ji_lo;
-            let p0 = ji_lo - j_lo;
-            let out = &mut cur[p0..p0 + count];
-            let empty: &[K::Cell] = &[];
-            let w_run = if has_w {
-                &prev1[ji_lo - 1 - j_lo1..ji_lo - 1 - j_lo1 + count]
-            } else {
-                empty
-            };
-            let n_run = if has_n {
-                &prev1[ji_lo - j_lo1..ji_lo - j_lo1 + count]
-            } else {
-                empty
-            };
-            let nw_run = if has_nw {
-                &prev2[ji_lo - 1 - j_lo2..ji_lo - 1 - j_lo2 + count]
-            } else {
-                empty
-            };
-            match tier {
-                ExecTier::Simd => {
-                    let body = simd_body.expect("Simd tier implies simd_kernel");
-                    body.compute_run_simd(i0, ji_lo, out, w_run, nw_run, n_run, empty);
-                }
-                _ => {
-                    let body = wave_body.expect("Bulk tier implies wave_kernel");
-                    body.compute_run(i0, ji_lo, out, w_run, nw_run, n_run, empty);
-                }
-            }
-        }
-
-        visit(w, j_lo, &cur[..j_hi - j_lo + 1]);
+        let j_lo = cols.start;
+        ring.compute_wave(kernel, body, w, cols, &mut cur[..len], prev1, prev2);
+        visit(w, j_lo, &cur[..len]);
     }
-
     Ok(RollingStats {
         tier,
         waves: num_waves,
-        peak_bytes: 3 * band * std::mem::size_of::<K::Cell>(),
+        peak_bytes: 3 * ring.band * std::mem::size_of::<K::Cell>(),
     })
 }
 
@@ -305,7 +315,7 @@ pub fn solve_best<K: Kernel + ?Sized>(
 }
 
 /// One completed slice of the wave schedule, as emitted by a streaming
-/// rolling solve (`lddp-parallel`'s `solve_rolling_stream`, the serve
+/// rolling solve (`lddp-parallel`'s `SolveSpec::stream`, the serve
 /// crate's `POST /solve?stream=1`).
 ///
 /// Bands are slices of the *wave* schedule, not literal row bands: on a

@@ -11,7 +11,6 @@
 //! engine, or a unit-test stub.
 
 use crate::error::{Error, Result};
-use crate::kernel::ExecTier;
 use crate::schedule::ScheduleParams;
 use lddp_trace::{tracks, InstantEvent, NullSink, TraceSink};
 
@@ -22,33 +21,6 @@ pub struct SweepPoint {
     pub value: usize,
     /// Measured running time (seconds, wall or virtual).
     pub time: f64,
-}
-
-/// One measured execution tier of a tier sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierPoint {
-    /// The tier that was measured.
-    pub tier: ExecTier,
-    /// Measured running time in seconds.
-    pub secs: f64,
-}
-
-/// The fastest tier of a sweep, or `None` for an empty sweep. Ties
-/// prefer the earlier tier in [`ExecTier::ALL`] order — the simpler
-/// execution strategy wins when the measurements cannot tell them
-/// apart.
-pub fn pick_tier(points: &[TierPoint]) -> Option<ExecTier> {
-    let mut best: Option<&TierPoint> = None;
-    for p in points {
-        let better = match best {
-            None => true,
-            Some(b) => p.secs < b.secs || (p.secs == b.secs && p.tier < b.tier),
-        };
-        if better {
-            best = Some(p);
-        }
-    }
-    best.map(|p| p.tier)
 }
 
 /// Outcome of the two-stage sweep.
@@ -306,38 +278,6 @@ pub fn is_concave_around_min(points: &[SweepPoint], tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pick_tier_takes_the_fastest_and_breaks_ties_simpler() {
-        assert_eq!(pick_tier(&[]), None);
-        let pts = [
-            TierPoint {
-                tier: ExecTier::Scalar,
-                secs: 3.0,
-            },
-            TierPoint {
-                tier: ExecTier::Bulk,
-                secs: 1.5,
-            },
-            TierPoint {
-                tier: ExecTier::Simd,
-                secs: 0.9,
-            },
-        ];
-        assert_eq!(pick_tier(&pts), Some(ExecTier::Simd));
-        // Exact tie: the earlier (simpler) tier wins.
-        let tied = [
-            TierPoint {
-                tier: ExecTier::Simd,
-                secs: 1.0,
-            },
-            TierPoint {
-                tier: ExecTier::Bulk,
-                secs: 1.0,
-            },
-        ];
-        assert_eq!(pick_tier(&tied), Some(ExecTier::Bulk));
-    }
 
     #[test]
     fn empty_candidates_error() {

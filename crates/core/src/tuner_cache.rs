@@ -2,15 +2,17 @@
 //! amortization of the paper's §V-A empirical sweeps.
 //!
 //! Tuning is by far the most expensive step of a solve (tens of
-//! schedule evaluations), yet its result depends only on the executed
-//! *pattern*, the table *shape* and the *platform* — not on the cell
-//! values. A server handling many requests for the same problem family
-//! can therefore tune once and reuse: [`TuneKey`] buckets the exact
-//! dimensions to their next power of two, so any instance in the same
-//! bucket shares one tuned artifact. Alongside the paper's
-//! `(t_switch, t_share)` pair the artifact carries the measured-fastest
-//! [`ExecTier`] ([`TunedConfig`]), so a cache hit also skips the tier
-//! sweep. Consumers must re-legalize cached parameters for the exact
+//! schedule evaluations), yet its result depends only on the *problem*,
+//! the table *shape* and the *platform* — not on the cell values. A
+//! server handling many requests for the same problem can therefore
+//! tune once and reuse: [`TuneKey`] buckets the exact dimensions to
+//! their next power of two, so any instance in the same bucket shares
+//! one tuned artifact. The key names the problem, not just its
+//! execution pattern: problems sharing a pattern differ in the tiers
+//! their kernels reach, and in their cost. Alongside the paper's
+//! `(t_switch, t_share)` pair the artifact carries the [`ExecTier`] and
+//! memory mode to solve on ([`TunedConfig`]). Consumers must
+//! re-legalize cached parameters for the exact
 //! instance with
 //! [`ScheduleParams::clamped_for`](crate::schedule::ScheduleParams::clamped_for)
 //! (a cached `t_switch` tuned near the top of the bucket can exceed a
@@ -22,10 +24,11 @@
 //! [`TunerCache::save_to`] / [`TunerCache::load_from`] persist the map
 //! as a small JSON document so tier and schedule choices survive
 //! process restarts (the serve binary pre-warms from it on start and
-//! flushes it on graceful drain).
+//! flushes it on graceful drain). Entries of a file written before
+//! keys named the problem carry only a pattern; they are skipped on
+//! load and re-tuned on first use.
 
 use crate::kernel::{ExecTier, MemoryMode};
-use crate::pattern::Pattern;
 use crate::schedule::ScheduleParams;
 use crate::wavefront::Dims;
 use lddp_trace::json::{self, escape, Json};
@@ -34,11 +37,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Cache key: executed pattern + power-of-two dims bucket + platform.
+/// Cache key: problem + power-of-two dims bucket + platform.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TuneKey {
-    /// The canonical execution pattern (after any symmetry adapter).
-    pub pattern: Pattern,
+    /// The problem's registry name.
+    pub problem: String,
     /// `rows` rounded up to the next power of two.
     pub rows_bucket: usize,
     /// `cols` rounded up to the next power of two.
@@ -48,29 +51,29 @@ pub struct TuneKey {
 }
 
 impl TuneKey {
-    /// Builds the key for an instance of `dims` executing as `pattern`
-    /// on `platform`.
-    pub fn new(pattern: Pattern, dims: Dims, platform: impl Into<String>) -> TuneKey {
+    /// Builds the key for an instance of `problem` with `dims` on
+    /// `platform`.
+    pub fn new(problem: impl Into<String>, dims: Dims, platform: impl Into<String>) -> TuneKey {
         TuneKey {
-            pattern,
+            problem: problem.into(),
             rows_bucket: dims.rows.next_power_of_two(),
             cols_bucket: dims.cols.next_power_of_two(),
             platform: platform.into(),
         }
     }
 
-    /// A compact human-readable form, e.g. `AntiDiagonal/1024x1024/high`
-    /// (used as a trace-span argument).
+    /// A compact human-readable form, e.g. `lcs/1024x1024/high` (used
+    /// as a trace-span argument).
     pub fn label(&self) -> String {
         format!(
-            "{:?}/{}x{}/{}",
-            self.pattern, self.rows_bucket, self.cols_bucket, self.platform
+            "{}/{}x{}/{}",
+            self.problem, self.rows_bucket, self.cols_bucket, self.platform
         )
     }
 }
 
 /// One cached tuning artifact: the paper's schedule parameters plus the
-/// execution tier that measured fastest for the key's bucket.
+/// execution tier and memory mode the key's bucket solves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TunedConfig {
     /// The tuned `(t_switch, t_share)` pair.
@@ -186,11 +189,11 @@ impl TunerCache {
             .map(|(k, c)| {
                 format!(
                     concat!(
-                        "{{\"pattern\":\"{}\",\"rows_bucket\":{},\"cols_bucket\":{},",
+                        "{{\"problem\":\"{}\",\"rows_bucket\":{},\"cols_bucket\":{},",
                         "\"platform\":\"{}\",\"t_switch\":{},\"t_share\":{},\"tier\":\"{}\",",
                         "\"memory_mode\":\"{}\"}}"
                     ),
-                    escape(&format!("{:?}", k.pattern)),
+                    escape(&k.problem),
                     k.rows_bucket,
                     k.cols_bucket,
                     escape(&k.platform),
@@ -201,15 +204,16 @@ impl TunerCache {
                 )
             })
             .collect();
-        format!("{{\"version\":1,\"entries\":[{}]}}", rows.join(","))
+        format!("{{\"version\":2,\"entries\":[{}]}}", rows.join(","))
     }
 
     /// Merges entries from a [`TunerCache::save_json`] document into
     /// this cache (loaded entries overwrite same-key entries). Returns
     /// the number of entries loaded. Individual entries that fail to
-    /// decode (unknown pattern/tier name, missing field) are skipped —
-    /// a cache file written by a newer build pre-warms what it can —
-    /// but a document that is not shaped like a cache file at all is an
+    /// decode (no problem name, unknown tier, missing field) are
+    /// skipped — a cache file written by another build pre-warms what
+    /// it can, and a skipped key is re-tuned on first use — but a
+    /// document that is not shaped like a cache file at all is an
     /// error.
     pub fn load_json(&self, text: &str) -> std::result::Result<usize, String> {
         let doc = json::parse(text)?;
@@ -246,16 +250,12 @@ impl TunerCache {
 /// Decodes one persisted entry, or `None` if any field is missing or
 /// unrecognized.
 fn decode_entry(e: &Json) -> Option<(TuneKey, TunedConfig)> {
-    let pattern_name = e.get("pattern")?.as_str()?;
-    let pattern = *Pattern::ALL
-        .iter()
-        .find(|p| format!("{p:?}") == pattern_name)?;
     let field = |name: &str| -> Option<usize> {
         let v = e.get(name)?.as_f64()?;
         (v.fract() == 0.0 && v >= 0.0).then_some(v as usize)
     };
     let key = TuneKey {
-        pattern,
+        problem: e.get("problem")?.as_str()?.to_string(),
         rows_bucket: field("rows_bucket")?,
         cols_bucket: field("cols_bucket")?,
         platform: e.get("platform")?.as_str()?.to_string(),
@@ -285,27 +285,22 @@ mod tests {
 
     #[test]
     fn keys_bucket_dims_to_powers_of_two() {
-        let a = TuneKey::new(Pattern::AntiDiagonal, Dims::new(700, 1000), "high");
-        let b = TuneKey::new(Pattern::AntiDiagonal, Dims::new(1024, 513), "high");
+        let a = TuneKey::new("lcs", Dims::new(700, 1000), "high");
+        let b = TuneKey::new("lcs", Dims::new(1024, 513), "high");
         assert_eq!(a.rows_bucket, 1024);
         assert_eq!(a.cols_bucket, 1024);
         assert_eq!(a, b);
-        // Different platform or pattern → different key.
-        assert_ne!(
-            a,
-            TuneKey::new(Pattern::AntiDiagonal, Dims::new(700, 1000), "low")
-        );
-        assert_ne!(
-            a,
-            TuneKey::new(Pattern::Horizontal, Dims::new(700, 1000), "high")
-        );
-        assert!(a.label().contains("1024x1024/high"));
+        // Different platform or problem → different key, also for
+        // problems that share an execution pattern.
+        assert_ne!(a, TuneKey::new("lcs", Dims::new(700, 1000), "low"));
+        assert_ne!(a, TuneKey::new("levenshtein", Dims::new(700, 1000), "high"));
+        assert_eq!(a.label(), "lcs/1024x1024/high");
     }
 
     #[test]
     fn get_or_tune_caches_and_counts() {
         let cache = TunerCache::new();
-        let key = TuneKey::new(Pattern::Horizontal, Dims::new(64, 64), "high");
+        let key = TuneKey::new("dithering", Dims::new(64, 64), "high");
         let mut tunes = 0;
         let (c, hit) = cache
             .get_or_tune(&key, || -> Result<_, ()> {
@@ -333,7 +328,7 @@ mod tests {
     #[test]
     fn tune_errors_are_not_cached() {
         let cache = TunerCache::new();
-        let key = TuneKey::new(Pattern::Horizontal, Dims::new(8, 8), "low");
+        let key = TuneKey::new("dithering", Dims::new(8, 8), "low");
         let r: Result<_, String> = cache.get_or_tune(&key, || Err("boom".to_string()));
         assert!(r.is_err());
         assert!(cache.is_empty());
@@ -349,19 +344,15 @@ mod tests {
     fn json_round_trip_preserves_every_entry() {
         let cache = TunerCache::new();
         cache.insert(
-            TuneKey::new(Pattern::AntiDiagonal, Dims::new(700, 1000), "high"),
+            TuneKey::new("lcs", Dims::new(700, 1000), "high"),
             cfg(4, 16, ExecTier::Simd),
         );
         cache.insert(
-            TuneKey::new(Pattern::KnightMove, Dims::new(64, 64), "low"),
+            TuneKey::new("checkerboard", Dims::new(64, 64), "low"),
             cfg(0, 0, ExecTier::Scalar),
         );
         cache.insert(
-            TuneKey::new(
-                Pattern::AntiDiagonal,
-                Dims::new(4096, 4096),
-                "with \"quotes\"",
-            ),
+            TuneKey::new("lcs", Dims::new(4096, 4096), "with \"quotes\""),
             cfg(2, 8, ExecTier::BitParallel),
         );
         let text = cache.save_json();
@@ -369,16 +360,12 @@ mod tests {
         assert_eq!(restored.load_json(&text), Ok(3));
         assert_eq!(restored.len(), 3);
         assert_eq!(
-            restored.get(&TuneKey::new(
-                Pattern::AntiDiagonal,
-                Dims::new(700, 1000),
-                "high"
-            )),
+            restored.get(&TuneKey::new("lcs", Dims::new(700, 1000), "high")),
             Some(cfg(4, 16, ExecTier::Simd))
         );
         assert_eq!(
             restored.get(&TuneKey::new(
-                Pattern::AntiDiagonal,
+                "lcs",
                 Dims::new(4096, 4096),
                 "with \"quotes\""
             )),
@@ -394,23 +381,23 @@ mod tests {
         let cache = TunerCache::new();
         assert!(cache.load_json("not json").is_err());
         assert!(cache.load_json("{\"version\":1}").is_err());
-        // One good entry among unknown-pattern / unknown-tier /
+        // One good entry among problem-less / unknown-tier /
         // missing-field junk: only the good one loads.
         let text = concat!(
-            "{\"version\":1,\"entries\":[",
-            "{\"pattern\":\"Diagonal9\",\"rows_bucket\":8,\"cols_bucket\":8,",
+            "{\"version\":2,\"entries\":[",
+            "{\"pattern\":\"Horizontal\",\"rows_bucket\":8,\"cols_bucket\":8,",
             "\"platform\":\"p\",\"t_switch\":0,\"t_share\":0,\"tier\":\"bulk\"},",
-            "{\"pattern\":\"Horizontal\",\"rows_bucket\":8,\"cols_bucket\":8,",
+            "{\"problem\":\"dithering\",\"rows_bucket\":8,\"cols_bucket\":8,",
             "\"platform\":\"p\",\"t_switch\":0,\"t_share\":0,\"tier\":\"warp\"},",
-            "{\"pattern\":\"Horizontal\",\"rows_bucket\":8,\"cols_bucket\":8,",
+            "{\"problem\":\"dithering\",\"rows_bucket\":8,\"cols_bucket\":8,",
             "\"platform\":\"p\",\"t_share\":0,\"tier\":\"bulk\"},",
-            "{\"pattern\":\"Horizontal\",\"rows_bucket\":16,\"cols_bucket\":8,",
+            "{\"problem\":\"dithering\",\"rows_bucket\":16,\"cols_bucket\":8,",
             "\"platform\":\"p\",\"t_switch\":1,\"t_share\":2,\"tier\":\"bit-parallel\"}",
             "]}"
         );
         assert_eq!(cache.load_json(text), Ok(1));
         assert_eq!(
-            cache.get(&TuneKey::new(Pattern::Horizontal, Dims::new(16, 8), "p")),
+            cache.get(&TuneKey::new("dithering", Dims::new(16, 8), "p")),
             Some(cfg(1, 2, ExecTier::BitParallel))
         );
     }
@@ -418,7 +405,7 @@ mod tests {
     #[test]
     fn memory_mode_round_trips_and_defaults_to_full() {
         let cache = TunerCache::new();
-        let key = TuneKey::new(Pattern::AntiDiagonal, Dims::new(8192, 8192), "low");
+        let key = TuneKey::new("lcs", Dims::new(8192, 8192), "low");
         cache.insert(
             key.clone(),
             cfg(4, 16, ExecTier::Simd).with_memory_mode(MemoryMode::Rolling),
@@ -433,10 +420,10 @@ mod tests {
         // field: the entry still loads, defaulting to full-table mode.
         // A present-but-unknown value skips the entry like other junk.
         let legacy = concat!(
-            "{\"version\":1,\"entries\":[",
-            "{\"pattern\":\"Horizontal\",\"rows_bucket\":8,\"cols_bucket\":8,",
+            "{\"version\":2,\"entries\":[",
+            "{\"problem\":\"dithering\",\"rows_bucket\":8,\"cols_bucket\":8,",
             "\"platform\":\"p\",\"t_switch\":0,\"t_share\":4,\"tier\":\"bulk\"},",
-            "{\"pattern\":\"Horizontal\",\"rows_bucket\":16,\"cols_bucket\":8,",
+            "{\"problem\":\"dithering\",\"rows_bucket\":16,\"cols_bucket\":8,",
             "\"platform\":\"p\",\"t_switch\":0,\"t_share\":4,\"tier\":\"bulk\",",
             "\"memory_mode\":\"paged\"}",
             "]}"
@@ -444,9 +431,32 @@ mod tests {
         let tolerant = TunerCache::new();
         assert_eq!(tolerant.load_json(legacy), Ok(1));
         let loaded = tolerant
-            .get(&TuneKey::new(Pattern::Horizontal, Dims::new(8, 8), "p"))
+            .get(&TuneKey::new("dithering", Dims::new(8, 8), "p"))
             .unwrap();
         assert_eq!(loaded.memory_mode, MemoryMode::Full);
+    }
+
+    #[test]
+    fn pattern_keyed_files_load_and_their_entries_are_retuned() {
+        // A file from a build whose keys named only the pattern: it
+        // still loads, but none of its entries can say which problem
+        // they were tuned for, so every key misses and re-tunes.
+        let pattern_keyed = concat!(
+            "{\"version\":1,\"entries\":[",
+            "{\"pattern\":\"AntiDiagonal\",\"rows_bucket\":2048,\"cols_bucket\":2048,",
+            "\"platform\":\"high\",\"t_switch\":0,\"t_share\":0,\"tier\":\"scalar\",",
+            "\"memory_mode\":\"full\"}",
+            "]}"
+        );
+        let cache = TunerCache::new();
+        assert_eq!(cache.load_json(pattern_keyed), Ok(0));
+        assert!(cache.is_empty());
+        let key = TuneKey::new("levenshtein", Dims::new(2048, 2048), "high");
+        let (config, hit) = cache
+            .get_or_tune(&key, || -> Result<_, ()> { Ok(cfg(4, 16, ExecTier::Simd)) })
+            .unwrap();
+        assert!(!hit, "a pattern-keyed entry must not answer for a problem");
+        assert_eq!(config, cfg(4, 16, ExecTier::Simd));
     }
 
     #[test]
@@ -456,14 +466,14 @@ mod tests {
         let path = dir.join("tune_cache.json");
         let cache = TunerCache::new();
         cache.insert(
-            TuneKey::new(Pattern::Vertical, Dims::new(100, 3), "host"),
+            TuneKey::new("seam", Dims::new(100, 3), "host"),
             cfg(1, 2, ExecTier::Bulk),
         );
         cache.save_to(&path).unwrap();
         let restored = TunerCache::new();
         assert_eq!(restored.load_from(&path), Ok(1));
         assert_eq!(
-            restored.get(&TuneKey::new(Pattern::Vertical, Dims::new(100, 3), "host")),
+            restored.get(&TuneKey::new("seam", Dims::new(100, 3), "host")),
             Some(cfg(1, 2, ExecTier::Bulk))
         );
         assert!(restored.load_from(dir.join("missing.json")).is_err());

@@ -6,7 +6,14 @@
 //! waves. Unlike `hetero-sim` this engine runs on the wall clock — it is
 //! what the Criterion benchmarks measure.
 //!
-//! Two perf-critical design points live here:
+//! Every solve goes through one entry, [`ParallelEngine::run`], and one
+//! wave loop. A [`SolveSpec`] says what the run varies: the pattern,
+//! the memory mode (the full wave-major grid, or a rolling ring of
+//! three wave bands), the worker count, a tier cap, a trace sink, a
+//! band-stream hook and a fault injector. [`ParallelEngine::solve`] and
+//! [`ParallelEngine::solve_rolling`] are that call with the defaults.
+//!
+//! The perf-critical design points:
 //!
 //! * **Persistent workers.** The engine owns a lazily created
 //!   [`WorkerPool`] (long-lived threads plus a reusable sense-reversing
@@ -14,7 +21,8 @@
 //!   pool is created on first use and shared by every subsequent solve,
 //!   every [`tune_worker_count`](ParallelEngine::tune_worker_count)
 //!   candidate, and — through `Clone`, which shares the pool — every
-//!   batch the serving path executes.
+//!   batch the serving path executes. A run with one worker and no
+//!   injector computes inline on the calling thread instead.
 //! * **Bulk interior runs.** When the kernel exposes a
 //!   [`WaveKernel`] and the executed pattern equals the set's raw
 //!   classification, each worker splits its chunk of a wave into the
@@ -30,43 +38,57 @@
 //!   [`SimdWaveKernel::compute_run_simd`] whenever the host has a
 //!   vector backend ([`simd_available`]), with worker chunk boundaries
 //!   rounded down to lane multiples so at most one partial vector per
-//!   (worker, wave) is peeled. The resolved [`ExecTier`] is recorded on
-//!   every traced wave span; `LDDP_FORCE_TIER=scalar|bulk|simd` (read
-//!   once per process) or [`ParallelEngine::with_tier`] pin the tier
-//!   for debugging and ablations, downgrading gracefully when the
-//!   pinned tier is unavailable for a kernel.
+//!   (worker, wave) is peeled. Tier caps — `LDDP_FORCE_TIER` (read once
+//!   per process), [`ParallelEngine::with_tier`] and
+//!   [`SolveSpec::tier`] — compose by taking the lowest, downgrading
+//!   gracefully when a tier is unavailable for a kernel.
+//! * **One storage trait.** The wave loop hands each worker's stretch
+//!   of a wave to its store: the wave-major grid (border cells through
+//!   the grid's [`Layout`], interior runs precomputed per wave) or the
+//!   rolling ring of [`lddp_core::rolling::Ring`] (wave `w` in slot
+//!   `w % 3`, the same ring the one-thread band walk of `lddp-core`
+//!   computes its waves with). Both run the same kernel bodies, so the
+//!   memory modes agree bit for bit.
 //!
-//! [`ParallelEngine::solve_traced`] runs the same algorithm with
-//! wall-clock instrumentation: one span per non-empty (worker, wave)
-//! chunk, per-worker busy time, and a histogram of time spent waiting at
-//! the inter-wave barrier — the otherwise invisible synchronization cost
-//! of the heavy-thread design. With a disabled sink it falls through to
-//! the untraced path, so `NullSink` costs nothing.
+//! With a trace sink, or a live registry on a pooled full-table run,
+//! the loop records wall-clock instrumentation: one span per non-empty
+//! (worker, wave) chunk, per-worker busy time, and a histogram of time
+//! spent waiting at the inter-wave barrier — the otherwise invisible
+//! synchronization cost of the heavy-thread design. The cost is two
+//! clock reads per wave; every other run records whole-run aggregates
+//! only.
 //!
 //! # Safety architecture
 //!
 //! Workers share one backing array. Within a wave each worker writes a
-//! *disjoint* chunk of that wave's contiguous range (wave-major layout),
-//! and reads only cells from strictly earlier waves — guaranteed by the
-//! pattern-compatibility check (`schedule::compatible`) and re-asserted
-//! in debug builds. The pool's [`SenseBarrier`](crate::SenseBarrier)
-//! separates waves, carrying the release/acquire edges that make
-//! earlier-wave writes visible. Bulk runs obey the same discipline in
-//! slice form: the output slice lies in the current wave's
-//! worker-exclusive range, and every dependency slice lies in a sealed
-//! earlier wave (asserted in debug builds via the layout's contiguity
-//! property). The few `unsafe` blocks below encapsulate exactly this
-//! discipline.
+//! *disjoint* chunk of that wave's contiguous range, and reads only
+//! cells from strictly earlier waves still held by the store —
+//! guaranteed by the pattern-compatibility check
+//! (`schedule::compatible`), the ring's three slots for rolling runs
+//! (which need at most two waves back), and re-asserted in debug
+//! builds. The pool's [`SenseBarrier`](crate::SenseBarrier) separates
+//! waves, carrying the release/acquire edges that make earlier-wave
+//! writes visible. Bulk runs obey the same discipline in slice form:
+//! the output slice lies in the current wave's worker-exclusive range,
+//! and every dependency slice lies in a sealed earlier wave (asserted
+//! in debug builds via the store's contiguity). The few `unsafe` blocks
+//! below encapsulate exactly this discipline.
+//!
+//! [`WaveKernel`]: lddp_core::kernel::WaveKernel
+//! [`WaveKernel::compute_run`]: lddp_core::kernel::WaveKernel::compute_run
+//! [`SimdWaveKernel`]: lddp_core::kernel::SimdWaveKernel
+//! [`SimdWaveKernel::compute_run_simd`]: lddp_core::kernel::SimdWaveKernel::compute_run_simd
+//! [`simd_available`]: lddp_core::kernel::simd_available
 
 use crate::pool::{chunk_aligned, PoolError, WorkerPool};
 use lddp_chaos::FaultInjector;
 use lddp_core::cell::{ContributingSet, RepCell};
 use lddp_core::grid::{Grid, Layout, LayoutKind};
-use lddp_core::kernel::{simd_available, ExecTier, Kernel, Neighbors, SimdWaveKernel, WaveKernel};
+use lddp_core::kernel::{ExecTier, Kernel, Neighbors, RunBody};
 use lddp_core::pattern::{classify, Pattern};
 use lddp_core::rolling;
 use lddp_core::schedule::compatible;
-use lddp_core::tuner::{pick_tier, SweepPoint, TierPoint};
+use lddp_core::tuner::SweepPoint;
 use lddp_core::wavefront::{self, Dims};
 use lddp_core::{DegradeStep, Error, Result};
 use lddp_trace::live::LiveRegistry;
@@ -137,7 +159,7 @@ impl<T: Copy> SharedCells<T> {
     /// The range is in bounds, lies entirely inside this worker's chunk
     /// of the current wave, and does not overlap any slice handed out
     /// for sealed waves (current-wave and earlier-wave ranges are
-    /// disjoint in a coalesced layout).
+    /// disjoint in both stores).
     #[inline]
     #[allow(clippy::mut_from_ref)] // the aliasing discipline is the caller contract
     unsafe fn slice_mut(&self, base: usize, len: usize) -> &mut [T] {
@@ -186,52 +208,6 @@ unsafe fn compute_chunk<K: Kernel + ?Sized>(
     }
 }
 
-/// The bulk executor a solve resolved to: the scalar-bulk
-/// [`WaveKernel`] path or the vectorized [`SimdWaveKernel`] path. Both
-/// consume the same interior-run slices; keeping the choice in one
-/// value lets the hot loops dispatch with a single match instead of
-/// re-deriving tier logic per run.
-enum BulkExec<'a, T> {
-    Wave(&'a dyn WaveKernel<Cell = T>),
-    Simd(&'a dyn SimdWaveKernel<Cell = T>),
-}
-
-impl<T> Clone for BulkExec<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for BulkExec<'_, T> {}
-
-impl<T: Copy + Send + Sync + PartialEq + std::fmt::Debug + Default> BulkExec<'_, T> {
-    /// The lane width worker chunks should align to (1 for the scalar
-    /// bulk path).
-    fn lanes(&self) -> usize {
-        match self {
-            BulkExec::Wave(_) => 1,
-            BulkExec::Simd(k) => k.lanes().max(1),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compute_run(
-        &self,
-        i: usize,
-        j0: usize,
-        out: &mut [T],
-        w: &[T],
-        nw: &[T],
-        n: &[T],
-        ne: &[T],
-    ) {
-        match self {
-            BulkExec::Wave(k) => k.compute_run(i, j0, out, w, nw, n, ne),
-            BulkExec::Simd(k) => k.compute_run_simd(i, j0, out, w, nw, n, ne),
-        }
-    }
-}
-
 /// The process-wide `LDDP_FORCE_TIER` debugging override, read once.
 /// Unparseable values are treated as unset.
 fn env_forced_tier() -> Option<ExecTier> {
@@ -254,7 +230,7 @@ fn env_forced_tier() -> Option<ExecTier> {
 /// slots (the property tested in `lddp-core::grid`).
 #[allow(clippy::too_many_arguments)]
 unsafe fn compute_run_bulk<T: Copy + Send + Sync + PartialEq + std::fmt::Debug + Default>(
-    wk: BulkExec<'_, T>,
+    wk: RunBody<'_, T>,
     set: ContributingSet,
     pattern: Pattern,
     dims: Dims,
@@ -314,57 +290,140 @@ unsafe fn compute_run_bulk<T: Copy + Send + Sync + PartialEq + std::fmt::Debug +
     );
 }
 
-/// Computes one worker's chunk of wave `w`, routing interior runs
-/// through the bulk path when one is available and falling back to the
-/// scalar path for border cells (and entirely, when `wk` is `None`).
-///
-/// # Safety
-/// As [`compute_chunk`]; `runs` must be the interior runs of wave `w`
-/// for this `(pattern, set)` whenever `wk` is `Some`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn compute_chunk_auto<K: Kernel + ?Sized>(
-    kernel: &K,
-    wk: Option<BulkExec<'_, K::Cell>>,
-    set: ContributingSet,
+/// Where a run keeps its cells, and how it computes a stretch of one
+/// wave there: the wave-major grid of a full-table solve, or the ring of
+/// three wave bands a rolling solve cycles through. The wave loop is
+/// generic over it, so dispatch happens per stretch, never per cell.
+trait Storage: Sync {
+    /// Computes positions `range` of wave `w`: border cells one by one
+    /// through [`Kernel::compute`], interior runs through `exec` when
+    /// given.
+    ///
+    /// # Safety
+    /// Caller upholds the wave/barrier discipline: `range` is this
+    /// worker's exclusive stretch of wave `w`, and every dependency of
+    /// wave `w` is sealed by an earlier barrier.
+    unsafe fn compute<K: Kernel>(
+        &self,
+        kernel: &K,
+        exec: Option<RunBody<'_, K::Cell>>,
+        cells: &SharedCells<K::Cell>,
+        w: usize,
+        range: Range<usize>,
+    );
+
+    /// Backing-array index of wave `w`'s first cell; the wave's cells
+    /// follow it contiguously, in wave order.
+    fn wave_start(&self, w: usize) -> usize;
+}
+
+/// The full table in the pattern's preferred layout, with the interior
+/// runs of every wave computed once, outside the workers: wave `w`
+/// owns `runs[starts[w]..starts[w + 1]]`.
+struct GridStore<'a> {
+    layout: &'a Layout,
     pattern: Pattern,
-    dims: Dims,
-    layout: &Layout,
-    runs: &[Range<usize>],
-    cells: &SharedCells<K::Cell>,
-    w: usize,
-    range: Range<usize>,
-) {
-    let Some(wk) = wk else {
-        // SAFETY: forwarded caller contract.
-        unsafe { compute_chunk(kernel, set, pattern, dims, layout, cells, w, range) };
-        return;
-    };
-    let mut pos = range.start;
-    for run in runs {
-        if run.end <= pos {
-            continue;
+    set: ContributingSet,
+    runs: Vec<Range<usize>>,
+    starts: Vec<usize>,
+}
+
+impl<'a> GridStore<'a> {
+    fn new(layout: &'a Layout, pattern: Pattern, set: ContributingSet, bulk: bool) -> Self {
+        let dims = layout.dims();
+        let mut runs = Vec::new();
+        let mut starts = vec![0];
+        if bulk {
+            for w in 0..pattern.num_waves(dims.rows, dims.cols) {
+                runs.extend(layout.interior_runs(pattern, set, w));
+                starts.push(runs.len());
+            }
         }
-        if run.start >= range.end {
-            break;
+        GridStore {
+            layout,
+            pattern,
+            set,
+            runs,
+            starts,
         }
-        let lo = run.start.max(pos);
-        let hi = run.end.min(range.end);
-        if lo > pos {
-            // Border cells before this interior run.
-            // SAFETY: forwarded caller contract.
-            unsafe { compute_chunk(kernel, set, pattern, dims, layout, cells, w, pos..lo) };
-        }
-        // SAFETY: `lo..hi` is a sub-range of an interior run.
-        unsafe { compute_run_bulk(wk, set, pattern, dims, layout, cells, w, lo..hi) };
-        pos = hi;
-    }
-    if pos < range.end {
-        // SAFETY: forwarded caller contract.
-        unsafe { compute_chunk(kernel, set, pattern, dims, layout, cells, w, pos..range.end) };
     }
 }
 
-/// What one worker measured about itself during a traced run.
+impl Storage for GridStore<'_> {
+    unsafe fn compute<K: Kernel>(
+        &self,
+        kernel: &K,
+        exec: Option<RunBody<'_, K::Cell>>,
+        cells: &SharedCells<K::Cell>,
+        w: usize,
+        range: Range<usize>,
+    ) {
+        let (set, pattern, layout) = (self.set, self.pattern, self.layout);
+        let dims = layout.dims();
+        // SAFETY (both closures): the caller's contract, for a part of
+        // `range`; a bulk run is a sub-range of one of wave `w`'s
+        // interior runs.
+        let cells_of = |r: Range<usize>| unsafe {
+            compute_chunk(kernel, set, pattern, dims, layout, cells, w, r)
+        };
+        let Some(body) = exec else {
+            return cells_of(range);
+        };
+        let run_of = |r: Range<usize>| unsafe {
+            compute_run_bulk(body, set, pattern, dims, layout, cells, w, r)
+        };
+        // Border cells between the interior runs that meet `range`.
+        let mut pos = range.start;
+        for run in &self.runs[self.starts[w]..self.starts[w + 1]] {
+            let (lo, hi) = (run.start.max(pos), run.end.min(range.end));
+            if lo < hi {
+                cells_of(pos..lo);
+                run_of(lo..hi);
+                pos = hi;
+            }
+        }
+        cells_of(pos..range.end);
+    }
+
+    fn wave_start(&self, w: usize) -> usize {
+        let (i, j) = wavefront::cell_at(self.pattern, self.layout.dims(), w, 0);
+        self.layout.index(i, j)
+    }
+}
+
+/// The rolling store: the ring of three wave bands, in one backing
+/// array of three slots.
+impl Storage for rolling::Ring {
+    unsafe fn compute<K: Kernel>(
+        &self,
+        kernel: &K,
+        exec: Option<RunBody<'_, K::Cell>>,
+        cells: &SharedCells<K::Cell>,
+        w: usize,
+        range: Range<usize>,
+    ) {
+        let band = self.band();
+        let j_lo = self.wave_cols(w).start;
+        // SAFETY: wave `w` writes only this worker's stretch of its own
+        // slot; its dependencies live in waves `w - 1` and `w - 2`, the
+        // other two slots, sealed by their barriers.
+        let (out, prev1, prev2) = unsafe {
+            (
+                cells.slice_mut(self.wave_start(w) + range.start, range.len()),
+                cells.slice(self.wave_start(w + 2), band),
+                cells.slice(self.wave_start(w + 1), band),
+            )
+        };
+        let cols = j_lo + range.start..j_lo + range.end;
+        self.compute_wave(kernel, exec, w, cols, out, prev1, prev2);
+    }
+
+    fn wave_start(&self, w: usize) -> usize {
+        (w % 3) * self.band()
+    }
+}
+
+/// What one worker measured about itself during an instrumented run.
 #[derive(Debug, Default)]
 struct WorkerTrace {
     /// Non-empty chunks: (wave, start_s, dur_s, cells).
@@ -375,6 +434,87 @@ struct WorkerTrace {
     barrier_wait_s: Vec<f64>,
 }
 
+/// How a run keeps the table.
+#[derive(Clone, Copy, Default)]
+pub enum Memory<C> {
+    /// The whole grid, in the pattern's wave-major layout.
+    #[default]
+    Full,
+    /// Only a ring of three wave bands (`O(rows + cols)` bytes), for
+    /// anti-diagonal `{W, NW, N}` kernels. The run captures the
+    /// bottom-right corner and, when `best_of` is given, the arg-best
+    /// cell under that score (the Smith–Waterman endpoint).
+    Rolling {
+        /// Score of the arg-best capture, if one is wanted.
+        best_of: Option<fn(&C) -> i64>,
+    },
+}
+
+/// Everything one [`ParallelEngine::run`] can vary. The default is a
+/// full-table solve under the kernel's classified pattern on every
+/// worker, uncapped and uninstrumented.
+#[derive(Clone, Copy, Default)]
+pub struct SolveSpec<'a, C> {
+    /// Execution pattern; `None` takes the set's canonical
+    /// classification. An explicit pattern must be compatible with the
+    /// set (e.g. a `{NW}` problem under Horizontal, §V-B).
+    pub pattern: Option<Pattern>,
+    /// Full grid or rolling ring.
+    pub memory: Memory<C>,
+    /// Active workers, clamped to `1..=threads()`; `None` uses all.
+    pub threads: Option<usize>,
+    /// Tier cap for this run, composed with the engine's pin and
+    /// `LDDP_FORCE_TIER` by taking the lowest.
+    pub tier: Option<ExecTier>,
+    /// Wall-clock instrumentation sink (see module docs).
+    pub sink: Option<&'a dyn TraceSink>,
+    /// Streams sealed wave bands while the run proceeds. Rolling runs
+    /// only: a full-table run with a hook is rejected.
+    pub stream: Option<&'a StreamHook<'a, C>>,
+    /// Fault injector consulted per (worker, wave). An injected run
+    /// walks the degradation ladder: the configured run, then (when a
+    /// bulk tier was in play) the scalar tier, then a panic-isolated
+    /// one-thread run no injector touches. It always stays on the
+    /// pool, for panic isolation and a stable draw sequence.
+    pub injector: Option<&'a dyn FaultInjector>,
+}
+
+impl<C: Default> SolveSpec<'_, C> {
+    /// A rolling run capturing the corner and, with `best_of`, the
+    /// arg-best cell.
+    pub fn rolling(best_of: Option<fn(&C) -> i64>) -> Self {
+        SolveSpec {
+            memory: Memory::Rolling { best_of },
+            ..SolveSpec::default()
+        }
+    }
+}
+
+/// Outcome of a [`ParallelEngine::run`].
+#[derive(Debug, Clone)]
+pub struct Solved<C> {
+    /// The table, for full-memory runs; `None` for rolling runs — that
+    /// is their point.
+    pub grid: Option<Grid<C>>,
+    /// Bottom-right cell (`None` only for empty tables) — the answer
+    /// cell for corner-answer problems.
+    pub corner: Option<C>,
+    /// `(i, j, cell)` of the arg-best cell under a rolling run's
+    /// `best_of` score (ties to the earliest cell in wave order).
+    pub best: Option<(usize, usize, C)>,
+    /// Tier the interior runs executed on.
+    pub tier: ExecTier,
+    /// Waves walked.
+    pub waves: usize,
+    /// Peak working-set bytes: the grid, or the three ring bands. This
+    /// is what the `lddp_engine_table_bytes{memory_mode}` gauge
+    /// reports.
+    pub peak_bytes: usize,
+    /// Degradation rungs an injected run took, in order; empty when
+    /// the configured run succeeded.
+    pub degraded: Vec<DegradeStep>,
+}
+
 /// A chunk-per-thread wavefront solver backed by a persistent
 /// [`WorkerPool`].
 ///
@@ -383,7 +523,6 @@ struct WorkerTrace {
 #[derive(Debug, Clone)]
 pub struct ParallelEngine {
     threads: usize,
-    bulk: bool,
     tier: Option<ExecTier>,
     live: Option<Arc<LiveRegistry>>,
     pool: OnceLock<Arc<WorkerPool>>,
@@ -395,7 +534,6 @@ impl ParallelEngine {
     pub fn new(threads: usize) -> Self {
         ParallelEngine {
             threads: threads.max(1),
-            bulk: true,
             tier: None,
             live: None,
             pool: OnceLock::new(),
@@ -415,50 +553,45 @@ impl ParallelEngine {
         self.threads
     }
 
-    /// Enables or disables the bulk [`WaveKernel`] path (on by
-    /// default). With bulk disabled every cell goes through the scalar
-    /// [`Kernel::compute`] path — useful for differential testing and
-    /// for measuring what the bulk path buys.
-    pub fn with_bulk_enabled(mut self, bulk: bool) -> Self {
-        self.bulk = bulk;
-        self
-    }
-
-    /// Whether the bulk path is enabled.
-    pub fn bulk_enabled(&self) -> bool {
-        self.bulk
-    }
-
-    /// Pins the execution tier instead of auto-selecting the fastest
-    /// available one (`None`, the default, restores auto-selection). A
-    /// pinned tier a kernel cannot support downgrades gracefully
-    /// (`Simd → Bulk → Scalar`); pinning [`ExecTier::BitParallel`] is
-    /// equivalent to auto, because the engine solves full tables and
-    /// bit-parallel execution is an answer-only specialization the
-    /// caller must route itself. The `LDDP_FORCE_TIER` environment
-    /// variable takes precedence over this builder.
+    /// Caps the execution tier of every run (`None`, the default, caps
+    /// nothing). A cap a kernel cannot reach downgrades gracefully
+    /// (`Simd → Bulk → Scalar`); `Some(ExecTier::Scalar)` sends every
+    /// cell through [`Kernel::compute`], and [`ExecTier::BitParallel`]
+    /// caps nothing, because bit-parallel execution is an answer-only
+    /// specialization the caller must route itself. Caps compose with
+    /// `LDDP_FORCE_TIER` and [`SolveSpec::tier`] by taking the lowest.
     pub fn with_tier(mut self, tier: Option<ExecTier>) -> Self {
         self.tier = tier;
         self
     }
 
-    /// The pinned tier, if any (`LDDP_FORCE_TIER` not considered).
+    /// The engine's tier cap, if any (`LDDP_FORCE_TIER` not
+    /// considered).
     pub fn tier_override(&self) -> Option<ExecTier> {
         self.tier
     }
 
-    /// Attaches a [`LiveRegistry`]: every pooled solve records pool
-    /// utilization into it (`lddp_pool_*` families — per-worker busy
-    /// seconds, barrier-wait histogram, solves by tier, waves, cells)
-    /// regardless of whether a [`TraceSink`] is attached. Injected
-    /// faults additionally count under
+    /// Attaches a [`LiveRegistry`]: every run records pool utilization
+    /// into it (`lddp_pool_*` families — per-worker busy seconds,
+    /// barrier-wait histogram, solves by tier, waves, cells — and the
+    /// `lddp_engine_table_bytes{memory_mode}` gauge) regardless of
+    /// whether a [`TraceSink`] is attached. Injected faults additionally
+    /// count under
     /// `lddp_chaos_injected_total{site=worker_panic|bulk_panic}`.
     ///
-    /// Attaching a registry routes solves through the instrumented
-    /// path (per-wave wall-clock timestamps), so it is not free —
-    /// though the cost is per *wave*, not per cell, and disappears
-    /// into the noise for all but trivially small grids.
+    /// Attaching a registry routes pooled full-table runs through the
+    /// instrumented path (two clock reads per wave), so it is not free — though the
+    /// cost is per *wave*, not per cell, and disappears into the noise
+    /// for all but trivially small grids. Every family is registered
+    /// here, at zero, so the exposition keeps its shape whatever tier
+    /// and memory mode the solves take — or when none reaches the pool.
     pub fn with_live(mut self, live: Arc<LiveRegistry>) -> Self {
+        for tier in [ExecTier::Scalar, ExecTier::Bulk, ExecTier::Simd] {
+            record_live(&live, tier, 0, 0, 0, &[]);
+        }
+        for mode in ["full", "rolling"] {
+            set_table_bytes(&live, mode, 0);
+        }
         self.live = Some(live);
         self
     }
@@ -478,9 +611,9 @@ impl ParallelEngine {
         self.pool.get().map_or(0, |p| p.dead_workers())
     }
 
-    /// True once a solve has spun up the worker pool. Single-worker
-    /// plans compute inline and must leave this false — the regression
-    /// guard for the "pool handoff at one thread" overhead class.
+    /// True once a run has spun up the worker pool. Single-worker runs
+    /// compute inline and must leave this false — the regression guard
+    /// for the "pool handoff at one thread" overhead class.
     pub fn pool_started(&self) -> bool {
         self.pool.get().is_some()
     }
@@ -493,76 +626,40 @@ impl ParallelEngine {
     }
 
     /// The tier a [`solve`](ParallelEngine::solve) of `kernel` will
-    /// execute on, honoring `LDDP_FORCE_TIER`, the pinned tier and the
+    /// execute on, honoring `LDDP_FORCE_TIER`, the engine's cap and the
     /// host's vector backend. Kernels whose contributing set does not
-    /// classify run scalar.
+    /// classify run scalar. This is the tier order a tuned solve uses:
+    /// SIMD, then bulk, then scalar, as available.
     pub fn select_tier<K: Kernel>(&self, kernel: &K) -> ExecTier {
         match classify(kernel.contributing_set()).map(Pattern::canonical) {
-            Some(pattern) => self.resolve_exec(kernel, pattern).0,
+            Some(pattern) => self.resolve_exec(kernel, pattern, None).0,
             None => ExecTier::Scalar,
         }
     }
 
-    /// Resolves the tier and bulk executor for solving `kernel` under
-    /// `pattern`: the requested tier (env override, then pinned tier,
-    /// then fastest-available) downgraded to what the kernel and host
-    /// actually support under this execution pattern.
+    /// Resolves the tier and bulk executor for running `kernel` under
+    /// `pattern`: the fastest available tier, lowered to every cap in
+    /// force (`LDDP_FORCE_TIER`, the engine's, the run's `cap`) and to
+    /// what the kernel and host actually support under this pattern.
     fn resolve_exec<'k, K: Kernel + ?Sized>(
         &self,
         kernel: &'k K,
         pattern: Pattern,
-    ) -> (ExecTier, Option<BulkExec<'k, K::Cell>>) {
-        let bulk_ok = self.bulk && classify(kernel.contributing_set()) == Some(pattern);
-        let wave = if bulk_ok { kernel.wave_kernel() } else { None };
-        let simd = if bulk_ok && simd_available() {
-            kernel.simd_kernel()
-        } else {
-            None
-        };
-        let auto = if simd.is_some() {
-            ExecTier::Simd
-        } else if wave.is_some() {
-            ExecTier::Bulk
-        } else {
-            ExecTier::Scalar
-        };
-        let requested = match env_forced_tier().or(self.tier) {
-            None | Some(ExecTier::BitParallel) => auto,
-            Some(forced) => auto.min(forced),
-        };
-        // A kernel may expose a SIMD hook without a scalar-bulk one;
-        // downgrade past any missing rung rather than mis-reporting.
-        let (tier, exec) = match requested {
-            ExecTier::Simd if simd.is_some() => (ExecTier::Simd, simd.map(BulkExec::Simd)),
-            ExecTier::Simd | ExecTier::Bulk if wave.is_some() => {
-                (ExecTier::Bulk, wave.map(BulkExec::Wave))
-            }
-            _ => (ExecTier::Scalar, None),
-        };
-        (tier, exec)
-    }
-
-    /// Measures one solve per *available* tier of `kernel` (scalar,
-    /// bulk, SIMD — whichever the kernel and host support) on this
-    /// engine's pool and returns the fastest together with the sweep.
-    /// Ties prefer the simpler tier. Under `LDDP_FORCE_TIER` every
-    /// candidate resolves to the forced tier, so exactly one point is
-    /// measured.
-    pub fn tune_tier<K: Kernel>(&self, kernel: &K) -> Result<(ExecTier, Vec<TierPoint>)> {
-        let mut points = Vec::new();
-        for tier in [ExecTier::Scalar, ExecTier::Bulk, ExecTier::Simd] {
-            let candidate = self.clone().with_tier(Some(tier));
-            if candidate.select_tier(kernel) != tier {
-                continue; // unavailable: would re-measure a lower tier
-            }
-            let t0 = Instant::now();
-            candidate.solve(kernel)?;
-            points.push(TierPoint {
-                tier,
-                secs: t0.elapsed().as_secs_f64(),
-            });
+        cap: Option<ExecTier>,
+    ) -> (ExecTier, Option<RunBody<'k, K::Cell>>) {
+        // The bulk and SIMD paths are only sound when the executed
+        // pattern is the set's own classification: only then are all
+        // of a run's dependencies in strictly earlier waves with the
+        // contiguity property `Layout::interior_runs` relies on.
+        if classify(kernel.contributing_set()) != Some(pattern) {
+            return (ExecTier::Scalar, None);
         }
-        Ok((pick_tier(&points).unwrap_or(ExecTier::Scalar), points))
+        let cap = [env_forced_tier(), self.tier, cap]
+            .into_iter()
+            .flatten()
+            .filter(|t| *t != ExecTier::BitParallel)
+            .min();
+        RunBody::resolve(kernel, cap)
     }
 
     /// The engine's worker pool, created on first use.
@@ -571,7 +668,8 @@ impl ParallelEngine {
             .get_or_init(|| Arc::new(WorkerPool::new(self.threads)))
     }
 
-    /// Solves the kernel under its classified canonical pattern.
+    /// Solves the kernel into a full grid under its classified
+    /// canonical pattern.
     ///
     /// ```
     /// use lddp_parallel::ParallelEngine;
@@ -594,333 +692,221 @@ impl ParallelEngine {
     /// assert_eq!(grid.get(7, 3), 35);
     /// ```
     pub fn solve<K: Kernel>(&self, kernel: &K) -> Result<Grid<K::Cell>> {
-        self.solve_traced(kernel, &NullSink)
-    }
-
-    /// Solves under an explicit compatible pattern (e.g. a `{NW}` problem
-    /// under Horizontal, §V-B).
-    pub fn solve_as<K: Kernel>(&self, kernel: &K, pattern: Pattern) -> Result<Grid<K::Cell>> {
-        self.solve_as_traced(kernel, pattern, &NullSink)
-    }
-
-    /// [`solve`](ParallelEngine::solve) with wall-clock instrumentation
-    /// through `sink` (see module docs for what is emitted). A disabled
-    /// sink adds no work.
-    pub fn solve_traced<K: Kernel>(
-        &self,
-        kernel: &K,
-        sink: &dyn TraceSink,
-    ) -> Result<Grid<K::Cell>> {
-        let pattern = classify(kernel.contributing_set())
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        self.solve_as_traced(kernel, pattern, sink)
-    }
-
-    /// [`solve_as`](ParallelEngine::solve_as) with wall-clock
-    /// instrumentation through `sink`.
-    pub fn solve_as_traced<K: Kernel>(
-        &self,
-        kernel: &K,
-        pattern: Pattern,
-        sink: &dyn TraceSink,
-    ) -> Result<Grid<K::Cell>> {
-        self.solve_inner(kernel, pattern, sink, self.threads, None)
-    }
-
-    /// Solves with a [`FaultInjector`] consulted on the pooled path: an
-    /// injected worker panic or bulk fault fails the solve with
-    /// [`Error::ExecutionPanicked`] instead of unwinding the caller,
-    /// and a pool left with dead workers is healed before returning.
-    /// The single-threaded shortcut path is not injectable.
-    pub fn solve_injected<K: Kernel>(
-        &self,
-        kernel: &K,
-        injector: &dyn FaultInjector,
-    ) -> Result<Grid<K::Cell>> {
-        let pattern = classify(kernel.contributing_set())
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        self.solve_inner(kernel, pattern, &NullSink, self.threads, Some(injector))
-    }
-
-    /// Solves with the graceful-degradation ladder: the full
-    /// configuration first, then (when the bulk path was in play) the
-    /// scalar path, then a panic-isolated single-threaded solve that no
-    /// injector touches. Returns the grid together with the rungs taken;
-    /// an empty vector means the first attempt succeeded.
-    pub fn solve_degrading<K: Kernel>(
-        &self,
-        kernel: &K,
-        injector: &dyn FaultInjector,
-    ) -> Result<(Grid<K::Cell>, Vec<DegradeStep>)> {
-        let set = kernel.contributing_set();
-        let pattern = classify(set)
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        let mut steps = Vec::new();
-        match self.solve_inner(kernel, pattern, &NullSink, self.threads, Some(injector)) {
-            Ok(g) => return Ok((g, steps)),
-            Err(Error::ExecutionPanicked { .. }) => {}
-            Err(e) => return Err(e),
-        }
-        let bulk_in_play = self.resolve_exec(kernel, pattern).0 != ExecTier::Scalar;
-        if bulk_in_play {
-            steps.push(DegradeStep::BulkToScalar);
-            let scalar = self.clone().with_bulk_enabled(false);
-            match scalar.solve_inner(kernel, pattern, &NullSink, self.threads, Some(injector)) {
-                Ok(g) => return Ok((g, steps)),
-                Err(Error::ExecutionPanicked { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        steps.push(DegradeStep::ParallelToSequential);
-        let layout = LayoutKind::preferred_for(pattern);
-        match catch_unwind(AssertUnwindSafe(|| {
-            lddp_core::seq::solve_wavefront_as(kernel, pattern, layout)
-        })) {
-            Ok(Ok(g)) => Ok((g, steps)),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(Error::ExecutionPanicked {
-                detail: "sequential fallback panicked".into(),
-            }),
-        }
+        self.run(kernel, &SolveSpec::default())
+            .map(|s| s.grid.expect("a full-memory run returns its grid"))
     }
 
     /// Solves in rolling (wave-band) memory mode: no grid is
-    /// materialized, only a ring of three band buffers
-    /// (`O(rows + cols)` bytes) plus the captured answers — the
-    /// bottom-right corner and, when `best_of` is given, the arg-best
-    /// cell under that score (the Smith–Waterman endpoint). Interior
-    /// runs execute on the same resolved tier as a full-table solve;
-    /// workers split each wave's interior run exactly as they split
-    /// full-table waves. Non-anti-diagonal kernels are rejected with
+    /// materialized, only a ring of three band buffers plus the
+    /// captured corner and, when `best_of` is given, arg-best cell.
+    /// Non-anti-diagonal kernels are rejected with
     /// [`Error::PlanMismatch`].
     pub fn solve_rolling<K: Kernel>(
         &self,
         kernel: &K,
         best_of: Option<fn(&K::Cell) -> i64>,
-    ) -> Result<RollingSolve<K::Cell>> {
-        self.solve_rolling_inner(kernel, best_of, None, None)
+    ) -> Result<Solved<K::Cell>> {
+        self.run(kernel, &SolveSpec::rolling(best_of))
     }
 
-    /// [`solve_rolling`](ParallelEngine::solve_rolling) that streams
-    /// completed wave bands while the pool keeps solving: the schedule
-    /// is cut into `hook.bands` near-equal-cell slices
-    /// ([`lddp_core::rolling::BandSchedule`]) and worker 0 calls
-    /// `hook.emit` behind each band's sealing barrier — solve of band
-    /// `k+1` genuinely overlaps delivery of band `k`, the pipeline
-    /// structure of the Matsumae–Miyazaki GPU path. A blocking `emit`
-    /// (e.g. a full bounded channel) stalls the pool at the next
-    /// barrier, which is exactly the backpressure the serving path
-    /// wants; an `emit` returning `false` (receiver gone) stops further
-    /// emission while the solve runs to completion. The answer is
-    /// bit-identical to [`solve_rolling`](ParallelEngine::solve_rolling)
-    /// — same ring, same run bodies, emission is observation only.
-    pub fn solve_rolling_stream<K: Kernel>(
+    /// Runs `kernel` as `spec` says — the one entry every solve goes
+    /// through. Without an injector this is one pass of the wave loop;
+    /// with one, it is the degradation ladder (see
+    /// [`SolveSpec::injector`]), and [`Solved::degraded`] lists the
+    /// rungs taken. An injected panic that the ladder cannot absorb
+    /// fails the run with [`Error::ExecutionPanicked`], never unwinding
+    /// the caller, and a pool left with dead workers is healed first.
+    pub fn run<K: Kernel>(
         &self,
         kernel: &K,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        hook: &StreamHook<'_, K::Cell>,
-    ) -> Result<RollingSolve<K::Cell>> {
-        self.solve_rolling_inner(kernel, best_of, None, Some(hook))
-    }
-
-    /// [`solve_rolling`](ParallelEngine::solve_rolling) with a
-    /// [`FaultInjector`] consulted per (worker, wave), mirroring
-    /// [`solve_injected`](ParallelEngine::solve_injected).
-    pub fn solve_rolling_injected<K: Kernel>(
-        &self,
-        kernel: &K,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        injector: &dyn FaultInjector,
-    ) -> Result<RollingSolve<K::Cell>> {
-        self.solve_rolling_inner(kernel, best_of, Some(injector), None)
-    }
-
-    /// Rolling-mode counterpart of
-    /// [`solve_degrading`](ParallelEngine::solve_degrading): full
-    /// configuration, then scalar tier, then a panic-isolated
-    /// sequential band walk no injector touches.
-    pub fn solve_rolling_degrading<K: Kernel>(
-        &self,
-        kernel: &K,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        injector: &dyn FaultInjector,
-    ) -> Result<(RollingSolve<K::Cell>, Vec<DegradeStep>)> {
-        let mut steps = Vec::new();
-        match self.solve_rolling_inner(kernel, best_of, Some(injector), None) {
-            Ok(r) => return Ok((r, steps)),
-            Err(Error::ExecutionPanicked { .. }) => {}
-            Err(e) => return Err(e),
+        spec: &SolveSpec<'_, K::Cell>,
+    ) -> Result<Solved<K::Cell>> {
+        if spec.injector.is_none() {
+            return self.attempt(kernel, spec);
         }
-        if self.resolve_exec(kernel, Pattern::AntiDiagonal).0 != ExecTier::Scalar {
-            steps.push(DegradeStep::BulkToScalar);
-            let scalar = self.clone().with_bulk_enabled(false);
-            match scalar.solve_rolling_inner(kernel, best_of, Some(injector), None) {
-                Ok(r) => return Ok((r, steps)),
+        match self.attempt(kernel, spec) {
+            Err(Error::ExecutionPanicked { .. }) => {}
+            done => return done,
+        }
+        // Retries emit no bands: the consumer already saw the first
+        // attempt's frames, and re-sending them would break band order.
+        let mut spec = SolveSpec {
+            stream: None,
+            ..*spec
+        };
+        let mut degraded = Vec::new();
+        let pattern = self.pattern_of(kernel, &spec)?;
+        if self.resolve_exec(kernel, pattern, spec.tier).0 != ExecTier::Scalar {
+            degraded.push(DegradeStep::BulkToScalar);
+            spec.tier = Some(ExecTier::Scalar);
+            match self.attempt(kernel, &spec) {
                 Err(Error::ExecutionPanicked { .. }) => {}
-                Err(e) => return Err(e),
+                done => return done.map(|s| Solved { degraded, ..s }),
             }
         }
-        steps.push(DegradeStep::ParallelToSequential);
-        match catch_unwind(AssertUnwindSafe(|| {
-            Self::rolling_sequential(kernel, Some(ExecTier::Scalar), best_of, None)
-        })) {
-            Ok(Ok(r)) => Ok((r, steps)),
-            Ok(Err(e)) => Err(e),
+        degraded.push(DegradeStep::ParallelToSequential);
+        let last = SolveSpec {
+            threads: Some(1),
+            injector: None,
+            ..spec
+        };
+        match catch_unwind(AssertUnwindSafe(|| self.attempt(kernel, &last))) {
+            Ok(done) => done.map(|s| Solved { degraded, ..s }),
             Err(_) => Err(Error::ExecutionPanicked {
-                detail: "sequential rolling fallback panicked".into(),
+                detail: "one-thread fallback panicked".into(),
             }),
         }
     }
 
-    /// One inline band walk on the calling thread, capturing corner
-    /// and arg-best through the core visitor.
-    fn rolling_sequential<K: Kernel>(
-        kernel: &K,
-        tier: Option<ExecTier>,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        stream: Option<&StreamHook<'_, K::Cell>>,
-    ) -> Result<RollingSolve<K::Cell>> {
-        let dims = kernel.dims();
-        let last = (dims.rows + dims.cols).saturating_sub(2);
-        let schedule = stream.map(|h| rolling::BandSchedule::new(dims.rows, dims.cols, h.bands));
-        let mut corner = None;
-        let mut best: Option<(i64, usize, usize, K::Cell)> = None;
-        let mut next_band = 0usize;
-        let mut cells_done = 0u64;
-        let mut emit_alive = true;
-        let stats = rolling::solve_waves(kernel, tier, |w, j_lo, cells| {
-            if w == last {
-                corner = cells.last().copied();
-            }
-            if let Some(score) = best_of {
-                for (p, c) in cells.iter().enumerate() {
-                    let s = score(c);
-                    if best.is_none_or(|(bs, ..)| s > bs) {
-                        best = Some((s, w - (j_lo + p), j_lo + p, *c));
-                    }
-                }
-            }
-            if let (Some(hook), Some(sched)) = (stream, &schedule) {
-                cells_done += cells.len() as u64;
-                if emit_alive && sched.ends().get(next_band) == Some(&w) {
-                    let score = cells.last().map_or(0.0, |c| (hook.score_of)(c));
-                    let ev = sched.event(
-                        next_band,
-                        w,
-                        cells_done,
-                        score,
-                        best.map(|(s, ..)| s as f64),
-                    );
-                    next_band += 1;
-                    emit_alive = (hook.emit)(ev);
-                }
-            }
-        })?;
-        Ok(RollingSolve {
-            corner,
-            best: best.map(|(_, i, j, c)| (i, j, c)),
-            tier: stats.tier,
-            waves: stats.waves,
-            peak_bytes: stats.peak_bytes,
-        })
-    }
-
-    /// Updates the live families a rolling solve contributes to (the
-    /// pool counters keep their full-table semantics; rolling adds the
-    /// working-set gauge with its own memory-mode label).
-    fn record_rolling_live(&self, tier: ExecTier, waves: usize, cells: usize, peak_bytes: usize) {
-        if let Some(live) = self.live.as_deref() {
-            live.gauge(
-                "lddp_engine_table_bytes",
-                &[("memory_mode", "rolling")],
-                "Peak DP working-set bytes of the most recent solve, by memory mode.",
-            )
-            .set(peak_bytes as f64);
-            live.counter(
-                "lddp_pool_solves_total",
-                &[("tier", tier.as_str())],
-                "Pooled solves completed, by execution tier.",
-            )
-            .inc();
-            live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
-                .add(waves as u64);
-            live.counter(
-                "lddp_pool_cells_total",
-                &[],
-                "Grid cells computed by the pool.",
-            )
-            .add(cells as u64);
-        }
-    }
-
-    fn solve_rolling_inner<K: Kernel>(
-        &self,
-        kernel: &K,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        injector: Option<&dyn FaultInjector>,
-        stream: Option<&StreamHook<'_, K::Cell>>,
-    ) -> Result<RollingSolve<K::Cell>> {
+    /// The pattern `spec` executes `kernel` under, or why it cannot.
+    fn pattern_of<K: Kernel>(&self, kernel: &K, spec: &SolveSpec<'_, K::Cell>) -> Result<Pattern> {
         let set = kernel.contributing_set();
         if set.is_empty() {
             return Err(Error::EmptyContributingSet);
         }
-        if !rolling::supports_rolling(kernel) {
+        let pattern = match spec.memory {
+            Memory::Rolling { .. } if !rolling::supports_rolling(kernel) => {
+                return Err(Error::PlanMismatch {
+                    expected: "anti-diagonal contributing set (rolling wave-band mode)".into(),
+                    found: format!("{set}"),
+                })
+            }
+            Memory::Rolling { .. } => Pattern::AntiDiagonal,
+            Memory::Full if spec.stream.is_some() => {
+                return Err(Error::PlanMismatch {
+                    expected: "rolling memory (streamed bands)".into(),
+                    found: "full table".into(),
+                })
+            }
+            Memory::Full => match spec.pattern {
+                Some(p) => p,
+                None => classify(set)
+                    .map(Pattern::canonical)
+                    .ok_or(Error::EmptyContributingSet)?,
+            },
+        };
+        if !compatible(pattern, set) || spec.pattern.is_some_and(|p| p != pattern) {
             return Err(Error::PlanMismatch {
-                expected: "anti-diagonal contributing set (rolling wave-band mode)".into(),
+                expected: format!("{}", spec.pattern.unwrap_or(pattern)),
                 found: format!("{set}"),
             });
         }
+        Ok(pattern)
+    }
+
+    /// One pass of the wave loop: sets up the store, runs every wave on
+    /// the pool (or inline, for one uninjected worker), then records.
+    fn attempt<K: Kernel>(
+        &self,
+        kernel: &K,
+        spec: &SolveSpec<'_, K::Cell>,
+    ) -> Result<Solved<K::Cell>> {
+        let pattern = self.pattern_of(kernel, spec)?;
+        let (tier, exec) = self.resolve_exec(kernel, pattern, spec.tier);
         let dims = kernel.dims();
-        let (tier, _) = self.resolve_exec(kernel, Pattern::AntiDiagonal);
-        if dims.is_empty() {
-            return Ok(RollingSolve {
-                corner: None,
-                best: None,
-                tier,
-                waves: 0,
-                peak_bytes: 0,
-            });
-        }
-        let (rows, cols) = (dims.rows, dims.cols);
-        let band = rows.min(cols);
-        let threads = self.threads.min(band).max(1);
-
-        // One worker: compute inline — the pool cannot win (same
-        // reasoning as the full-table single-thread bypasses). Faulted
-        // runs stay on the pool for panic isolation.
-        if threads == 1 && injector.is_none() {
-            let r = Self::rolling_sequential(kernel, Some(tier), best_of, stream)?;
-            self.record_rolling_live(r.tier, r.waves, dims.len(), r.peak_bytes);
-            return Ok(r);
-        }
-
-        let num_waves = rows + cols - 1;
-        let mut b0 = vec![K::Cell::default(); band];
-        let mut b1 = vec![K::Cell::default(); band];
-        let mut b2 = vec![K::Cell::default(); band];
-        let ring = [
-            SharedCells::new(&mut b0[..]),
-            SharedCells::new(&mut b1[..]),
-            SharedCells::new(&mut b2[..]),
-        ];
-        let has_w = set.contains(RepCell::W);
-        let has_nw = set.contains(RepCell::Nw);
-        let has_n = set.contains(RepCell::N);
-        let wave_body = kernel.wave_kernel();
-        let simd_body = kernel.simd_kernel();
-        let lanes = if tier == ExecTier::Simd {
-            simd_body.map_or(1, |s| s.lanes())
-        } else {
-            1
+        let best_of = match spec.memory {
+            Memory::Full => None,
+            Memory::Rolling { best_of } => Some(best_of),
         };
-        type Captured<C> = (Option<C>, Option<(i64, usize, usize, C)>);
-        let captured: Mutex<Captured<K::Cell>> = Mutex::new((None, None));
-        let schedule = stream.map(|h| rolling::BandSchedule::new(rows, cols, h.bands));
+        let rolling = best_of.is_some();
+        let band = dims.rows.min(dims.cols);
+        let layout_kind = LayoutKind::preferred_for(pattern);
+        let mut grid = (!rolling).then(|| Grid::new(layout_kind, dims));
+        let mut ring = vec![K::Cell::default(); if rolling { 3 * band } else { 0 }];
+        let elem = std::mem::size_of::<K::Cell>();
+        let mut solved = Solved {
+            grid: None,
+            corner: None,
+            best: None,
+            tier,
+            waves: 0,
+            peak_bytes: if rolling { ring.len() } else { dims.len() } * elem,
+            degraded: Vec::new(),
+        };
+        if dims.is_empty() {
+            solved.grid = grid;
+            return Ok(solved);
+        }
+        if let Some(live) = self.live.as_deref() {
+            let mode = if rolling { "rolling" } else { "full" };
+            set_table_bytes(live, mode, solved.peak_bytes);
+        }
+        let cells = SharedCells::new(match &mut grid {
+            Some(g) => g.as_mut_slice(),
+            None => &mut ring[..],
+        });
+        let waves = WaveRun {
+            kernel,
+            pattern,
+            dims,
+            tier,
+            exec,
+            threads: spec.threads,
+            injector: spec.injector,
+            stream: spec.stream,
+            capture: rolling,
+            best_of: best_of.flatten(),
+            cells: &cells,
+        };
+        let sink = spec.sink.unwrap_or(&NullSink);
+        let set = kernel.contributing_set();
+        let captured = if rolling {
+            self.wave_loop(&waves, &rolling::Ring::new(dims, set), sink)?
+        } else {
+            let layout = Layout::new(layout_kind, dims);
+            let store = GridStore::new(&layout, pattern, set, exec.is_some());
+            self.wave_loop(&waves, &store, sink)?
+        };
+        solved.waves = pattern.num_waves(dims.rows, dims.cols);
+        solved.best = captured.best.map(|(_, i, j, c)| (i, j, c));
+        solved.corner = match &grid {
+            Some(g) => Some(g.get(dims.rows - 1, dims.cols - 1)),
+            None => captured.corner,
+        };
+        solved.grid = grid;
+        Ok(solved)
+    }
+
+    /// The wave loop — the only one. Each worker walks every wave:
+    /// draw injected faults, compute its chunk (border cells scalar,
+    /// interior runs bulk), meet at the barrier; worker 0 then captures
+    /// and streams the sealed wave of a rolling run. Generic over the
+    /// store, so dispatch happens per run, never per cell.
+    fn wave_loop<K: Kernel, S: Storage>(
+        &self,
+        run: &WaveRun<'_, K>,
+        store: &S,
+        sink: &dyn TraceSink,
+    ) -> Result<Capture<K::Cell>> {
+        let (kernel, pattern, dims, exec) = (run.kernel, run.pattern, run.dims, run.exec);
+        let num_waves = pattern.num_waves(dims.rows, dims.cols);
+        let widest = (0..num_waves)
+            .map(|w| pattern.wave_len(dims.rows, dims.cols, w))
+            .max()
+            .unwrap_or(1);
+        let threads = run
+            .threads
+            .unwrap_or(self.threads)
+            .min(self.threads)
+            .min(widest)
+            .max(1);
+        // One worker cannot win on the pool: dispatching to it would
+        // pay job hand-off, a spin barrier per wave and a context switch
+        // for no parallelism. Injected runs stay on the pool so injected
+        // panics keep their isolation and per-(worker, wave) draws.
+        let pool = (threads > 1 || run.injector.is_some()).then(|| self.pool());
         let live = self.live.as_deref();
-        let pool = self.pool();
+        let want_spans = sink.enabled();
+        // Pooled full-table runs with a live registry time every wave
+        // too: the registry's barrier histogram needs the per-wave
+        // waits. Rolling runs — the streams' hot path — give the
+        // registry their aggregates only: on a 2-vCPU host two clock
+        // reads per wave cost a rolling run 10–25% at 1024²–2048².
+        let timed = want_spans || (live.is_some() && pool.is_some() && !run.capture);
+        let lanes = exec.map_or(1, |e| e.lanes());
+        let schedule = run
+            .stream
+            .map(|h| rolling::BandSchedule::new(dims.rows, dims.cols, h.bands));
         let chaos_injected = |site: &str| {
             if let Some(live) = live {
                 live.counter(
@@ -931,9 +917,11 @@ impl ParallelEngine {
                 .inc();
             }
         };
+        // Injected faults surface as worker panics; an inactive
+        // injector costs one branch per (worker, wave).
         let inject = |t: usize, w: usize| {
-            if let Some(inj) = injector {
-                if tier != ExecTier::Scalar && inj.bulk_panic(w) {
+            if let Some(inj) = run.injector {
+                if exec.is_some() && inj.bulk_panic(w) {
                     chaos_injected("bulk_panic");
                     panic!("injected bulk fault at wave {w}");
                 }
@@ -943,173 +931,112 @@ impl ParallelEngine {
                 }
             }
         };
-
-        let r = pool.try_run(threads, &|t| {
-            // Streaming emission state, used by worker 0 only (each
-            // worker's invocation owns the whole wave loop).
-            let mut next_band = 0usize;
-            let mut cells_done = 0u64;
-            let mut emit_alive = true;
+        let epoch = Instant::now();
+        let clock = || epoch.elapsed().as_secs_f64();
+        let slots: Vec<Mutex<WorkerTrace>> = (0..threads)
+            .map(|_| Mutex::new(WorkerTrace::default()))
+            .collect();
+        let captured: Mutex<Capture<K::Cell>> = Mutex::new(Capture::default());
+        let body = |t: usize| {
+            let mut tr = WorkerTrace::default();
+            let mut cap = Capture::default();
+            // Two clock reads per wave, not three: each wave starts at
+            // the previous wave's barrier exit (the inter-wave setup it
+            // absorbs into busy time is tens of nanoseconds).
+            let mut t0 = if timed { clock() } else { 0.0 };
             for w in 0..num_waves {
                 inject(t, w);
-                let j_lo = w.saturating_sub(rows - 1);
-                let j_hi = (cols - 1).min(w);
-                let len = j_hi - j_lo + 1;
-                let j_lo1 = (w.saturating_sub(1)).saturating_sub(rows - 1);
-                let j_lo2 = (w.saturating_sub(2)).saturating_sub(rows - 1);
-                let cur = &ring[w % 3];
-                let prev1 = &ring[(w + 2) % 3];
-                let prev2 = &ring[(w + 1) % 3];
-                // SAFETY (all ring accesses in this wave): wave `w`
-                // writes only slot `w % 3`; its dependencies live in
-                // waves `w-1`/`w-2`, i.e. the other two slots, sealed by
-                // the barriers of those waves. Writes within the wave
-                // are pairwise disjoint across workers (chunks plus the
-                // worker-0-only border cells).
-                let scalar_cell = |j: usize| unsafe {
-                    let i = w - j;
-                    let mut nb = Neighbors::empty();
-                    if j > 0 {
-                        if has_w {
-                            nb.w = Some(prev1.read(j - 1 - j_lo1));
-                        }
-                        if has_nw && i > 0 {
-                            nb.nw = Some(prev2.read(j - 1 - j_lo2));
-                        }
+                let len = pattern.wave_len(dims.rows, dims.cols, w);
+                let my = chunk_aligned(t, threads, len, lanes);
+                let owned = my.len();
+                // SAFETY: chunks of a wave are disjoint across workers;
+                // the barrier seals each wave before the next reads it,
+                // and the store still holds every wave a dependency can
+                // reach.
+                unsafe { store.compute(kernel, exec, run.cells, w, my) };
+                if timed {
+                    let t1 = clock();
+                    if let Some(pool) = pool {
+                        pool.barrier().wait();
                     }
-                    if has_n && i > 0 {
-                        nb.n = Some(prev1.read(j - j_lo1));
+                    let t2 = if pool.is_some() { clock() } else { t1 };
+                    if want_spans && owned > 0 {
+                        tr.spans.push((w, t0, t1 - t0, owned));
                     }
-                    cur.write(j - j_lo, kernel.compute(i, j, &nb));
-                };
-                if tier == ExecTier::Scalar {
-                    for p in chunk_aligned(t, threads, len, 1) {
-                        scalar_cell(j_lo + p);
+                    tr.busy_s += t1 - t0;
+                    if pool.is_some() {
+                        tr.barrier_wait_s.push(t2 - t1);
                     }
-                } else {
-                    // Interior columns (every dependency in bounds)
-                    // form one contiguous run; at most the first and
-                    // last wave cells are border cells.
-                    let ji_lo = j_lo.max(1);
-                    let ji_hi = j_hi.min(w.saturating_sub(1));
-                    if t == 0 {
-                        for j in j_lo..ji_lo {
-                            scalar_cell(j);
-                        }
-                        for j in (ji_hi + 1)..=j_hi {
-                            scalar_cell(j);
-                        }
-                    }
-                    let ilen = (ji_hi + 1).saturating_sub(ji_lo);
-                    let my = chunk_aligned(t, threads, ilen, lanes);
-                    if !my.is_empty() {
-                        let count = my.len();
-                        let js = ji_lo + my.start;
-                        let i0 = w - js;
-                        // SAFETY: `out` is this worker's exclusive range
-                        // of the current slot; dependency slices read
-                        // slots sealed by earlier barriers.
-                        unsafe {
-                            let out = cur.slice_mut(js - j_lo, count);
-                            let empty: &[K::Cell] = &[];
-                            let w_run = if has_w {
-                                prev1.slice(js - 1 - j_lo1, count)
-                            } else {
-                                empty
-                            };
-                            let n_run = if has_n {
-                                prev1.slice(js - j_lo1, count)
-                            } else {
-                                empty
-                            };
-                            let nw_run = if has_nw {
-                                prev2.slice(js - 1 - j_lo2, count)
-                            } else {
-                                empty
-                            };
-                            if tier == ExecTier::Simd {
-                                simd_body
-                                    .expect("Simd tier implies simd_kernel")
-                                    .compute_run_simd(i0, js, out, w_run, nw_run, n_run, empty);
-                            } else {
-                                wave_body
-                                    .expect("Bulk tier implies wave_kernel")
-                                    .compute_run(i0, js, out, w_run, nw_run, n_run, empty);
-                            }
-                        }
-                    }
+                    t0 = t2;
+                } else if let Some(pool) = pool {
+                    pool.barrier().wait();
                 }
-                pool.barrier().wait();
-                if t == 0 {
+                if t == 0 && run.capture {
                     // SAFETY: wave `w` is sealed by the barrier above.
-                    // Slot `w % 3` is next written by wave `w + 3`,
+                    // Its ring slot is next written by wave `w + 3`,
                     // which no worker reaches before worker 0 passes
                     // the `w + 1` and `w + 2` barriers — i.e. after
                     // this capture completes.
-                    let cells = unsafe { cur.slice(0, len) };
-                    let mut cap = captured.lock().unwrap_or_else(|e| e.into_inner());
-                    if w == num_waves - 1 {
-                        cap.0 = cells.last().copied();
-                    }
-                    if let Some(score) = best_of {
-                        for (p, c) in cells.iter().enumerate() {
-                            let s = score(c);
-                            if cap.1.is_none_or(|(bs, ..)| s > bs) {
-                                cap.1 = Some((s, w - (j_lo + p), j_lo + p, *c));
-                            }
-                        }
-                    }
-                    if let (Some(hook), Some(sched)) = (stream, &schedule) {
-                        // Emission happens here, behind the sealing
-                        // barrier but before worker 0 starts wave
-                        // `w + 1` — the other workers run ahead until
-                        // the next barrier, so a blocking emit (full
-                        // channel) throttles the whole pool: exactly
-                        // the slow-reader backpressure contract.
-                        cells_done += len as u64;
-                        if emit_alive && sched.ends().get(next_band) == Some(&w) {
-                            let score = cells.last().map_or(0.0, |c| (hook.score_of)(c));
-                            let ev = sched.event(
-                                next_band,
-                                w,
-                                cells_done,
-                                score,
-                                cap.1.map(|(s, ..)| s as f64),
-                            );
-                            next_band += 1;
-                            drop(cap);
-                            emit_alive = (hook.emit)(ev);
-                        }
-                    }
+                    let sealed = unsafe { run.cells.slice(store.wave_start(w), len) };
+                    cap.visit(run, schedule.as_ref(), w, num_waves, sealed);
                 }
             }
-        });
-        Self::map_pool_result(pool, r)?;
-        let (corner, best) = captured.into_inner().unwrap_or_else(|e| e.into_inner());
-        let peak_bytes = 3 * band * std::mem::size_of::<K::Cell>();
-        self.record_rolling_live(tier, num_waves, dims.len(), peak_bytes);
-        Ok(RollingSolve {
-            corner,
-            best: best.map(|(_, i, j, c)| (i, j, c)),
-            tier,
-            waves: num_waves,
-            peak_bytes,
-        })
+            if t == 0 {
+                *captured.lock().unwrap_or_else(|e| e.into_inner()) = cap;
+            }
+            *slots[t].lock().unwrap_or_else(|e| e.into_inner()) = tr;
+        };
+        match pool {
+            Some(pool) => Self::map_pool_result(pool, pool.try_run(threads, &body))?,
+            None => body(0),
+        }
+        let total_s = clock();
+        let mut traces: Vec<WorkerTrace> = slots
+            .into_iter()
+            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
+            .collect();
+        if !timed {
+            // An untimed inline run still owes the registry its busy
+            // time: the whole run.
+            traces[0].busy_s = total_s;
+        }
+        self.record(sink, run.tier, num_waves, dims.len(), &traces, total_s);
+        Ok(captured.into_inner().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Solves with at most `active` workers drawn from the engine's
-    /// pool (clamped to `1..=threads()`). This is what a worker-count
-    /// sweep should call: every candidate reuses the same long-lived
-    /// threads instead of paying spawn/join per measurement.
-    pub fn solve_with_threads<K: Kernel>(
+    /// Emits a finished run into the sink and the live registry.
+    fn record(
         &self,
-        kernel: &K,
-        active: usize,
-    ) -> Result<Grid<K::Cell>> {
-        let pattern = classify(kernel.contributing_set())
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        self.solve_inner(kernel, pattern, &NullSink, active, None)
+        sink: &dyn TraceSink,
+        tier: ExecTier,
+        waves: usize,
+        cells: usize,
+        traces: &[WorkerTrace],
+        total_s: f64,
+    ) {
+        if sink.enabled() {
+            for (t, tr) in traces.iter().enumerate() {
+                for &(w, start_s, dur_s, owned) in &tr.spans {
+                    sink.span(
+                        Span::new("wave", tracks::worker(t), start_s, dur_s)
+                            .with_arg("wave", w)
+                            .with_arg("cells", owned)
+                            .with_arg("tier", tier.as_str()),
+                    );
+                }
+                sink.sample(tracks::worker(t), "worker.busy_s", total_s, tr.busy_s);
+                for &wait_s in &tr.barrier_wait_s {
+                    sink.observe("parallel.barrier_wait_s", wait_s);
+                }
+            }
+            sink.count("parallel.waves", waves as u64);
+            sink.count("parallel.cells", cells as u64);
+            sink.count("parallel.workers", traces.len() as u64);
+            sink.count(&format!("parallel.tier.{}", tier.as_str()), 1);
+        }
+        if let Some(live) = self.live.as_deref() {
+            record_live(live, tier, 1, waves, cells, traces);
+        }
     }
 
     /// Sweeps active worker counts over the shared pool and returns the
@@ -1138,7 +1065,13 @@ impl ParallelEngine {
             }
             seen.push(c);
             let t0 = Instant::now();
-            self.solve_with_threads(kernel, c)?;
+            self.run(
+                kernel,
+                &SolveSpec {
+                    threads: Some(c),
+                    ..SolveSpec::default()
+                },
+            )?;
             sweep.push(SweepPoint {
                 value: c,
                 time: t0.elapsed().as_secs_f64(),
@@ -1173,371 +1106,6 @@ impl ParallelEngine {
             }
         }
     }
-
-    fn solve_inner<K: Kernel>(
-        &self,
-        kernel: &K,
-        pattern: Pattern,
-        sink: &dyn TraceSink,
-        active: usize,
-        injector: Option<&dyn FaultInjector>,
-    ) -> Result<Grid<K::Cell>> {
-        let set = kernel.contributing_set();
-        if set.is_empty() {
-            return Err(Error::EmptyContributingSet);
-        }
-        if !compatible(pattern, set) {
-            return Err(Error::PlanMismatch {
-                expected: format!("{pattern}"),
-                found: format!("{set}"),
-            });
-        }
-        let dims = kernel.dims();
-        let layout_kind = LayoutKind::preferred_for(pattern);
-        let mut grid: Grid<K::Cell> = Grid::new(layout_kind, dims);
-        if dims.is_empty() {
-            return Ok(grid);
-        }
-        let num_waves = pattern.num_waves(dims.rows, dims.cols);
-        let threads = active.min(self.threads).min(dims.len()).max(1);
-        let live = self.live.as_deref();
-        if let Some(live) = live {
-            live.gauge(
-                "lddp_engine_table_bytes",
-                &[("memory_mode", "full")],
-                "Peak DP working-set bytes of the most recent solve, by memory mode.",
-            )
-            .set((dims.len() * std::mem::size_of::<K::Cell>()) as f64);
-        }
-        // A live registry forces the instrumented path too: it needs
-        // the same per-wave timestamps the sink does.
-        let traced = sink.enabled() || live.is_some();
-        // The bulk and SIMD paths are only sound when the executed
-        // pattern is the set's own classification: only then are all of
-        // a run's dependencies in strictly earlier waves with the
-        // contiguity property `Layout::interior_runs` relies on
-        // (resolve_exec enforces this).
-        let (tier, bulk_kernel) = self.resolve_exec(kernel, pattern);
-        let lanes = bulk_kernel.map_or(1, |e| e.lanes());
-
-        if threads == 1 && !traced {
-            if bulk_kernel.is_none() {
-                return lddp_core::seq::solve_wavefront_as(kernel, pattern, layout_kind);
-            }
-            // Single-threaded bulk: same run decomposition, no pool.
-            let layout = grid.layout().clone();
-            let cells = SharedCells::new(grid.as_mut_slice());
-            for w in 0..num_waves {
-                let len = pattern.wave_len(dims.rows, dims.cols, w);
-                let runs = layout.interior_runs(pattern, set, w);
-                // SAFETY: one thread computes waves in order; every
-                // dependency of wave `w` was written in an earlier wave.
-                unsafe {
-                    compute_chunk_auto(
-                        kernel,
-                        bulk_kernel,
-                        set,
-                        pattern,
-                        dims,
-                        &layout,
-                        &runs,
-                        &cells,
-                        w,
-                        0..len,
-                    );
-                }
-            }
-            return Ok(grid);
-        }
-
-        // Single thread, instrumented, no injector: the pool cannot win
-        // with one worker — dispatching to it would pay job hand-off,
-        // a spin barrier per wave, and a worker context switch for no
-        // parallelism. Compute inline on the calling thread and emit
-        // the same spans and live families from here. (Faulted runs
-        // stay on the pool so injected panics keep their isolation and
-        // per-(worker, wave) draw sequence.)
-        if threads == 1 && injector.is_none() {
-            let layout = grid.layout().clone();
-            let cells = SharedCells::new(grid.as_mut_slice());
-            let epoch = Instant::now();
-            let want_spans = sink.enabled();
-            let mut spans: Vec<(usize, f64, f64, usize)> = Vec::new();
-            let mut t0 = 0.0;
-            for w in 0..num_waves {
-                let len = pattern.wave_len(dims.rows, dims.cols, w);
-                let runs = if bulk_kernel.is_some() {
-                    layout.interior_runs(pattern, set, w)
-                } else {
-                    Vec::new()
-                };
-                // SAFETY: as in the untraced single-threaded path.
-                unsafe {
-                    compute_chunk_auto(
-                        kernel,
-                        bulk_kernel,
-                        set,
-                        pattern,
-                        dims,
-                        &layout,
-                        &runs,
-                        &cells,
-                        w,
-                        0..len,
-                    );
-                }
-                // Per-wave clocks only when spans are wanted; a live
-                // registry needs just the whole-solve aggregates.
-                if want_spans {
-                    let t1 = epoch.elapsed().as_secs_f64();
-                    if len > 0 {
-                        spans.push((w, t0, t1 - t0, len));
-                    }
-                    t0 = t1;
-                }
-            }
-            let busy_s = epoch.elapsed().as_secs_f64();
-            if want_spans {
-                for &(w, start_s, dur_s, owned) in &spans {
-                    sink.span(
-                        Span::new("wave", tracks::worker(0), start_s, dur_s)
-                            .with_arg("wave", w)
-                            .with_arg("cells", owned)
-                            .with_arg("tier", tier.as_str()),
-                    );
-                }
-                sink.sample(tracks::worker(0), "worker.busy_s", busy_s, busy_s);
-                sink.count("parallel.waves", num_waves as u64);
-                sink.count("parallel.cells", dims.len() as u64);
-                sink.count("parallel.workers", 1);
-                sink.count(
-                    match tier {
-                        ExecTier::Scalar => "parallel.tier.scalar",
-                        ExecTier::Bulk => "parallel.tier.bulk",
-                        ExecTier::Simd => "parallel.tier.simd",
-                        ExecTier::BitParallel => "parallel.tier.bitparallel",
-                    },
-                    1,
-                );
-            }
-            if let Some(live) = live {
-                // Register the barrier family too (zero observations:
-                // no barrier ran) so the exposition keeps its shape
-                // regardless of thread count.
-                live.histogram(
-                    "lddp_pool_barrier_wait_seconds",
-                    &[],
-                    "Time pool workers spent blocked at the inter-wave barrier.",
-                );
-                live.fcounter(
-                    "lddp_pool_worker_busy_seconds_total",
-                    &[("worker", "0")],
-                    "Cumulative compute time per pool worker.",
-                )
-                .add(busy_s);
-                live.counter(
-                    "lddp_pool_solves_total",
-                    &[("tier", tier.as_str())],
-                    "Pooled solves completed, by execution tier.",
-                )
-                .inc();
-                live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
-                    .add(num_waves as u64);
-                live.counter(
-                    "lddp_pool_cells_total",
-                    &[],
-                    "Grid cells computed by the pool.",
-                )
-                .add(dims.len() as u64);
-            }
-            return Ok(grid);
-        }
-
-        let layout = grid.layout().clone();
-        let cells = SharedCells::new(grid.as_mut_slice());
-        // Interior runs are a function of (pattern, set, wave) only —
-        // compute them once, outside the workers.
-        let runs_by_wave: Vec<Vec<Range<usize>>> = if bulk_kernel.is_some() {
-            (0..num_waves)
-                .map(|w| layout.interior_runs(pattern, set, w))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let no_runs: Vec<Range<usize>> = Vec::new();
-        let pool = self.pool();
-
-        // Injected faults surface as worker panics; an inactive
-        // injector costs one branch per (worker, wave).
-        let chaos_injected = |site: &str| {
-            if let Some(live) = live {
-                live.counter(
-                    "lddp_chaos_injected_total",
-                    &[("site", site)],
-                    "Faults injected by the attached chaos plan, by site.",
-                )
-                .inc();
-            }
-        };
-        let inject = |t: usize, w: usize| {
-            if let Some(inj) = injector {
-                if bulk_kernel.is_some() && inj.bulk_panic(w) {
-                    chaos_injected("bulk_panic");
-                    panic!("injected bulk fault at wave {w}");
-                }
-                if inj.worker_panic(t, w) {
-                    chaos_injected("worker_panic");
-                    panic!("injected worker panic: worker {t} wave {w}");
-                }
-            }
-        };
-
-        if !traced {
-            let r = pool.try_run(threads, &|t| {
-                for w in 0..num_waves {
-                    inject(t, w);
-                    let len = pattern.wave_len(dims.rows, dims.cols, w);
-                    let runs = runs_by_wave.get(w).unwrap_or(&no_runs);
-                    // SAFETY: chunks of a wave are disjoint across
-                    // workers; the pool barrier seals each wave before
-                    // the next reads it.
-                    unsafe {
-                        compute_chunk_auto(
-                            kernel,
-                            bulk_kernel,
-                            set,
-                            pattern,
-                            dims,
-                            &layout,
-                            runs,
-                            &cells,
-                            w,
-                            chunk_aligned(t, threads, len, lanes),
-                        );
-                    }
-                    pool.barrier().wait();
-                }
-            });
-            Self::map_pool_result(pool, r)?;
-            return Ok(grid);
-        }
-
-        let epoch = Instant::now();
-        // Spans only feed the sink; on a live-registry-only run, skip
-        // collecting them (the registry needs just the aggregates).
-        let want_spans = sink.enabled();
-        let slots: Vec<Mutex<WorkerTrace>> = (0..threads)
-            .map(|_| Mutex::new(WorkerTrace::default()))
-            .collect();
-        let r = pool.try_run(threads, &|t| {
-            let mut tr = WorkerTrace::default();
-            // Two clock reads per wave, not three: each wave starts at
-            // the previous wave's barrier exit (the inter-wave setup it
-            // absorbs into busy time is tens of nanoseconds).
-            let mut t0 = epoch.elapsed().as_secs_f64();
-            for w in 0..num_waves {
-                inject(t, w);
-                let len = pattern.wave_len(dims.rows, dims.cols, w);
-                let my = chunk_aligned(t, threads, len, lanes);
-                let owned = my.len();
-                let runs = runs_by_wave.get(w).unwrap_or(&no_runs);
-                // SAFETY: as in the untraced path.
-                unsafe {
-                    compute_chunk_auto(
-                        kernel,
-                        bulk_kernel,
-                        set,
-                        pattern,
-                        dims,
-                        &layout,
-                        runs,
-                        &cells,
-                        w,
-                        my,
-                    );
-                }
-                let t1 = epoch.elapsed().as_secs_f64();
-                pool.barrier().wait();
-                let t2 = epoch.elapsed().as_secs_f64();
-                if want_spans && owned > 0 {
-                    tr.spans.push((w, t0, t1 - t0, owned));
-                }
-                tr.busy_s += t1 - t0;
-                tr.barrier_wait_s.push(t2 - t1);
-                t0 = t2;
-            }
-            *slots[t].lock().unwrap_or_else(|e| e.into_inner()) = tr;
-        });
-        Self::map_pool_result(pool, r)?;
-        let worker_traces: Vec<WorkerTrace> = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-
-        let total_s = epoch.elapsed().as_secs_f64();
-        if sink.enabled() {
-            for (t, tr) in worker_traces.iter().enumerate() {
-                for &(w, start_s, dur_s, owned) in &tr.spans {
-                    sink.span(
-                        Span::new("wave", tracks::worker(t), start_s, dur_s)
-                            .with_arg("wave", w)
-                            .with_arg("cells", owned)
-                            .with_arg("tier", tier.as_str()),
-                    );
-                }
-                sink.sample(tracks::worker(t), "worker.busy_s", total_s, tr.busy_s);
-                for &wait_s in &tr.barrier_wait_s {
-                    sink.observe("parallel.barrier_wait_s", wait_s);
-                }
-            }
-            sink.count("parallel.waves", num_waves as u64);
-            sink.count("parallel.cells", dims.len() as u64);
-            sink.count("parallel.workers", threads as u64);
-            sink.count(
-                match tier {
-                    ExecTier::Scalar => "parallel.tier.scalar",
-                    ExecTier::Bulk => "parallel.tier.bulk",
-                    ExecTier::Simd => "parallel.tier.simd",
-                    ExecTier::BitParallel => "parallel.tier.bitparallel",
-                },
-                1,
-            );
-        }
-        if let Some(live) = live {
-            let waits = live.histogram(
-                "lddp_pool_barrier_wait_seconds",
-                &[],
-                "Time pool workers spent blocked at the inter-wave barrier.",
-            );
-            for (t, tr) in worker_traces.iter().enumerate() {
-                live.fcounter(
-                    "lddp_pool_worker_busy_seconds_total",
-                    &[("worker", &t.to_string())],
-                    "Cumulative compute time per pool worker.",
-                )
-                .add(tr.busy_s);
-                for &wait_s in &tr.barrier_wait_s {
-                    waits.observe(wait_s);
-                }
-            }
-            live.counter(
-                "lddp_pool_solves_total",
-                &[("tier", tier.as_str())],
-                "Pooled solves completed, by execution tier.",
-            )
-            .inc();
-            live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
-                .add(num_waves as u64);
-            live.counter(
-                "lddp_pool_cells_total",
-                &[],
-                "Grid cells computed by the pool.",
-            )
-            .add(dims.len() as u64);
-        }
-
-        Ok(grid)
-    }
 }
 
 impl Default for ParallelEngine {
@@ -1546,8 +1114,142 @@ impl Default for ParallelEngine {
     }
 }
 
-/// How a streaming rolling solve emits its bands — the argument of
-/// [`ParallelEngine::solve_rolling_stream`].
+/// Adds `solves` runs of `tier` — their waves, cells and per-worker
+/// traces — to the engine's `lddp_pool_*` families.
+fn record_live(
+    live: &LiveRegistry,
+    tier: ExecTier,
+    solves: u64,
+    waves: usize,
+    cells: usize,
+    traces: &[WorkerTrace],
+) {
+    // Registered even when no barrier ran (one inline worker), so the
+    // exposition keeps its shape at any thread count.
+    let waits = live.histogram(
+        "lddp_pool_barrier_wait_seconds",
+        &[],
+        "Time pool workers spent blocked at the inter-wave barrier.",
+    );
+    for (t, tr) in traces.iter().enumerate() {
+        live.fcounter(
+            "lddp_pool_worker_busy_seconds_total",
+            &[("worker", &t.to_string())],
+            "Cumulative compute time per pool worker.",
+        )
+        .add(tr.busy_s);
+        for &wait_s in &tr.barrier_wait_s {
+            waits.observe(wait_s);
+        }
+    }
+    live.counter(
+        "lddp_pool_solves_total",
+        &[("tier", tier.as_str())],
+        "Pooled solves completed, by execution tier.",
+    )
+    .add(solves);
+    live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
+        .add(waves as u64);
+    live.counter(
+        "lddp_pool_cells_total",
+        &[],
+        "Grid cells computed by the pool.",
+    )
+    .add(cells as u64);
+}
+
+/// Sets the working-set gauge of `mode` (`full` or `rolling`).
+fn set_table_bytes(live: &LiveRegistry, mode: &str, bytes: usize) {
+    live.gauge(
+        "lddp_engine_table_bytes",
+        &[("memory_mode", mode)],
+        "Peak DP working-set bytes of the most recent solve, by memory mode.",
+    )
+    .set(bytes as f64);
+}
+
+/// The fixed inputs of one pass of the wave loop.
+struct WaveRun<'a, K: Kernel> {
+    kernel: &'a K,
+    pattern: Pattern,
+    dims: Dims,
+    tier: ExecTier,
+    exec: Option<RunBody<'a, K::Cell>>,
+    threads: Option<usize>,
+    injector: Option<&'a dyn FaultInjector>,
+    stream: Option<&'a StreamHook<'a, K::Cell>>,
+    /// Worker 0 captures each sealed wave (rolling runs, whose answers
+    /// have no grid to be read from).
+    capture: bool,
+    best_of: Option<fn(&K::Cell) -> i64>,
+    cells: &'a SharedCells<K::Cell>,
+}
+
+/// Worker 0's running captures over the sealed waves of a rolling run.
+#[derive(Default)]
+struct Capture<C> {
+    corner: Option<C>,
+    /// `(score, i, j, cell)` of the best cell so far.
+    best: Option<(i64, usize, usize, C)>,
+    next_band: usize,
+    cells_done: u64,
+    /// The consumer declined a band: emit no more.
+    declined: bool,
+}
+
+impl<C: Copy> Capture<C> {
+    /// Folds sealed wave `w` into the captures and emits its band when
+    /// `w` closes one. Emission happens behind the sealing barrier but
+    /// before worker 0 starts wave `w + 1`: the other workers run ahead
+    /// until the next barrier, so a blocking emit (full channel)
+    /// throttles the whole pool — the slow-reader backpressure
+    /// contract. An emit returning `false` stops further emission while
+    /// the run completes.
+    fn visit<K: Kernel<Cell = C>>(
+        &mut self,
+        run: &WaveRun<'_, K>,
+        schedule: Option<&rolling::BandSchedule>,
+        w: usize,
+        num_waves: usize,
+        sealed: &[C],
+    ) {
+        if w + 1 == num_waves {
+            self.corner = sealed.last().copied();
+        }
+        if let Some(score) = run.best_of {
+            for (p, c) in sealed.iter().enumerate() {
+                let s = score(c);
+                if self.best.is_none_or(|(bs, ..)| s > bs) {
+                    let (i, j) = wavefront::cell_at(run.pattern, run.dims, w, p);
+                    self.best = Some((s, i, j, *c));
+                }
+            }
+        }
+        if let (Some(hook), Some(sched)) = (run.stream, schedule) {
+            self.cells_done += sealed.len() as u64;
+            if !self.declined && sched.ends().get(self.next_band) == Some(&w) {
+                let score = sealed.last().map_or(0.0, |c| (hook.score_of)(c));
+                let ev = sched.event(
+                    self.next_band,
+                    w,
+                    self.cells_done,
+                    score,
+                    self.best.map(|(s, ..)| s as f64),
+                );
+                self.next_band += 1;
+                self.declined = !(hook.emit)(ev);
+            }
+        }
+    }
+}
+
+/// How a streaming rolling run emits its bands — [`SolveSpec::stream`].
+/// The schedule is cut into `bands` near-equal-cell slices
+/// ([`lddp_core::rolling::BandSchedule`]) and worker 0 calls `emit`
+/// behind each band's sealing barrier, so the solve of band `k + 1`
+/// overlaps delivery of band `k` — the pipeline structure of the
+/// Matsumae–Miyazaki GPU path. Emission is observation only: the answer
+/// is bit-identical to an unstreamed rolling run.
 pub struct StreamHook<'a, C> {
     /// Requested band count; the schedule clamps it to the wave count,
     /// so tiny grids emit fewer (but at least one) bands.
@@ -1560,35 +1262,51 @@ pub struct StreamHook<'a, C> {
     pub emit: &'a (dyn Fn(rolling::BandEvent) -> bool + Sync),
 }
 
-/// Result of a rolling (wave-band) solve. There is no grid — that is
-/// the point: only the answers the caller asked the band walk to
-/// capture, plus what the solve used.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RollingSolve<C> {
-    /// Bottom-right cell (`None` only for empty tables) — the answer
-    /// cell for corner-answer problems.
-    pub corner: Option<C>,
-    /// `(i, j, cell)` of the arg-best cell under the requested score
-    /// (ties to the earliest cell in wave order), when one was
-    /// requested.
-    pub best: Option<(usize, usize, C)>,
-    /// Tier the interior runs executed on.
-    pub tier: ExecTier,
-    /// Waves walked.
-    pub waves: usize,
-    /// Peak working-set bytes: the three ring bands. This is what the
-    /// `lddp_engine_table_bytes{memory_mode="rolling"}` gauge reports.
-    pub peak_bytes: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lddp_core::cell::{ContributingSet, RepCell};
-    use lddp_core::kernel::ClosureKernel;
+    use lddp_core::kernel::{simd_available, ClosureKernel, SimdWaveKernel, WaveKernel};
     use lddp_core::seq::solve_row_major;
     use lddp_core::wavefront::Dims;
     use lddp_trace::Recorder;
+
+    /// A full-memory run of `spec`, unwrapped to its grid.
+    fn grid_of<K: Kernel>(
+        engine: &ParallelEngine,
+        kernel: &K,
+        spec: SolveSpec<'_, K::Cell>,
+    ) -> Result<Grid<K::Cell>> {
+        engine.run(kernel, &spec).map(|s| s.grid.unwrap())
+    }
+
+    fn pattern_spec<C: Default>(pattern: Pattern) -> SolveSpec<'static, C> {
+        SolveSpec {
+            pattern: Some(pattern),
+            ..SolveSpec::default()
+        }
+    }
+
+    fn traced_spec<C: Default>(sink: &dyn TraceSink) -> SolveSpec<'_, C> {
+        SolveSpec {
+            sink: Some(sink),
+            ..SolveSpec::default()
+        }
+    }
+
+    fn threads_spec<C: Default>(active: usize) -> SolveSpec<'static, C> {
+        SolveSpec {
+            threads: Some(active),
+            ..SolveSpec::default()
+        }
+    }
+
+    fn injected_spec<C: Default>(injector: &dyn FaultInjector) -> SolveSpec<'_, C> {
+        SolveSpec {
+            injector: Some(injector),
+            ..SolveSpec::default()
+        }
+    }
 
     fn mix_kernel(
         dims: Dims,
@@ -1735,9 +1453,12 @@ mod tests {
     fn incompatible_pattern_is_rejected() {
         let set = ContributingSet::new(&[RepCell::W, RepCell::N]);
         let kernel = mix_kernel(Dims::new(4, 4), set);
-        assert!(ParallelEngine::new(2)
-            .solve_as(&kernel, Pattern::Horizontal)
-            .is_err());
+        assert!(grid_of(
+            &ParallelEngine::new(2),
+            &kernel,
+            pattern_spec(Pattern::Horizontal)
+        )
+        .is_err());
     }
 
     #[test]
@@ -1746,12 +1467,9 @@ mod tests {
         let dims = Dims::new(17, 9);
         let kernel = mix_kernel(dims, set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
-        let il = ParallelEngine::new(4)
-            .solve_as(&kernel, Pattern::InvertedL)
-            .unwrap();
-        let h1 = ParallelEngine::new(4)
-            .solve_as(&kernel, Pattern::Horizontal)
-            .unwrap();
+        let engine = ParallelEngine::new(4);
+        let il = grid_of(&engine, &kernel, pattern_spec(Pattern::InvertedL)).unwrap();
+        let h1 = grid_of(&engine, &kernel, pattern_spec(Pattern::Horizontal)).unwrap();
         assert_eq!(il.to_row_major(), oracle);
         assert_eq!(h1.to_row_major(), oracle);
     }
@@ -1805,9 +1523,7 @@ mod tests {
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let threads = 3;
         let rec = Recorder::new();
-        let got = ParallelEngine::new(threads)
-            .solve_traced(&kernel, &rec)
-            .unwrap();
+        let got = grid_of(&ParallelEngine::new(threads), &kernel, traced_spec(&rec)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
 
         let data = rec.snapshot();
@@ -1869,7 +1585,7 @@ mod tests {
         let kernel = mix_kernel(dims, set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let rec = Recorder::new();
-        let got = ParallelEngine::new(1).solve_traced(&kernel, &rec).unwrap();
+        let got = grid_of(&ParallelEngine::new(1), &kernel, traced_spec(&rec)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
         let data = rec.snapshot();
         assert_eq!(data.counters["parallel.workers"], 1);
@@ -1881,9 +1597,7 @@ mod tests {
         let set = ContributingSet::new(&[RepCell::W, RepCell::N]);
         let kernel = mix_kernel(Dims::new(16, 16), set);
         let a = ParallelEngine::new(4).solve(&kernel).unwrap();
-        let b = ParallelEngine::new(4)
-            .solve_traced(&kernel, &NullSink)
-            .unwrap();
+        let b = grid_of(&ParallelEngine::new(4), &kernel, traced_spec(&NullSink)).unwrap();
         assert_eq!(a.to_row_major(), b.to_row_major());
     }
 
@@ -1905,7 +1619,7 @@ mod tests {
                 for threads in [1, 2, 5] {
                     let bulk = ParallelEngine::new(threads).solve(&kernel).unwrap();
                     let scalar = ParallelEngine::new(threads)
-                        .with_bulk_enabled(false)
+                        .with_tier(Some(ExecTier::Scalar))
                         .solve(&kernel)
                         .unwrap();
                     assert_eq!(bulk.to_row_major(), oracle, "{set} {r}x{c} t={threads}");
@@ -1928,9 +1642,12 @@ mod tests {
             set: ContributingSet::new(&[RepCell::Nw]),
         };
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
-        let got = ParallelEngine::new(4)
-            .solve_as(&kernel, Pattern::Horizontal)
-            .unwrap();
+        let got = grid_of(
+            &ParallelEngine::new(4),
+            &kernel,
+            pattern_spec(Pattern::Horizontal),
+        )
+        .unwrap();
         assert_eq!(got.to_row_major(), oracle);
     }
 
@@ -1942,7 +1659,7 @@ mod tests {
         };
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let rec = Recorder::new();
-        let got = ParallelEngine::new(3).solve_traced(&kernel, &rec).unwrap();
+        let got = grid_of(&ParallelEngine::new(3), &kernel, traced_spec(&rec)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
         let data = rec.snapshot();
         let mut cells = 0u64;
@@ -1959,7 +1676,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_threads_clamps_and_matches() {
+    fn active_worker_counts_clamp_and_match() {
         let kernel = BulkMix {
             dims: Dims::new(29, 31),
             set: ContributingSet::new(&[RepCell::W, RepCell::Nw, RepCell::N]),
@@ -1967,7 +1684,7 @@ mod tests {
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let engine = ParallelEngine::new(4);
         for active in [0, 1, 3, 4, 64] {
-            let got = engine.solve_with_threads(&kernel, active).unwrap();
+            let got = grid_of(&engine, &kernel, threads_spec(active)).unwrap();
             assert_eq!(got.to_row_major(), oracle, "active={active}");
         }
     }
@@ -2010,10 +1727,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_flag_roundtrip() {
+    fn tier_cap_roundtrip() {
         let engine = ParallelEngine::new(2);
-        assert!(engine.bulk_enabled());
-        assert!(!engine.clone().with_bulk_enabled(false).bulk_enabled());
+        assert_eq!(engine.tier_override(), None);
+        let capped = engine.clone().with_tier(Some(ExecTier::Scalar));
+        assert_eq!(capped.tier_override(), Some(ExecTier::Scalar));
     }
 
     /// [`BulkMix`] plus a SIMD hook whose "vector" body is the bulk
@@ -2119,11 +1837,17 @@ mod tests {
         );
         // A bit-parallel pin is answer-level, not an engine tier: auto.
         assert_eq!(pin(ExecTier::BitParallel).select_tier(&simd_mix), simd_auto);
-        // Disabling bulk forces scalar regardless of pins.
+        // Caps compose by the lowest: a run's scalar cap beats the
+        // engine's SIMD pin.
+        let scalar_run = SolveSpec {
+            tier: Some(ExecTier::Scalar),
+            ..SolveSpec::default()
+        };
         assert_eq!(
             pin(ExecTier::Simd)
-                .with_bulk_enabled(false)
-                .select_tier(&simd_mix),
+                .run(&simd_mix, &scalar_run)
+                .unwrap()
+                .tier,
             ExecTier::Scalar
         );
         assert_eq!(engine.tier_override(), None);
@@ -2163,7 +1887,7 @@ mod tests {
         let rec = Recorder::new();
         let engine = ParallelEngine::new(3);
         let tier = engine.select_tier(&kernel);
-        engine.solve_traced(&kernel, &rec).unwrap();
+        grid_of(&engine, &kernel, traced_spec(&rec)).unwrap();
         let data = rec.snapshot();
         assert_eq!(data.counters[&format!("parallel.tier.{tier}")], 1);
         let wave_spans: Vec<_> = data.spans.iter().filter(|s| s.name == "wave").collect();
@@ -2180,30 +1904,6 @@ mod tests {
                 "every wave span carries the resolved tier"
             );
         }
-    }
-
-    #[test]
-    fn tune_tier_sweeps_available_tiers_and_picks_one() {
-        let engine = ParallelEngine::new(2);
-        let kernel = SimdMix(BulkMix {
-            dims: Dims::new(48, 48),
-            set: anti_diag_set(),
-        });
-        let (best, points) = engine.tune_tier(&kernel).unwrap();
-        let tiers: Vec<ExecTier> = points.iter().map(|p| p.tier).collect();
-        let mut expect = vec![ExecTier::Scalar, ExecTier::Bulk];
-        if simd_available() {
-            expect.push(ExecTier::Simd);
-        }
-        assert_eq!(tiers, expect);
-        assert!(points.iter().all(|p| p.secs >= 0.0));
-        assert!(tiers.contains(&best));
-
-        // A kernel without bulk hooks sweeps only the scalar tier.
-        let scalar_only = mix_kernel(Dims::new(24, 24), anti_diag_set());
-        let (best, points) = engine.tune_tier(&scalar_only).unwrap();
-        assert_eq!(best, ExecTier::Scalar);
-        assert_eq!(points.len(), 1);
     }
 
     #[test]
@@ -2241,7 +1941,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_worker_panic_fails_the_solve_not_the_engine() {
+    fn injected_worker_panic_is_absorbed_by_the_ladder_not_the_caller() {
         let set = ContributingSet::new(&[RepCell::W, RepCell::N]);
         let dims = Dims::new(24, 24);
         let kernel = mix_kernel(dims, set);
@@ -2250,13 +1950,50 @@ mod tests {
             panic_worker: Some((1, 5)),
             bulk_fail_wave: None,
         };
+        let oracle = solve_row_major(&kernel).unwrap().to_row_major();
+        let s = engine.run(&kernel, &injected_spec(&inj)).unwrap();
+        assert_eq!(s.grid.unwrap().to_row_major(), oracle);
+        // A scalar-only kernel has no bulk rung to take.
+        assert_eq!(s.degraded, vec![DegradeStep::ParallelToSequential]);
+        // The same engine (and its pool) must serve the next solve.
+        assert_eq!(engine.pool_dead_workers(), 0);
+        assert_eq!(engine.solve(&kernel).unwrap().to_row_major(), oracle);
+    }
+
+    #[test]
+    fn one_worker_injected_runs_stay_on_the_pool() {
+        let kernel = BulkMix {
+            dims: Dims::new(12, 12),
+            set: anti_diag_set(),
+        };
+        let engine = ParallelEngine::new(1);
+        let inj = TestInjector {
+            panic_worker: None,
+            bulk_fail_wave: Some(2),
+        };
+        let s = engine.run(&kernel, &injected_spec(&inj)).unwrap();
+        assert_eq!(s.degraded, vec![DegradeStep::BulkToScalar]);
+        assert!(engine.pool_started(), "an injected run must be isolated");
+    }
+
+    #[test]
+    fn a_run_the_ladder_cannot_save_fails_without_unwinding() {
+        let kernel = ClosureKernel::new(
+            Dims::new(6, 6),
+            ContributingSet::new(&[RepCell::W, RepCell::N]),
+            |i, j, _n: &Neighbors<u64>| -> u64 {
+                if i == 3 && j == 3 {
+                    panic!("injected kernel fault");
+                }
+                0
+            },
+        );
+        let engine = ParallelEngine::new(2);
         assert!(matches!(
-            engine.solve_injected(&kernel, &inj),
+            engine.run(&kernel, &injected_spec(&lddp_chaos::NoFaults)),
             Err(Error::ExecutionPanicked { .. })
         ));
-        // The same engine (and its pool) must serve the next solve.
-        let oracle = solve_row_major(&kernel).unwrap().to_row_major();
-        assert_eq!(engine.solve(&kernel).unwrap().to_row_major(), oracle);
+        assert_eq!(engine.pool_dead_workers(), 0);
     }
 
     #[test]
@@ -2271,10 +2008,10 @@ mod tests {
             panic_worker: None,
             bulk_fail_wave: Some(2),
         };
-        let (grid, steps) = engine.solve_degrading(&kernel, &inj).unwrap();
-        assert_eq!(grid.to_row_major(), oracle);
+        let s = engine.run(&kernel, &injected_spec(&inj)).unwrap();
+        assert_eq!(s.grid.unwrap().to_row_major(), oracle);
         // Bulk failed, scalar succeeded: exactly one rung taken.
-        assert_eq!(steps, vec![DegradeStep::BulkToScalar]);
+        assert_eq!(s.degraded, vec![DegradeStep::BulkToScalar]);
     }
 
     #[test]
@@ -2294,10 +2031,10 @@ mod tests {
         };
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let engine = ParallelEngine::new(3);
-        let (grid, steps) = engine.solve_degrading(&kernel, &AlwaysPanic).unwrap();
-        assert_eq!(grid.to_row_major(), oracle);
+        let s = engine.run(&kernel, &injected_spec(&AlwaysPanic)).unwrap();
+        assert_eq!(s.grid.unwrap().to_row_major(), oracle);
         assert_eq!(
-            steps,
+            s.degraded,
             vec![DegradeStep::BulkToScalar, DegradeStep::ParallelToSequential]
         );
         // And the engine still works normally afterwards.
@@ -2318,8 +2055,7 @@ mod tests {
         // correct, with a NullSink and with 1 active worker.
         assert_eq!(engine.solve(&kernel).unwrap().to_row_major(), oracle);
         assert_eq!(
-            engine
-                .solve_with_threads(&kernel, 1)
+            grid_of(&engine, &kernel, threads_spec(1))
                 .unwrap()
                 .to_row_major(),
             oracle
@@ -2389,7 +2125,7 @@ mod tests {
         // Tracing at 1 thread records wave spans without the pool too.
         let rec = Recorder::new();
         let engine = ParallelEngine::new(1);
-        let got = engine.solve_traced(&kernel, &rec).unwrap();
+        let got = grid_of(&engine, &kernel, traced_spec(&rec)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
         assert!(engine.pool.get().is_none());
         // New accessors report a pool that was never created as healthy.
@@ -2407,7 +2143,8 @@ mod tests {
             panic_worker: Some((1, 5)),
             bulk_fail_wave: None,
         };
-        assert!(engine.solve_injected(&kernel, &inj).is_err());
+        let s = engine.run(&kernel, &injected_spec(&inj)).unwrap();
+        assert_eq!(s.degraded, vec![DegradeStep::ParallelToSequential]);
         let text = reg.to_prometheus();
         assert!(
             text.contains("lddp_chaos_injected_total{site=\"worker_panic\"} 1"),
@@ -2421,15 +2158,11 @@ mod tests {
         let kernel = mix_kernel(Dims::new(16, 16), set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let engine = ParallelEngine::new(3);
-        let grid = engine
-            .solve_injected(&kernel, &lddp_chaos::NoFaults)
+        let s = engine
+            .run(&kernel, &injected_spec(&lddp_chaos::NoFaults))
             .unwrap();
-        assert_eq!(grid.to_row_major(), oracle);
-        let (grid, steps) = engine
-            .solve_degrading(&kernel, &lddp_chaos::NoFaults)
-            .unwrap();
-        assert_eq!(grid.to_row_major(), oracle);
-        assert!(steps.is_empty());
+        assert_eq!(s.grid.unwrap().to_row_major(), oracle);
+        assert!(s.degraded.is_empty());
     }
 
     /// Score used by rolling arg-best tests (and analogous to the
@@ -2502,9 +2235,11 @@ mod tests {
                             true
                         },
                     };
-                    let got = engine
-                        .solve_rolling_stream(&kernel, Some(cell_score), &hook)
-                        .unwrap();
+                    let spec = SolveSpec {
+                        stream: Some(&hook),
+                        ..SolveSpec::rolling(Some(cell_score))
+                    };
+                    let got = engine.run(&kernel, &spec).unwrap();
                     let label = format!("{rows}x{cols} threads={threads} bands={bands}");
                     assert_eq!(got.corner, want.corner, "{label}");
                     assert_eq!(got.best, want.best, "{label}");
@@ -2545,9 +2280,11 @@ mod tests {
             emit: &|_| seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) < 2,
         };
         // The solve still finishes exactly even after the consumer bails.
-        let got = engine
-            .solve_rolling_stream(&kernel, Some(cell_score), &hook)
-            .unwrap();
+        let spec = SolveSpec {
+            stream: Some(&hook),
+            ..SolveSpec::rolling(Some(cell_score))
+        };
+        let got = engine.run(&kernel, &spec).unwrap();
         assert_eq!(got.corner, want.corner);
         assert_eq!(got.best, want.best);
         assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 3);
@@ -2578,12 +2315,14 @@ mod tests {
             panic_worker: None,
             bulk_fail_wave: Some(3),
         };
-        let (r, steps) = engine
-            .solve_rolling_degrading(&kernel, Some(cell_score), &inj)
-            .unwrap();
+        let spec = SolveSpec {
+            injector: Some(&inj),
+            ..SolveSpec::rolling(Some(cell_score))
+        };
+        let r = engine.run(&kernel, &spec).unwrap();
         assert_eq!(r.corner, Some(want));
         assert!(r.best.is_some());
-        assert_eq!(steps, vec![DegradeStep::BulkToScalar]);
+        assert_eq!(r.degraded, vec![DegradeStep::BulkToScalar]);
 
         // Persistent worker panics fall back to the sequential walk.
         struct AlwaysPanic;
@@ -2595,20 +2334,17 @@ mod tests {
                 wave == 0
             }
         }
-        let (r, steps) = engine
-            .solve_rolling_degrading(&kernel, None, &AlwaysPanic)
-            .unwrap();
+        let spec = SolveSpec {
+            injector: Some(&AlwaysPanic),
+            ..SolveSpec::rolling(None)
+        };
+        let r = engine.run(&kernel, &spec).unwrap();
         assert_eq!(r.corner, Some(want));
         assert_eq!(
-            steps,
+            r.degraded,
             vec![DegradeStep::BulkToScalar, DegradeStep::ParallelToSequential]
         );
-        // A plain injected rolling solve surfaces the panic as an error
-        // and leaves the engine healthy.
-        assert!(matches!(
-            engine.solve_rolling_injected(&kernel, None, &AlwaysPanic),
-            Err(Error::ExecutionPanicked { .. })
-        ));
+        // The ladder leaves the engine healthy.
         assert_eq!(engine.pool_dead_workers(), 0);
         assert_eq!(
             engine.solve_rolling(&kernel, None).unwrap().corner,
@@ -2630,7 +2366,7 @@ mod tests {
         assert!(!engine.pool_started(), "1-worker plan spun up the pool");
         // A wider engine clamped to one active worker also stays inline…
         let wide = ParallelEngine::new(4);
-        wide.solve_with_threads(&kernel, 1).unwrap();
+        grid_of(&wide, &kernel, threads_spec(1)).unwrap();
         assert!(!wide.pool_started(), "active=1 plan spun up the pool");
         // …and only a genuinely multi-worker plan pays for the pool.
         wide.solve(&kernel).unwrap();

@@ -32,6 +32,18 @@ impl LcsKernel {
         let d = self.dims();
         grid.get(d.rows - 1, d.cols - 1)
     }
+
+    /// LCS length from the bit-parallel row kernel
+    /// ([`lcs_length_bitparallel`]): machine words, no table.
+    pub fn length_bitparallel(&self) -> u32 {
+        lcs_length_bitparallel(&self.a, &self.b)
+    }
+
+    /// Working-set bytes of [`LcsKernel::length_bitparallel`]: 256
+    /// per-symbol match masks plus the row state, a bit per column.
+    pub fn bitparallel_bytes(&self) -> usize {
+        (256 + 1) * self.b.len().div_ceil(64) * 8
+    }
 }
 
 impl Kernel for LcsKernel {

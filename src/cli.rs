@@ -31,6 +31,7 @@
 //! serving stack (see docs/ROBUSTNESS.md), failing loudly when any
 //! recovered answer diverges from the oracle.
 
+use crate::parallel::{Memory, ParallelEngine, SolveSpec, Solved, StreamHook};
 use crate::platforms::{cpu_only, hetero_high, hetero_low, Platform};
 use crate::{Framework, PhaseStat};
 use hetero_sim::report::{utilization, Utilization};
@@ -39,9 +40,11 @@ use lddp_core::cell::{ContributingSet, RepCell};
 use lddp_core::grid::Grid;
 use lddp_core::kernel::{ExecTier, Kernel, MemoryMode};
 use lddp_core::pattern::classify;
-use lddp_core::rolling;
+use lddp_core::rolling::{self, BandEvent};
 use lddp_core::schedule::{PhaseKind, ScheduleParams};
+use lddp_core::tuner::TuneResult;
 use lddp_core::tuner_cache::TunedConfig;
+use lddp_core::wavefront::Dims;
 use lddp_core::DegradeStep;
 use lddp_problems as problems;
 use lddp_serve::loadgen::{HttpTarget, LoadgenConfig};
@@ -783,173 +786,664 @@ pub fn run_solve(
     run_solve_traced(problem, n, platform_name, params, &NullSink).map(|o| o.summary)
 }
 
-/// Dispatches over the problem registry. For the named problem it binds
-/// the deterministic instance at size `n` and invokes the caller's
-/// `$go!(kernel_expr, (to_gpu_bytes, from_gpu_bytes), answer_closure)`
-/// macro, where the answer closure has type
-/// `|&Kernel, &Grid<Cell>| -> String`. Every driver that needs a
-/// per-problem kernel (hetero solve, sequential oracle, classification,
-/// tuning) goes through this one registry, so a new problem is added in
-/// exactly one place.
-macro_rules! with_problem {
-    ($problem:expr, $n:expr, $go:ident) => {{
-        let n: usize = $n;
-        let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-        match $problem {
-            "levenshtein" => $go!(
-                problems::LevenshteinKernel::new(seq(1), seq(2)),
-                (2 * n, 8),
-                |k: &problems::LevenshteinKernel, g: &Grid<u32>| {
-                    let d = k.dims();
-                    format!("edit distance = {}", g.get(d.rows - 1, d.cols - 1))
-                }
-            ),
-            "lcs" => $go!(
-                problems::LcsKernel::new(seq(3), seq(4)),
-                (2 * n, 8),
-                |k: &problems::LcsKernel, g: &Grid<u32>| {
-                    let d = k.dims();
-                    format!("LCS length = {}", g.get(d.rows - 1, d.cols - 1))
-                }
-            ),
-            "dtw" => $go!(
-                problems::DtwKernel::random_walk(n, n, 5),
-                (8 * n, 8),
-                |_k: &problems::DtwKernel, g: &Grid<f32>| {
-                    format!("DTW distance = {:.3}", g.get(n - 1, n - 1))
-                }
-            ),
-            "checkerboard" => $go!(
-                problems::CheckerboardKernel::random(n, n, 9, 6),
-                (n * n, 0),
-                |_k: &problems::CheckerboardKernel, g: &Grid<u32>| {
-                    let best = (0..n).map(|j| g.get(n - 1, j)).min().unwrap();
-                    format!("cheapest path cost = {best}")
-                }
-            ),
-            "dithering" => $go!(
-                problems::DitherKernel::noise(n, n, 7),
-                (n * n, n * n),
-                |_k: &problems::DitherKernel, g: &Grid<problems::DitherCell>| {
-                    let on = (0..n)
-                        .flat_map(|i| (0..n).map(move |j| (i, j)))
-                        .filter(|&(i, j)| g.get(i, j).out == 255)
-                        .count();
-                    format!("{on} of {} pixels on", n * n)
-                }
-            ),
-            "seam" => $go!(
-                problems::SeamCarvingKernel::new(
-                    n,
-                    n,
-                    (0..n * n)
-                        .map(|x| ((x as u64).wrapping_mul(2654435761) >> 7) as u32 % 64)
-                        .collect(),
-                ),
-                (4 * n * n, 0),
-                |_k: &problems::SeamCarvingKernel, g: &Grid<u64>| {
-                    let best = (0..n).map(|j| g.get(n - 1, j)).min().unwrap();
-                    format!("minimal seam energy = {best}")
-                }
-            ),
-            "maxsquare" => $go!(
-                problems::MaxSquareKernel::random(n, n, 0.8, 8),
-                (n * n / 8, 8),
-                |_k: &problems::MaxSquareKernel, g: &Grid<u32>| {
-                    let mut best = 0;
-                    for i in 0..n {
-                        for j in 0..n {
-                            best = best.max(g.get(i, j));
-                        }
-                    }
-                    format!("largest all-ones square side = {best}")
-                }
-            ),
-            "needleman-wunsch" => $go!(
-                problems::NeedlemanWunschKernel::new(seq(9), seq(10)),
-                (2 * n, 8),
-                |k: &problems::NeedlemanWunschKernel, g: &Grid<i32>| {
-                    let d = k.dims();
-                    format!("global alignment score = {}", g.get(d.rows - 1, d.cols - 1))
-                }
-            ),
-            "smith-waterman" => $go!(
-                problems::SmithWatermanKernel::new(seq(11), seq(12)),
-                (2 * n, 8),
-                |k: &problems::SmithWatermanKernel, g: &Grid<problems::SwCell>| {
-                    let d = k.dims();
-                    let mut best = 0;
-                    for i in 0..d.rows {
-                        for j in 0..d.cols {
-                            best = best.max(g.get(i, j).best());
-                        }
-                    }
-                    format!("best local alignment score = {best}")
-                }
-            ),
-            "weighted-edit" => $go!(
-                problems::WeightedEditKernel::new(
-                    seq(13),
-                    seq(14),
-                    problems::weighted_edit::EditCosts::default(),
-                ),
-                (2 * n, 8),
-                |k: &problems::WeightedEditKernel, g: &Grid<u32>| {
-                    format!("weighted edit distance = {}", k.distance_from(g))
-                }
-            ),
-            "fig9" => $go!(
-                problems::synthetic::fig9_kernel(lddp_core::wavefront::Dims::new(n, n), 1),
-                (0, 0),
-                |_k: &_, g: &Grid<u32>| { format!("corner value = {}", g.get(n - 1, n - 1)) }
-            ),
-            other => Err(format!("unknown problem '{other}'")),
+/// How a problem's headline answer is read off a solve.
+enum Answer<K: Kernel> {
+    /// The bottom-right cell, which a rolling solve captures too.
+    Corner(fn(&K::Cell) -> String),
+    /// The best cell under a score, rendered from that score; a rolling
+    /// solve captures it too.
+    Best(fn(&K::Cell) -> i64, fn(i64) -> String),
+    /// A fold over the whole table: full-table solves only.
+    Table(fn(&K, &Grid<K::Cell>) -> String),
+}
+
+/// One problem of the registry: its seeded instance and how its answer
+/// is read. Every driver — the heterogeneous solve, the served solve,
+/// the sequential oracle, the tuner, `compare`, `balance` — builds the
+/// same instance for the same `(problem, n)`, so equal answers mean
+/// equal tables.
+struct Problem<K: Kernel> {
+    name: &'static str,
+    /// The instance of side `n`.
+    instance: fn(usize) -> K,
+    /// `(to_gpu, from_gpu)` bytes of the framework's device setup.
+    io_bytes: fn(usize) -> (usize, usize),
+    answer: Answer<K>,
+    /// A cell's running score in a streamed band frame.
+    band_score: fn(&K::Cell) -> f64,
+    gridless: Option<Gridless<K>>,
+}
+
+/// The answer cell computed without a grid (bit-parallel LCS), and the
+/// bytes that took.
+type Gridless<K> = fn(&K) -> (<K as Kernel>::Cell, usize);
+
+fn seq(n: usize, seed: u64) -> Vec<u8> {
+    crate::workloads::random_seq(n, 4, seed)
+}
+
+/// The campaign's reference problem, also reached by name.
+static LCS: Problem<problems::LcsKernel> = Problem {
+    name: "lcs",
+    instance: |n| problems::LcsKernel::new(seq(n, 3), seq(n, 4)),
+    io_bytes: |n| (2 * n, 8),
+    answer: Answer::Corner(|c| format!("LCS length = {c}")),
+    band_score: |c| f64::from(*c),
+    gridless: Some(|k| (k.length_bitparallel(), k.bitparallel_bytes())),
+};
+
+/// The problem registry, in [`PROBLEMS`] order.
+static REGISTRY: [&dyn Entry; 11] = [
+    &Problem {
+        name: "levenshtein",
+        instance: |n| problems::LevenshteinKernel::new(seq(n, 1), seq(n, 2)),
+        io_bytes: |n| (2 * n, 8),
+        answer: Answer::Corner(|c| format!("edit distance = {c}")),
+        band_score: |c| f64::from(*c),
+        gridless: None,
+    },
+    &LCS,
+    &Problem {
+        name: "dtw",
+        instance: |n| problems::DtwKernel::random_walk(n, n, 5),
+        io_bytes: |n| (8 * n, 8),
+        answer: Answer::Corner(|c| format!("DTW distance = {c:.3}")),
+        band_score: |c| f64::from(*c),
+        gridless: None,
+    },
+    &Problem {
+        name: "checkerboard",
+        instance: |n| problems::CheckerboardKernel::random(n, n, 9, 6),
+        io_bytes: |n| (n * n, 0),
+        answer: Answer::Table(|k, g| {
+            let d = k.dims();
+            let best = (0..d.cols).map(|j| g.get(d.rows - 1, j)).min().unwrap();
+            format!("cheapest path cost = {best}")
+        }),
+        band_score: |c| f64::from(*c),
+        gridless: None,
+    },
+    &Problem {
+        name: "dithering",
+        instance: |n| problems::DitherKernel::noise(n, n, 7),
+        io_bytes: |n| (n * n, n * n),
+        answer: Answer::Table(|k, g: &Grid<problems::DitherCell>| {
+            let d = k.dims();
+            let on = (0..d.rows)
+                .flat_map(|i| (0..d.cols).map(move |j| (i, j)))
+                .filter(|&(i, j)| g.get(i, j).out == 255)
+                .count();
+            format!("{on} of {} pixels on", d.rows * d.cols)
+        }),
+        band_score: |c| f64::from(c.out),
+        gridless: None,
+    },
+    &Problem {
+        name: "seam",
+        instance: |n| {
+            let energy = (0..n * n)
+                .map(|x| ((x as u64).wrapping_mul(2654435761) >> 7) as u32 % 64)
+                .collect();
+            problems::SeamCarvingKernel::new(n, n, energy)
+        },
+        io_bytes: |n| (4 * n * n, 0),
+        answer: Answer::Table(|k, g| {
+            let d = k.dims();
+            let best = (0..d.cols).map(|j| g.get(d.rows - 1, j)).min().unwrap();
+            format!("minimal seam energy = {best}")
+        }),
+        band_score: |c| *c as f64,
+        gridless: None,
+    },
+    &Problem {
+        name: "maxsquare",
+        instance: |n| problems::MaxSquareKernel::random(n, n, 0.8, 8),
+        io_bytes: |n| (n * n / 8, 8),
+        answer: Answer::Table(|k, g| {
+            let d = k.dims();
+            let best = (0..d.rows)
+                .flat_map(|i| (0..d.cols).map(move |j| g.get(i, j)))
+                .fold(0, u32::max);
+            format!("largest all-ones square side = {best}")
+        }),
+        band_score: |c| f64::from(*c),
+        gridless: None,
+    },
+    &Problem {
+        name: "needleman-wunsch",
+        instance: |n| problems::NeedlemanWunschKernel::new(seq(n, 9), seq(n, 10)),
+        io_bytes: |n| (2 * n, 8),
+        answer: Answer::Corner(|c| format!("global alignment score = {c}")),
+        band_score: |c| f64::from(*c),
+        gridless: None,
+    },
+    &Problem {
+        name: "smith-waterman",
+        instance: |n| problems::SmithWatermanKernel::new(seq(n, 11), seq(n, 12)),
+        io_bytes: |n| (2 * n, 8),
+        answer: Answer::Best(
+            |c: &problems::SwCell| i64::from(c.best()),
+            |best| format!("best local alignment score = {best}"),
+        ),
+        band_score: |c| f64::from(c.best()),
+        gridless: None,
+    },
+    &Problem {
+        name: "weighted-edit",
+        instance: |n| {
+            let costs = problems::weighted_edit::EditCosts::default();
+            problems::WeightedEditKernel::new(seq(n, 13), seq(n, 14), costs)
+        },
+        io_bytes: |n| (2 * n, 8),
+        // The distance is the corner cell, but the problem is served
+        // from the full table: a rolling path would change its replies
+        // (`memory_mode`, stream frames).
+        answer: Answer::Table(|k, g| format!("weighted edit distance = {}", k.distance_from(g))),
+        band_score: |c| f64::from(*c),
+        gridless: None,
+    },
+    &Problem {
+        name: "fig9",
+        instance: |n| problems::synthetic::fig9_kernel(Dims::new(n, n), 1),
+        io_bytes: |_| (0, 0),
+        answer: Answer::Corner(|c| format!("corner value = {c}")),
+        band_score: |c| f64::from(*c),
+        gridless: None,
+    },
+];
+
+/// The registry entry named `name`.
+fn problem(name: &str) -> Result<&'static dyn Entry, String> {
+    REGISTRY
+        .iter()
+        .copied()
+        .find(|p| p.name() == name)
+        .ok_or_else(|| format!("unknown problem '{name}'"))
+}
+
+impl<K: Kernel> Problem<K> {
+    /// The framework on `platform_name`, with this instance's device
+    /// setup bytes.
+    fn framework(&self, n: usize, platform_name: &str) -> Framework {
+        let (to_gpu, from_gpu) = (self.io_bytes)(n);
+        Framework::new(platform_by_name(platform_name)).with_io_bytes(to_gpu, from_gpu)
+    }
+
+    /// Whether a rolling solve yields the answer: a corner or best-cell
+    /// answer over an anti-diagonal `{W, NW, N}` kernel.
+    fn rolls(&self, kernel: &K) -> bool {
+        !matches!(self.answer, Answer::Table(_)) && rolling::supports_rolling(kernel)
+    }
+
+    /// The headline answer read off a full table.
+    fn render(&self, kernel: &K, grid: &Grid<K::Cell>) -> String {
+        let d = kernel.dims();
+        match &self.answer {
+            Answer::Corner(f) => f(&grid.get(d.rows - 1, d.cols - 1)),
+            Answer::Best(score, f) => f((0..d.rows)
+                .flat_map(|i| (0..d.cols).map(move |j| (i, j)))
+                .map(|(i, j)| score(&grid.get(i, j)))
+                .fold(0, i64::max)),
+            Answer::Table(f) => f(kernel, grid),
         }
-    }};
+    }
+
+    /// The headline answer of an engine run: off its grid when it has
+    /// one, off its captures when it rolled.
+    fn render_solved(&self, kernel: &K, s: &Solved<K::Cell>) -> String {
+        match (&s.grid, &self.answer) {
+            (Some(grid), _) => self.render(kernel, grid),
+            (None, Answer::Corner(f)) => f(&s.corner.unwrap_or_default()),
+            (None, Answer::Best(score, f)) => f(s.best.map_or(0, |(_, _, c)| score(&c))),
+            (None, Answer::Table(_)) => unreachable!("table answers never roll"),
+        }
+    }
+
+    /// The rolling run's arg-best score, for best-cell answers.
+    fn best_of(&self) -> Option<fn(&K::Cell) -> i64> {
+        match self.answer {
+            Answer::Best(score, _) => Some(score),
+            _ => None,
+        }
+    }
+
+    /// The served solve of [`solve_served`], on this problem's instance,
+    /// built once.
+    fn serve(&self, a: &SolveArgs<'_>) -> Result<ServedSolve, String> {
+        let kernel = (self.instance)(a.n);
+        let emit = a.emit.filter(|_| a.injector.is_none());
+        let raw = classify(kernel.contributing_set()).ok_or("empty contributing set")?;
+        if a.devices >= 2 && raw.is_canonical() {
+            return self.split(&kernel, a, raw, emit);
+        }
+        let Some(engine) = a.engine else {
+            return Err(if a.devices < 2 {
+                "a cross-device split needs at least 2 devices".into()
+            } else {
+                format!(
+                    "problem '{}' executes {raw} through an adapter; \
+                     no direct cross-device band split",
+                    self.name
+                )
+            });
+        };
+        let fw = self.framework(a.n, a.platform);
+        let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
+        // Cached parameters may come from another instance of their
+        // bucket: legalize them for this request's `n × n`.
+        let params = a
+            .params
+            .clamped_for(class.exec_pattern, Dims::new(a.n, a.n));
+        let mut degraded = Vec::new();
+        // One device-fault draw per injected request: the modelled
+        // device dying costs the request its heterogeneous speedup, not
+        // its answer.
+        let hetero_s = match a.injector {
+            Some(inj) if inj.active() && inj.device_fault(0) => {
+                degraded.push(DegradeStep::HeteroToCpuOnly.code().to_string());
+                fw.cpu_baseline(&kernel)
+            }
+            _ => fw.estimate(&kernel, params),
+        }
+        .map_err(|e| e.to_string())?;
+        let bit_parallel = a.tier == Some(ExecTier::BitParallel);
+        let gridless = self
+            .gridless
+            .filter(|_| bit_parallel && a.injector.is_none() && emit.is_none());
+        // A stream rolls whenever the problem can: a full-table solve
+        // only produces its answer at the very end.
+        let rolls = self.rolls(&kernel)
+            && (emit.is_some() || (a.memory == MemoryMode::Rolling && !bit_parallel));
+        let (answer, tier, memory_mode, table_bytes) = if let Some(gridless) = gridless {
+            let (cell, bytes) = gridless(&kernel);
+            let answer = match &self.answer {
+                Answer::Corner(f) => f(&cell),
+                _ => unreachable!("gridless answers are corners"),
+            };
+            (answer, ExecTier::BitParallel, MemoryMode::Full, bytes)
+        } else {
+            let hook = emit.filter(|_| rolls).map(|emit| StreamHook {
+                bands: crate::serve_backend::STREAM_BANDS,
+                score_of: self.band_score,
+                emit,
+            });
+            let spec = SolveSpec {
+                memory: if rolls {
+                    Memory::Rolling {
+                        best_of: self.best_of(),
+                    }
+                } else {
+                    Memory::Full
+                },
+                tier: a.tier,
+                injector: a.injector,
+                stream: hook.as_ref(),
+                ..SolveSpec::default()
+            };
+            let s = engine.run(&kernel, &spec).map_err(|e| e.to_string())?;
+            degraded.extend(s.degraded.iter().map(|d| d.code().to_string()));
+            let mode = if rolls {
+                MemoryMode::Rolling
+            } else {
+                MemoryMode::Full
+            };
+            (self.render_solved(&kernel, &s), s.tier, mode, s.peak_bytes)
+        };
+        Ok(ServedSolve {
+            summary: RunSummary {
+                problem: self.name.to_string(),
+                instance: format!("{} x {} on {}", a.n, a.n, fw.platform().name),
+                patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
+                params,
+                tier,
+                memory_mode,
+                table_bytes,
+                hetero_ms: hetero_s * 1e3,
+                answer,
+            },
+            degraded,
+            devices: 1,
+        })
+    }
+
+    /// A `devices`-way cross-device [`MultiPlan`] column-band split
+    /// (§VII made concrete): even band boundaries, the parameters
+    /// re-legalized per band (a `t_switch` tuned on the whole grid can
+    /// be illegal for a narrow band), functional execution with
+    /// per-device grids, and the reassembled table's answer. With
+    /// `emit`, one frame per device band follows the reassembly: the
+    /// split is by *columns*, so a frame's `wave_lo..=wave_hi` is the
+    /// band's column range, `rows_completed` only reaches `rows` on the
+    /// final band (a row seals at its last column), and `score` is the
+    /// bottom cell of the band's last column.
+    ///
+    /// [`MultiPlan`]: lddp_core::multi::MultiPlan
+    fn split(
+        &self,
+        kernel: &K,
+        a: &SolveArgs<'_>,
+        raw: lddp_core::pattern::Pattern,
+        emit: Option<&(dyn Fn(BandEvent) -> bool + Sync)>,
+    ) -> Result<ServedSolve, String> {
+        let platform = fleet_multi_platform(a.devices);
+        let dims = kernel.dims();
+        let params = a.params.clamped_for(raw, Dims::new(a.n, a.n));
+        let boundaries = crate::fleet::split_bands(dims.cols, a.devices);
+        // The plan carries one t_switch: take the strictest of the
+        // per-band clamps (each band against its own rows × width).
+        let t_switch =
+            crate::fleet::per_band_params(params, raw, dims.rows, &boundaries, dims.cols)
+                .iter()
+                .map(|p| p.t_switch)
+                .chain(std::iter::once(params.clamped_for(raw, dims).t_switch))
+                .min()
+                .unwrap_or(0);
+        let plan = lddp_core::multi::MultiPlan::new(
+            raw,
+            kernel.contributing_set(),
+            dims,
+            t_switch,
+            boundaries.clone(),
+        )
+        .map_err(|e| e.to_string())?;
+        let report = hetero_sim::multi::run_multi(kernel, &plan, &platform, true)
+            .map_err(|e| e.to_string())?;
+        let grid = report.grid.expect("functional multi run returns a grid");
+        if let Some(emit) = emit {
+            let cells_total = (dims.rows * dims.cols) as u64;
+            let mut lo = 0usize;
+            let mut cells_done = 0u64;
+            for (band, hi) in boundaries
+                .iter()
+                .copied()
+                .chain(std::iter::once(dims.cols))
+                .enumerate()
+            {
+                if hi <= lo {
+                    // More devices than columns: an empty band seals
+                    // nothing, so it has no frame.
+                    continue;
+                }
+                cells_done += (dims.rows * (hi - lo)) as u64;
+                let frame = BandEvent {
+                    band,
+                    bands: a.devices,
+                    wave_lo: lo,
+                    wave_hi: hi - 1,
+                    rows_completed: if hi == dims.cols { dims.rows } else { 0 },
+                    rows: dims.rows,
+                    cells_done,
+                    cells_total,
+                    score: (self.band_score)(&grid.get(dims.rows - 1, hi - 1)),
+                    best: None,
+                };
+                lo = hi;
+                if !emit(frame) {
+                    break;
+                }
+            }
+        }
+        Ok(ServedSolve {
+            summary: RunSummary {
+                problem: self.name.to_string(),
+                instance: format!(
+                    "{} x {} split {}-way on {}",
+                    a.n, a.n, a.devices, platform.name
+                ),
+                patterns: format!("{raw} → {} column bands", a.devices),
+                params: ScheduleParams::new(t_switch, params.t_share),
+                tier: ExecTier::Scalar,
+                memory_mode: MemoryMode::Full,
+                table_bytes: rolling::full_table_bytes(kernel),
+                hetero_ms: report.total_s * 1e3,
+                answer: self.render(kernel, &grid),
+            },
+            degraded: Vec::new(),
+            devices: a.devices,
+        })
+    }
+}
+
+/// A registry entry with its kernel type erased behind the operations
+/// the drivers need, implemented once for every [`Problem`].
+trait Entry: Sync {
+    fn name(&self) -> &'static str;
+    /// Whether a rolling solve yields the answer.
+    fn rolls(&self) -> bool;
+    /// The sequential row-major oracle's answer.
+    fn oracle(&self, n: usize) -> Result<String, String>;
+    /// The traced heterogeneous solve of [`run_solve_traced`].
+    fn hetero(
+        &self,
+        n: usize,
+        platform_name: &str,
+        params: Option<ScheduleParams>,
+        sink: &dyn TraceSink,
+    ) -> Result<SolveOutput, String>;
+    fn serve(&self, args: &SolveArgs<'_>) -> Result<ServedSolve, String>;
+    fn classify(&self, n: usize) -> Result<lddp_core::framework::Classification, String>;
+    /// The §V-A sweep on the framework bound to `platform_name`; with
+    /// `io`, the instance's device setup bytes are accounted for.
+    fn tune(
+        &self,
+        n: usize,
+        platform_name: &str,
+        io: bool,
+        refined: bool,
+    ) -> Result<TuneResult, String>;
+    /// The §IV estimate with `params` legalized for the instance.
+    fn estimate(
+        &self,
+        n: usize,
+        platform_name: &str,
+        params: ScheduleParams,
+    ) -> Result<f64, String>;
+    fn compare(&self, n: usize, platform_name: &str) -> Result<CompareOutput, String>;
+    /// `(tuned static seconds, tuned params, balanced seconds, balanced
+    /// params)` for `balance`.
+    fn balance(
+        &self,
+        n: usize,
+        platform_name: &str,
+        t_switch: usize,
+    ) -> Result<(f64, ScheduleParams, f64, ScheduleParams), String>;
+    /// The tier a served solve of the instance runs on: bit-parallel
+    /// where the problem has a gridless path, else `engine`'s SIMD,
+    /// bulk, scalar order, as available.
+    fn select_tier(&self, n: usize, engine: &ParallelEngine) -> ExecTier;
+    /// `(full_table_bytes, rolling_bytes)`.
+    fn footprint(&self, n: usize) -> (usize, usize);
+    /// A full-table engine run, through the degradation ladder when
+    /// `injector` is given: the answer and the rungs taken.
+    fn on_engine(
+        &self,
+        n: usize,
+        engine: &ParallelEngine,
+        injector: Option<&dyn FaultInjector>,
+    ) -> Result<(String, Vec<DegradeStep>), String>;
+    fn bench_quick(&self, n: usize, bench: &QuickBench) -> Result<String, String>;
+    fn worker_sweep(
+        &self,
+        n: usize,
+        engine: &ParallelEngine,
+    ) -> Result<(usize, Vec<lddp_core::tuner::SweepPoint>), String>;
+}
+
+impl<K: Kernel> Entry for Problem<K> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn rolls(&self) -> bool {
+        Problem::rolls(self, &(self.instance)(2))
+    }
+
+    fn oracle(&self, n: usize) -> Result<String, String> {
+        let kernel = (self.instance)(n);
+        let grid = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
+        Ok(self.render(&kernel, &grid))
+    }
+
+    fn hetero(
+        &self,
+        n: usize,
+        platform_name: &str,
+        params: Option<ScheduleParams>,
+        sink: &dyn TraceSink,
+    ) -> Result<SolveOutput, String> {
+        let kernel = (self.instance)(n);
+        let fw = self.framework(n, platform_name);
+        let solution = fw
+            .solve_traced(&kernel, params, sink)
+            .map_err(|e| e.to_string())?;
+        let class = &solution.classification;
+        Ok(SolveOutput {
+            summary: RunSummary {
+                problem: self.name.to_string(),
+                instance: format!("{n} x {n} on {}", fw.platform().name),
+                patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
+                params: solution.params,
+                tier: solution.tier,
+                memory_mode: MemoryMode::Full,
+                table_bytes: rolling::full_table_bytes(&kernel),
+                hetero_ms: solution.total_s * 1e3,
+                answer: self.render(&kernel, &solution.grid),
+            },
+            n,
+            platform: platform_name.to_string(),
+            utilization: utilization(&solution.breakdown, solution.total_s),
+            phases: solution.phases.clone(),
+        })
+    }
+
+    fn serve(&self, args: &SolveArgs<'_>) -> Result<ServedSolve, String> {
+        Problem::serve(self, args)
+    }
+
+    fn classify(&self, n: usize) -> Result<lddp_core::framework::Classification, String> {
+        lddp_core::framework::choose_execution((self.instance)(n).contributing_set())
+            .map_err(|e| e.to_string())
+    }
+
+    fn tune(
+        &self,
+        n: usize,
+        platform_name: &str,
+        io: bool,
+        refined: bool,
+    ) -> Result<TuneResult, String> {
+        let kernel = (self.instance)(n);
+        let fw = if io {
+            self.framework(n, platform_name)
+        } else {
+            Framework::new(platform_by_name(platform_name))
+        };
+        if refined {
+            fw.tune_refined(&kernel)
+        } else {
+            fw.tune(&kernel)
+        }
+        .map_err(|e| e.to_string())
+    }
+
+    fn estimate(
+        &self,
+        n: usize,
+        platform_name: &str,
+        params: ScheduleParams,
+    ) -> Result<f64, String> {
+        let kernel = (self.instance)(n);
+        let fw = self.framework(n, platform_name);
+        let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
+        let legal = params.clamped_for(class.exec_pattern, kernel.dims());
+        fw.estimate(&kernel, legal).map_err(|e| e.to_string())
+    }
+
+    fn compare(&self, n: usize, platform_name: &str) -> Result<CompareOutput, String> {
+        let kernel = (self.instance)(n);
+        let fw = self.framework(n, platform_name);
+        let e = |e: lddp_core::Error| e.to_string();
+        let tuned = fw.tune(&kernel).map_err(e)?;
+        Ok(CompareOutput {
+            platform_label: fw.platform().name.to_string(),
+            cpu_s: fw.cpu_baseline(&kernel).map_err(e)?,
+            gpu_s: fw.gpu_baseline(&kernel).map_err(e)?,
+            framework_s: fw.estimate(&kernel, tuned.params).map_err(e)?,
+            params: tuned.params,
+        })
+    }
+
+    fn balance(
+        &self,
+        n: usize,
+        platform_name: &str,
+        t_switch: usize,
+    ) -> Result<(f64, ScheduleParams, f64, ScheduleParams), String> {
+        let kernel = (self.instance)(n);
+        let fw = Framework::new(platform_by_name(platform_name));
+        let e = |e: lddp_core::Error| e.to_string();
+        let tuned = fw.tune(&kernel).map_err(e)?;
+        let static_s = fw.estimate(&kernel, tuned.params).map_err(e)?;
+        let balanced = fw.solve_balanced(&kernel, t_switch).map_err(e)?;
+        Ok((static_s, tuned.params, balanced.total_s, balanced.params))
+    }
+
+    fn select_tier(&self, n: usize, engine: &ParallelEngine) -> ExecTier {
+        match self.gridless {
+            Some(_) => ExecTier::BitParallel,
+            None => engine.select_tier(&(self.instance)(n)),
+        }
+    }
+
+    fn footprint(&self, n: usize) -> (usize, usize) {
+        let kernel = (self.instance)(n);
+        (
+            rolling::full_table_bytes(&kernel),
+            rolling::rolling_bytes(&kernel),
+        )
+    }
+
+    fn on_engine(
+        &self,
+        n: usize,
+        engine: &ParallelEngine,
+        injector: Option<&dyn FaultInjector>,
+    ) -> Result<(String, Vec<DegradeStep>), String> {
+        let kernel = (self.instance)(n);
+        let spec = SolveSpec {
+            injector,
+            ..SolveSpec::default()
+        };
+        let s = engine.run(&kernel, &spec).map_err(|e| e.to_string())?;
+        Ok((self.render_solved(&kernel, &s), s.degraded))
+    }
+
+    fn bench_quick(&self, n: usize, bench: &QuickBench) -> Result<String, String> {
+        bench.entry(self, n)
+    }
+
+    fn worker_sweep(
+        &self,
+        n: usize,
+        engine: &ParallelEngine,
+    ) -> Result<(usize, Vec<lddp_core::tuner::SweepPoint>), String> {
+        engine
+            .tune_worker_count(&(self.instance)(n), &[])
+            .map_err(|e| e.to_string())
+    }
 }
 
 /// Builds and solves the named problem with observability: tuner sweep
 /// points and the run's phase/wave/transfer events go into `sink`, and
 /// the output carries utilization + per-phase stats for rendering.
 pub fn run_solve_traced(
-    problem: &str,
+    problem_name: &str,
     n: usize,
     platform_name: &str,
     params: Option<ScheduleParams>,
     sink: &dyn TraceSink,
 ) -> Result<SolveOutput, String> {
-    let platform = platform_by_name(platform_name);
-    macro_rules! go {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let solution = fw
-                .solve_traced(&kernel, params, sink)
-                .map_err(|e| e.to_string())?;
-            let class = &solution.classification;
-            Ok(SolveOutput {
-                summary: RunSummary {
-                    problem: problem.to_string(),
-                    instance: format!("{n} x {n} on {}", platform.name),
-                    patterns: format!(
-                        "{} → executed as {}",
-                        class.raw_pattern, class.exec_pattern
-                    ),
-                    params: solution.params,
-                    tier: solution.tier,
-                    memory_mode: MemoryMode::Full,
-                    table_bytes: rolling::full_table_bytes(&kernel),
-                    hetero_ms: solution.total_s * 1e3,
-                    answer: $answer(&kernel, &solution.grid),
-                },
-                n,
-                platform: platform_name.to_string(),
-                utilization: utilization(&solution.breakdown, solution.total_s),
-                phases: solution.phases.clone(),
-            })
-        }};
-    }
-    with_problem!(problem, n, go)
+    problem(problem_name)?.hetero(n, platform_name, params, sink)
 }
 
 /// Solves the named problem on the sequential row-major reference
@@ -958,451 +1452,116 @@ pub fn run_solve_traced(
 /// responses against: instances are deterministic in `(problem, n)`, so
 /// equal answers mean the heterogeneous execution computed the same
 /// table.
-pub fn run_solve_seq(problem: &str, n: usize) -> Result<String, String> {
-    macro_rules! oracle {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            let grid = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-            Ok($answer(&kernel, &grid))
-        }};
-    }
-    with_problem!(problem, n, oracle)
+pub fn run_solve_seq(problem_name: &str, n: usize) -> Result<String, String> {
+    problem(problem_name)?.oracle(n)
 }
 
-/// Builds and solves the named problem on a shared thread-pool engine —
-/// the serving hot path. The table is computed by `engine`'s persistent
-/// workers (reusing their threads and barrier across requests, through
-/// the bulk or SIMD interior-run path where the kernel provides one),
-/// while the reported virtual time is the framework's cost-model
-/// estimate for the given parameters, so timings stay comparable with
-/// the traced solve path.
+/// One served solve: the request both serving backends hand
+/// [`solve_served`].
+pub struct SolveArgs<'a> {
+    /// Problem name.
+    pub problem: &'a str,
+    /// Instance side.
+    pub n: usize,
+    /// Cost-model platform preset (`high`, `low`, `cpu-only`).
+    pub platform: &'a str,
+    /// Schedule parameters, re-legalized for this exact instance (a
+    /// cached set may come from another instance of its bucket).
+    pub params: ScheduleParams,
+    /// Tier cap, a tuned or pinned decision. [`ExecTier::BitParallel`]
+    /// takes the problem's gridless path where it has one and caps
+    /// nothing otherwise.
+    pub tier: Option<ExecTier>,
+    /// Memory mode; `Rolling` applies to problems whose answer a
+    /// rolling solve yields, and the rest solve full-table.
+    pub memory: MemoryMode,
+    /// The pool to solve on. `None` only for split-only requests, which
+    /// fail when no split applies.
+    pub engine: Option<&'a ParallelEngine>,
+    /// Receives the sealed bands of a streamed solve, in order, from
+    /// inside the solve; it may block (backpressure), and returning
+    /// `false` stops emission while the solve completes. A problem with
+    /// no band path sends none.
+    pub emit: Option<&'a (dyn Fn(BandEvent) -> bool + Sync)>,
+    /// Consulted through the engine's degradation ladder, and once per
+    /// request for a device fault that degrades the cost model to the
+    /// CPU-only baseline. An injected request never streams.
+    pub injector: Option<&'a dyn FaultInjector>,
+    /// Devices to split the table across as a cross-device `MultiPlan`
+    /// when the problem's pattern allows a direct column split; a
+    /// problem executed through an adapter solves whole on `engine`.
+    /// 1 solves on `engine`.
+    pub devices: usize,
+}
+
+/// What [`solve_served`] produced.
+#[derive(Debug, Clone)]
+pub struct ServedSolve {
+    /// The run's summary.
+    pub summary: RunSummary,
+    /// Wire codes of the degradation rungs taken, in order (e.g.
+    /// `"bulk_to_scalar"`); empty when the configured path served it.
+    pub degraded: Vec<String>,
+    /// Devices the table spanned.
+    pub devices: usize,
+}
+
+/// The served solve — the one path every served request takes. It
+/// builds the instance once and picks its execution:
 ///
-/// `tier` pins the execution tier (a cached tuner decision); `None`
-/// lets the engine pick. [`ExecTier::BitParallel`] is honored for
-/// `lcs`, where the answer is a length, not a table — the bit-parallel
-/// row kernel computes it without materializing the grid; every other
-/// problem downgrades it to the best grid tier.
-pub fn run_solve_pooled(
-    problem: &str,
+/// 1. a cross-device `MultiPlan` split when `devices ≥ 2` and the
+///    problem's pattern allows one, streaming one frame per device band;
+/// 2. the gridless bit-parallel kernel when the tier is
+///    [`ExecTier::BitParallel`] and the problem has one (never under
+///    injection or for streams);
+/// 3. otherwise one [`ParallelEngine::run`] on `engine`: rolling when
+///    the memory mode asks for it or a stream wants bands (problems
+///    whose answer a rolling solve yields), full-table otherwise, walking
+///    the degradation ladder when injected.
+///
+/// The reported virtual time is the framework's cost-model estimate for
+/// the legalized parameters, so timings stay comparable with the traced
+/// solve path. Answer strings are byte-identical across every path.
+pub fn solve_served(args: &SolveArgs<'_>) -> Result<ServedSolve, String> {
+    problem(args.problem)?.serve(args)
+}
+
+/// Solves one instance as a `devices`-way cross-device `MultiPlan`
+/// column-band split. Problems whose raw pattern needs a kernel adapter
+/// have no direct band split and return `Err` — callers fall back to a
+/// pooled solve.
+pub fn run_solve_multi(
+    problem_name: &str,
     n: usize,
-    platform_name: &str,
     params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
+    devices: usize,
 ) -> Result<RunSummary, String> {
-    let platform = platform_by_name(platform_name);
-    if tier == Some(ExecTier::BitParallel) && problem == "lcs" {
-        return run_solve_bitparallel_lcs(n, platform_name, params);
-    }
-    let engine = engine.clone().with_tier(tier);
-    macro_rules! pooled {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let hetero_s = fw.estimate(&kernel, params).map_err(|e| e.to_string())?;
-            let exec_tier = engine.select_tier(&kernel);
-            let grid = engine.solve(&kernel).map_err(|e| e.to_string())?;
-            Ok(RunSummary {
-                problem: problem.to_string(),
-                instance: format!("{n} x {n} on {}", platform.name),
-                patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
-                params,
-                tier: exec_tier,
-                memory_mode: MemoryMode::Full,
-                table_bytes: rolling::full_table_bytes(&kernel),
-                hetero_ms: hetero_s * 1e3,
-                answer: $answer(&kernel, &grid),
-            })
-        }};
-    }
-    with_problem!(problem, n, pooled)
-}
-
-/// The `lcs` instance solved by the bit-parallel row kernel
-/// ([`problems::lcs::lcs_length_bitparallel`]): the length comes out of
-/// machine-word bit operations, no DP grid is materialized. Instance
-/// seeds match the registry's `lcs` arm, so the answer string is
-/// identical to every grid path's.
-fn run_solve_bitparallel_lcs(
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-) -> Result<RunSummary, String> {
-    let platform = platform_by_name(platform_name);
-    let a = crate::workloads::random_seq(n, 4, 3);
-    let b = crate::workloads::random_seq(n, 4, 4);
-    let kernel = problems::LcsKernel::new(a.clone(), b.clone());
-    let fw = Framework::new(platform.clone()).with_io_bytes(2 * n, 8);
-    let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-    let hetero_s = fw.estimate(&kernel, params).map_err(|e| e.to_string())?;
-    let len = problems::lcs::lcs_length_bitparallel(&a, &b);
-    Ok(RunSummary {
-        problem: "lcs".to_string(),
-        instance: format!("{n} x {n} on {}", platform.name),
-        patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
-        params,
-        tier: ExecTier::BitParallel,
-        memory_mode: MemoryMode::Full,
-        // No grid: 256 per-symbol match masks plus the row state.
-        table_bytes: (256 + 1) * n.div_ceil(64) * 8,
-        hetero_ms: hetero_s * 1e3,
-        answer: format!("LCS length = {len}"),
-    })
-}
-
-/// [`run_solve_pooled`] under fault injection — the chaos serving path.
-/// The table is computed through the engine's graceful-degradation
-/// ladder ([`solve_degrading`](crate::parallel::ParallelEngine::solve_degrading)),
-/// and a device fault drawn from the injector degrades the cost model
-/// from heterogeneous to the CPU-only baseline instead of failing the
-/// request. Returns the summary plus the wire codes of every rung taken
-/// (e.g. `"bulk_to_scalar"`); an empty vector means the fully
-/// configured path served the request.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solve_pooled_chaos(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    injector: &dyn FaultInjector,
-) -> Result<(RunSummary, Vec<String>), String> {
-    let platform = platform_by_name(platform_name);
-    // Under injection every solve must be able to walk the degradation
-    // ladder, so a bit-parallel pin falls back to the grid tiers here.
-    let engine = engine.clone().with_tier(tier);
-    macro_rules! chaos_pooled {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let mut degraded: Vec<String> = Vec::new();
-            // One device-fault draw per request: the modelled device
-            // dying costs the request its heterogeneous speedup, not
-            // its answer.
-            let hetero_s = if injector.active() && injector.device_fault(0) {
-                degraded.push(DegradeStep::HeteroToCpuOnly.code().to_string());
-                fw.cpu_baseline(&kernel).map_err(|e| e.to_string())?
-            } else {
-                fw.estimate(&kernel, params).map_err(|e| e.to_string())?
-            };
-            let exec_tier = engine.select_tier(&kernel);
-            let (grid, steps) = engine
-                .solve_degrading(&kernel, injector)
-                .map_err(|e| e.to_string())?;
-            degraded.extend(steps.iter().map(|s| s.code().to_string()));
-            Ok((
-                RunSummary {
-                    problem: problem.to_string(),
-                    instance: format!("{n} x {n} on {}", platform.name),
-                    patterns: format!(
-                        "{} → executed as {}",
-                        class.raw_pattern, class.exec_pattern
-                    ),
-                    params,
-                    tier: exec_tier,
-                    memory_mode: MemoryMode::Full,
-                    table_bytes: rolling::full_table_bytes(&kernel),
-                    hetero_ms: hetero_s * 1e3,
-                    answer: $answer(&kernel, &grid),
-                },
-                degraded,
-            ))
-        }};
-    }
-    with_problem!(problem, n, chaos_pooled)
-}
-
-/// Builds and solves the named problem in rolling (wave-band) memory
-/// mode on a shared thread-pool engine: no DP grid is materialized,
-/// only the ring of three live wavefronts (`O(n + m)` bytes), and the
-/// headline answer comes from the captured corner cell — or, for
-/// `smith-waterman`, the running arg-best cell. Instance seeds and
-/// answer strings are identical to the full-table paths byte for byte,
-/// so the sequential oracle check passes unchanged. Problems whose
-/// answer needs the whole table (see [`rolling_supported`]) return
-/// `Err`.
-pub fn run_solve_rolling(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-) -> Result<RunSummary, String> {
-    run_solve_rolling_inner(problem, n, platform_name, params, tier, engine, None)
-        .map(|(summary, _)| summary)
-}
-
-/// [`run_solve_rolling`] under fault injection — the chaos serving
-/// path, mirroring [`run_solve_pooled_chaos`]: the engine walks the
-/// rolling degradation ladder and a device fault degrades the cost
-/// model to the CPU-only baseline. Returns the summary plus the wire
-/// codes of every rung taken.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solve_rolling_chaos(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    injector: &dyn FaultInjector,
-) -> Result<(RunSummary, Vec<String>), String> {
-    run_solve_rolling_inner(
-        problem,
+    solve_served(&SolveArgs {
+        problem: problem_name,
         n,
-        platform_name,
+        platform: "high",
         params,
-        tier,
-        engine,
-        Some(injector),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_solve_rolling_inner(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    injector: Option<&dyn FaultInjector>,
-) -> Result<(RunSummary, Vec<String>), String> {
-    let platform = platform_by_name(platform_name);
-    // A bit-parallel pin has no band analogue (it is already gridless);
-    // let the engine pick the best band tier instead.
-    let engine = engine.clone().with_tier(match tier {
-        Some(ExecTier::BitParallel) => None,
-        t => t,
-    });
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    macro_rules! roll {
-        ($kernel:expr, $io:expr, $best:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let mut degraded: Vec<String> = Vec::new();
-            let hetero_s = match injector {
-                Some(inj) if inj.active() && inj.device_fault(0) => {
-                    degraded.push(DegradeStep::HeteroToCpuOnly.code().to_string());
-                    fw.cpu_baseline(&kernel).map_err(|e| e.to_string())?
-                }
-                _ => fw.estimate(&kernel, params).map_err(|e| e.to_string())?,
-            };
-            let solve = match injector {
-                Some(inj) => {
-                    let (solve, steps) = engine
-                        .solve_rolling_degrading(&kernel, $best, inj)
-                        .map_err(|e| e.to_string())?;
-                    degraded.extend(steps.iter().map(|s| s.code().to_string()));
-                    solve
-                }
-                None => engine
-                    .solve_rolling(&kernel, $best)
-                    .map_err(|e| e.to_string())?,
-            };
-            let answer = $answer(&solve);
-            Ok((
-                RunSummary {
-                    problem: problem.to_string(),
-                    instance: format!("{n} x {n} on {}", platform.name),
-                    patterns: format!(
-                        "{} → executed as {}",
-                        class.raw_pattern, class.exec_pattern
-                    ),
-                    params,
-                    tier: solve.tier,
-                    memory_mode: MemoryMode::Rolling,
-                    table_bytes: solve.peak_bytes,
-                    hetero_ms: hetero_s * 1e3,
-                    answer,
-                },
-                degraded,
-            ))
-        }};
-    }
-    use crate::parallel::RollingSolve;
-    match problem {
-        "levenshtein" => roll!(
-            problems::LevenshteinKernel::new(seq(1), seq(2)),
-            (2 * n, 8),
-            None,
-            |s: &RollingSolve<u32>| format!("edit distance = {}", s.corner.unwrap_or_default())
-        ),
-        "lcs" => roll!(
-            problems::LcsKernel::new(seq(3), seq(4)),
-            (2 * n, 8),
-            None,
-            |s: &RollingSolve<u32>| format!("LCS length = {}", s.corner.unwrap_or_default())
-        ),
-        "dtw" => roll!(
-            problems::DtwKernel::random_walk(n, n, 5),
-            (8 * n, 8),
-            None,
-            |s: &RollingSolve<f32>| format!("DTW distance = {:.3}", s.corner.unwrap_or_default())
-        ),
-        "needleman-wunsch" => roll!(
-            problems::NeedlemanWunschKernel::new(seq(9), seq(10)),
-            (2 * n, 8),
-            None,
-            |s: &RollingSolve<i32>| format!(
-                "global alignment score = {}",
-                s.corner.unwrap_or_default()
-            )
-        ),
-        "smith-waterman" => roll!(
-            problems::SmithWatermanKernel::new(seq(11), seq(12)),
-            (2 * n, 8),
-            Some(|c: &problems::SwCell| c.best() as i64),
-            |s: &RollingSolve<problems::SwCell>| {
-                let best = s.best.map(|(_, _, c)| c.best()).unwrap_or(0);
-                format!("best local alignment score = {best}")
-            }
-        ),
-        other if PROBLEMS.contains(&other) => Err(format!(
-            "problem '{other}' has no rolling-mode solve (its answer needs the full table)"
-        )),
-        other => Err(format!("unknown problem '{other}'")),
-    }
-}
-
-/// [`run_solve_rolling`] that streams sealed wave bands while the pool
-/// keeps solving — the backend of `POST /solve?stream=1`. The schedule
-/// is cut into at most `bands` near-equal-cell slices and `emit` is
-/// called once per band, in order, from behind the band's sealing
-/// barrier; a blocking `emit` stalls the pool (backpressure), and an
-/// `emit` returning `false` stops emission while the solve completes.
-/// Instance seeds and the answer string are byte-identical to
-/// [`run_solve_rolling`] and the full-table paths.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solve_rolling_stream(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    bands: usize,
-    emit: &(dyn Fn(lddp_core::rolling::BandEvent) -> bool + Sync),
-) -> Result<RunSummary, String> {
-    let platform = platform_by_name(platform_name);
-    // As in the plain rolling path: a bit-parallel pin has no band
-    // analogue, so let the engine pick the best band tier.
-    let engine = engine.clone().with_tier(match tier {
-        Some(ExecTier::BitParallel) => None,
-        t => t,
-    });
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    macro_rules! roll_stream {
-        ($kernel:expr, $io:expr, $best:expr, $score:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let hetero_s = fw.estimate(&kernel, params).map_err(|e| e.to_string())?;
-            let hook = crate::parallel::StreamHook {
-                bands,
-                score_of: $score,
-                emit,
-            };
-            let solve = engine
-                .solve_rolling_stream(&kernel, $best, &hook)
-                .map_err(|e| e.to_string())?;
-            let answer = $answer(&solve);
-            Ok(RunSummary {
-                problem: problem.to_string(),
-                instance: format!("{n} x {n} on {}", platform.name),
-                patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
-                params,
-                tier: solve.tier,
-                memory_mode: MemoryMode::Rolling,
-                table_bytes: solve.peak_bytes,
-                hetero_ms: hetero_s * 1e3,
-                answer,
-            })
-        }};
-    }
-    use crate::parallel::RollingSolve;
-    match problem {
-        "levenshtein" => roll_stream!(
-            problems::LevenshteinKernel::new(seq(1), seq(2)),
-            (2 * n, 8),
-            None,
-            |c: &u32| *c as f64,
-            |s: &RollingSolve<u32>| format!("edit distance = {}", s.corner.unwrap_or_default())
-        ),
-        "lcs" => roll_stream!(
-            problems::LcsKernel::new(seq(3), seq(4)),
-            (2 * n, 8),
-            None,
-            |c: &u32| *c as f64,
-            |s: &RollingSolve<u32>| format!("LCS length = {}", s.corner.unwrap_or_default())
-        ),
-        "dtw" => roll_stream!(
-            problems::DtwKernel::random_walk(n, n, 5),
-            (8 * n, 8),
-            None,
-            |c: &f32| *c as f64,
-            |s: &RollingSolve<f32>| format!("DTW distance = {:.3}", s.corner.unwrap_or_default())
-        ),
-        "needleman-wunsch" => roll_stream!(
-            problems::NeedlemanWunschKernel::new(seq(9), seq(10)),
-            (2 * n, 8),
-            None,
-            |c: &i32| *c as f64,
-            |s: &RollingSolve<i32>| format!(
-                "global alignment score = {}",
-                s.corner.unwrap_or_default()
-            )
-        ),
-        "smith-waterman" => roll_stream!(
-            problems::SmithWatermanKernel::new(seq(11), seq(12)),
-            (2 * n, 8),
-            Some(|c: &problems::SwCell| c.best() as i64),
-            |c: &problems::SwCell| c.best() as f64,
-            |s: &RollingSolve<problems::SwCell>| {
-                let best = s.best.map(|(_, _, c)| c.best()).unwrap_or(0);
-                format!("best local alignment score = {best}")
-            }
-        ),
-        other if PROBLEMS.contains(&other) => Err(format!(
-            "problem '{other}' has no rolling-mode solve (its answer needs the full table)"
-        )),
-        other => Err(format!("unknown problem '{other}'")),
-    }
+        tier: None,
+        memory: MemoryMode::Full,
+        engine: None,
+        emit: None,
+        injector: None,
+        devices,
+    })
+    .map(|s| s.summary)
 }
 
 /// The §IV cost model's virtual-time estimate for one instance on one
-/// platform preset with the given (already legalized) parameters — the
-/// scoring input of the fleet dispatcher, which compares this estimate
-/// across every pool before placing a batch.
+/// platform preset with the given parameters (legalized for the
+/// instance) — the scoring input of the fleet dispatcher, which
+/// compares this estimate across every pool before placing a batch.
 pub fn estimate_virtual(
-    problem: &str,
+    problem_name: &str,
     n: usize,
     platform_name: &str,
     params: ScheduleParams,
 ) -> Result<f64, String> {
-    let platform = platform_by_name(platform_name);
-    macro_rules! est_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let legal = params.clamped_for(class.exec_pattern, kernel.dims());
-            fw.estimate(&kernel, legal).map_err(|e| e.to_string())
-        }};
-    }
-    with_problem!(problem, n, est_of)
+    problem(problem_name)?.estimate(n, platform_name, params)
 }
 
 /// The simulated device set cross-device splits run on: the Hetero-High
@@ -1435,277 +1594,46 @@ fn fleet_multi_platform(devices: usize) -> hetero_sim::multi::MultiPlatform {
     }
 }
 
-/// Solves one instance as a `devices`-way cross-device [`MultiPlan`]
-/// column-band split (§VII made concrete): even band boundaries, the
-/// tuned `t_switch` re-legalized **per band** (satellite of the fleet
-/// work — a parameter tuned on the whole grid can be illegal for a
-/// narrow band), functional execution with per-device grids, and the
-/// reassembled table's answer. Problems whose raw pattern needs a
-/// kernel adapter (transposed/mirrored execution) have no direct band
-/// split and return `Err` — callers fall back to a pooled solve.
-///
-/// [`MultiPlan`]: lddp_core::multi::MultiPlan
-pub fn run_solve_multi(
-    problem: &str,
-    n: usize,
-    params: ScheduleParams,
-    devices: usize,
-) -> Result<RunSummary, String> {
-    if devices < 2 {
-        return Err("a cross-device split needs at least 2 devices".into());
-    }
-    let platform = fleet_multi_platform(devices);
-    macro_rules! multi_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            let set = kernel.contributing_set();
-            let raw = classify(set).ok_or("empty contributing set")?;
-            if !raw.is_canonical() {
-                return Err(format!(
-                    "problem '{problem}' executes {raw} through an adapter; \
-                     no direct cross-device band split"
-                ));
-            }
-            let dims = kernel.dims();
-            let boundaries = crate::fleet::split_bands(dims.cols, devices);
-            // Per-band re-legalization: the plan carries one t_switch,
-            // so take the strictest of the per-band clamps (each band
-            // checked against its own rows × width dims, not the grid).
-            let t_switch =
-                crate::fleet::per_band_params(params, raw, dims.rows, &boundaries, dims.cols)
-                    .iter()
-                    .map(|p| p.t_switch)
-                    .chain(std::iter::once(params.clamped_for(raw, dims).t_switch))
-                    .min()
-                    .unwrap_or(0);
-            let plan = lddp_core::multi::MultiPlan::new(raw, set, dims, t_switch, boundaries)
-                .map_err(|e| e.to_string())?;
-            let report = hetero_sim::multi::run_multi(&kernel, &plan, &platform, true)
-                .map_err(|e| e.to_string())?;
-            let grid = report.grid.expect("functional multi run returns a grid");
-            Ok(RunSummary {
-                problem: problem.to_string(),
-                instance: format!("{n} x {n} split {}-way on {}", devices, platform.name),
-                patterns: format!("{raw} → {} column bands", devices),
-                params: ScheduleParams::new(t_switch, params.t_share),
-                tier: ExecTier::Scalar,
-                memory_mode: MemoryMode::Full,
-                table_bytes: rolling::full_table_bytes(&kernel),
-                hetero_ms: report.total_s * 1e3,
-                answer: $answer(&kernel, &grid),
-            })
-        }};
-    }
-    with_problem!(problem, n, multi_of)
-}
-
-/// Projects a grid cell to the `f64` frontier score a streamed band
-/// frame carries — the per-cell-type half of
-/// [`run_solve_multi_stream`], which is generic over the registry's
-/// cell types but needs one number per band boundary.
-trait BandScore {
-    fn band_score(&self) -> f64;
-}
-
-macro_rules! band_score_as_f64 {
-    ($($ty:ty),*) => {$(
-        impl BandScore for $ty {
-            fn band_score(&self) -> f64 {
-                *self as f64
-            }
-        }
-    )*};
-}
-
-band_score_as_f64!(u32, i32, u64, f32);
-
-impl BandScore for problems::SwCell {
-    fn band_score(&self) -> f64 {
-        self.best() as f64
-    }
-}
-
-impl BandScore for problems::DitherCell {
-    fn band_score(&self) -> f64 {
-        self.out as f64
-    }
-}
-
-/// [`run_solve_multi`] that emits one frame per device band as the
-/// cross-device split reassembles — the fleet's `MultiPlan` leg of
-/// `POST /solve?stream=1`. The split is by *columns*, not waves, so a
-/// frame's `wave_lo..=wave_hi` range is reinterpreted as the band's
-/// column range, `rows_completed` only reaches `rows` on the final
-/// band (a grid row seals at its last column), and `score` is the
-/// bottom cell of the band's last column. Emission is observation
-/// only: the answer is identical to [`run_solve_multi`], and an `emit`
-/// returning `false` stops further frames without touching the solve.
-pub fn run_solve_multi_stream(
-    problem: &str,
-    n: usize,
-    params: ScheduleParams,
-    devices: usize,
-    emit: &(dyn Fn(lddp_core::rolling::BandEvent) -> bool + Sync),
-) -> Result<RunSummary, String> {
-    if devices < 2 {
-        return Err("a cross-device split needs at least 2 devices".into());
-    }
-    let platform = fleet_multi_platform(devices);
-    macro_rules! multi_stream_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            let set = kernel.contributing_set();
-            let raw = classify(set).ok_or("empty contributing set")?;
-            if !raw.is_canonical() {
-                return Err(format!(
-                    "problem '{problem}' executes {raw} through an adapter; \
-                     no direct cross-device band split"
-                ));
-            }
-            let dims = kernel.dims();
-            let boundaries = crate::fleet::split_bands(dims.cols, devices);
-            let t_switch =
-                crate::fleet::per_band_params(params, raw, dims.rows, &boundaries, dims.cols)
-                    .iter()
-                    .map(|p| p.t_switch)
-                    .chain(std::iter::once(params.clamped_for(raw, dims).t_switch))
-                    .min()
-                    .unwrap_or(0);
-            let plan = lddp_core::multi::MultiPlan::new(raw, set, dims, t_switch, boundaries)
-                .map_err(|e| e.to_string())?;
-            let report = hetero_sim::multi::run_multi(&kernel, &plan, &platform, true)
-                .map_err(|e| e.to_string())?;
-            let grid = report.grid.expect("functional multi run returns a grid");
-            // One frame per device band, cut at the plan's column
-            // boundaries, scored off the reassembled table.
-            let bounds = crate::fleet::split_bands(dims.cols, devices);
-            let cells_total = (dims.rows * dims.cols) as u64;
-            let mut lo = 0usize;
-            let mut cells_done = 0u64;
-            for (band, hi) in bounds
-                .iter()
-                .copied()
-                .chain(std::iter::once(dims.cols))
-                .enumerate()
-            {
-                if hi <= lo {
-                    // Degenerate (empty) band: more devices than
-                    // columns. Nothing sealed, nothing to frame.
-                    continue;
-                }
-                cells_done += (dims.rows * (hi - lo)) as u64;
-                let last = hi == dims.cols;
-                let frame = lddp_core::rolling::BandEvent {
-                    band,
-                    bands: devices,
-                    wave_lo: lo,
-                    wave_hi: hi - 1,
-                    rows_completed: if last { dims.rows } else { 0 },
-                    rows: dims.rows,
-                    cells_done,
-                    cells_total,
-                    score: grid.get(dims.rows - 1, hi - 1).band_score(),
-                    best: None,
-                };
-                lo = hi;
-                if !emit(frame) {
-                    break;
-                }
-            }
-            Ok(RunSummary {
-                problem: problem.to_string(),
-                instance: format!("{n} x {n} split {}-way on {}", devices, platform.name),
-                patterns: format!("{raw} → {} column bands", devices),
-                params: ScheduleParams::new(t_switch, params.t_share),
-                tier: ExecTier::Scalar,
-                memory_mode: MemoryMode::Full,
-                table_bytes: rolling::full_table_bytes(&kernel),
-                hetero_ms: report.total_s * 1e3,
-                answer: $answer(&kernel, &grid),
-            })
-        }};
-    }
-    with_problem!(problem, n, multi_stream_of)
-}
-
 /// The execution pattern the framework classifies the named problem to
-/// — the pattern half of a [`lddp_core::tuner_cache::TuneKey`].
-pub fn classify_problem(problem: &str, n: usize) -> Result<lddp_core::pattern::Pattern, String> {
-    macro_rules! class_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            let class = lddp_core::framework::choose_execution(kernel.contributing_set())
-                .map_err(|e| e.to_string())?;
-            Ok(class.exec_pattern)
-        }};
-    }
-    with_problem!(problem, n, class_of)
+/// — what its schedule parameters are legalized against.
+pub fn classify_problem(
+    problem_name: &str,
+    n: usize,
+) -> Result<lddp_core::pattern::Pattern, String> {
+    problem(problem_name)?.classify(n).map(|c| c.exec_pattern)
 }
 
 /// Runs the §V-A two-stage sweep for the named instance and returns the
-/// tuned parameters — the expensive step the serving tuner cache
-/// amortizes across batches.
-pub fn tune_params(problem: &str, n: usize, platform_name: &str) -> Result<ScheduleParams, String> {
-    let platform = platform_by_name(platform_name);
-    macro_rules! tune_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let tuned = fw.tune(&kernel).map_err(|e| e.to_string())?;
-            Ok(tuned.params)
-        }};
-    }
-    with_problem!(problem, n, tune_of)
-}
-
-/// The execution tier `engine` selects for the named instance, with no
-/// measurement — availability-based (pattern + fast-path hooks + host
-/// SIMD support). Used where a tier is needed without paying for the
-/// wall-clock sweep (pinned-parameter serving requests, JSON output).
-pub fn select_tier(
-    problem: &str,
+/// tuned parameters — the step the serving tuner cache amortizes
+/// across batches.
+pub fn tune_params(
+    problem_name: &str,
     n: usize,
-    engine: &crate::parallel::ParallelEngine,
-) -> Result<ExecTier, String> {
-    macro_rules! tier_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            Ok(engine.select_tier(&kernel))
-        }};
-    }
-    with_problem!(problem, n, tier_of)
+    platform_name: &str,
+) -> Result<ScheduleParams, String> {
+    Ok(problem(problem_name)?
+        .tune(n, platform_name, true, false)?
+        .params)
 }
 
-/// Problems the rolling (wave-band) memory mode can serve: anti-diagonal
-/// wave kernels whose headline answer is the corner value or the best
-/// cell, both captured on the fly — no full table, no traceback needed.
-pub fn rolling_supported(problem: &str) -> bool {
-    matches!(
-        problem,
-        "levenshtein" | "lcs" | "dtw" | "needleman-wunsch" | "smith-waterman"
-    )
+/// The execution tier a served solve of the named instance runs on,
+/// with no measurement: bit-parallel for `lcs`, else the best tier
+/// `engine` can reach for the kernel (SIMD, then bulk, then scalar, as
+/// available). Tuned and pinned-parameter requests take the same rule.
+pub fn select_tier(
+    problem_name: &str,
+    n: usize,
+    engine: &ParallelEngine,
+) -> Result<ExecTier, String> {
+    Ok(problem(problem_name)?.select_tier(n, engine))
+}
+
+/// Problems the rolling (wave-band) memory mode can serve: those whose
+/// headline answer is the corner value or the best cell of an
+/// anti-diagonal wave kernel, both captured on the fly — no full table,
+/// no traceback needed.
+pub fn rolling_supported(problem_name: &str) -> bool {
+    problem(problem_name).is_ok_and(|p| p.rolls())
 }
 
 /// DP-table memory budget of a platform preset, in bytes — the knob the
@@ -1720,24 +1648,8 @@ pub fn platform_table_budget(platform_name: &str) -> usize {
 
 /// `(full_table_bytes, rolling_bytes)` of the named instance — the two
 /// points of the memory model the tuner chooses between.
-pub fn table_footprint(problem: &str, n: usize) -> Result<(usize, usize), String> {
-    macro_rules! foot_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            Ok((
-                rolling::full_table_bytes(&kernel),
-                rolling::rolling_bytes(&kernel),
-            ))
-        }};
-    }
-    with_problem!(problem, n, foot_of)
+pub fn table_footprint(problem_name: &str, n: usize) -> Result<(usize, usize), String> {
+    Ok(problem(problem_name)?.footprint(n))
 }
 
 /// The tuner's memory-mode axis: rolling iff the problem supports it
@@ -1745,125 +1657,76 @@ pub fn table_footprint(problem: &str, n: usize) -> Result<(usize, usize), String
 /// Rolling trades the materialized grid for a three-band ring, so it
 /// only wins when the full table does not fit — the model prefers full
 /// tables (traceback stays available) whenever they are affordable.
-pub fn choose_memory_mode(problem: &str, n: usize, platform_name: &str) -> MemoryMode {
-    if !rolling_supported(problem) {
+pub fn choose_memory_mode(problem_name: &str, n: usize, platform_name: &str) -> MemoryMode {
+    if !rolling_supported(problem_name) {
         return MemoryMode::Full;
     }
-    match table_footprint(problem, n) {
+    match table_footprint(problem_name, n) {
         Ok((full, _)) if full > platform_table_budget(platform_name) => MemoryMode::Rolling,
         _ => MemoryMode::Full,
     }
 }
 
-/// The full tuning step the serving cache amortizes: the §V-A parameter
-/// sweep plus a wall-clock execution-tier sweep on `engine`
-/// ([`ParallelEngine::tune_tier`](crate::parallel::ParallelEngine::tune_tier)).
-/// For `lcs` the bit-parallel row kernel joins the sweep as a fourth
-/// candidate — it computes the answer without a grid, so it competes on
-/// the same best-of-wall-clock terms as the grid tiers.
+/// The tuning step the serving cache amortizes: the §V-A parameter
+/// sweep, the tier of [`select_tier`] and the memory mode of
+/// [`choose_memory_mode`]. Nothing is solved on `engine`: the tier is
+/// the availability order, which is what a wall-clock race finds
+/// without its noise.
 pub fn tune_config(
-    problem: &str,
+    problem_name: &str,
     n: usize,
     platform_name: &str,
-    engine: &crate::parallel::ParallelEngine,
+    engine: &ParallelEngine,
 ) -> Result<TunedConfig, String> {
-    let params = tune_params(problem, n, platform_name)?;
-    macro_rules! tier_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            engine.tune_tier(&kernel).map_err(|e| e.to_string())
-        }};
-    }
-    let (mut tier, points): (ExecTier, Vec<lddp_core::tuner::TierPoint>) =
-        with_problem!(problem, n, tier_of)?;
-    if problem == "lcs" {
-        let grid_secs = points
-            .iter()
-            .find(|p| p.tier == tier)
-            .map(|p| p.secs)
-            .unwrap_or(f64::INFINITY);
-        let a = crate::workloads::random_seq(n, 4, 3);
-        let b = crate::workloads::random_seq(n, 4, 4);
-        let bp_secs = best_secs(1, || {
-            std::hint::black_box(problems::lcs::lcs_length_bitparallel(&a, &b));
-        });
-        if bp_secs < grid_secs {
-            tier = ExecTier::BitParallel;
-        }
-    }
-    Ok(
-        TunedConfig::new(params, tier).with_memory_mode(choose_memory_mode(
-            problem,
-            n,
-            platform_name,
-        )),
-    )
+    let params = tune_params(problem_name, n, platform_name)?;
+    let tier = select_tier(problem_name, n, engine)?;
+    let memory = choose_memory_mode(problem_name, n, platform_name);
+    Ok(TunedConfig::new(params, tier).with_memory_mode(memory))
 }
 
 /// Renders a [`SolveOutput`] as one machine-readable JSON object.
 pub fn render_solve_json(out: &SolveOutput) -> String {
-    let s = &out.summary;
-    let mut phases = String::new();
-    for (i, p) in out.phases.iter().enumerate() {
-        if i > 0 {
-            phases.push(',');
-        }
-        let kind = match p.kind {
-            PhaseKind::CpuOnly => "cpu_only",
-            PhaseKind::Shared => "shared",
-        };
-        phases.push_str(&format!(
-            "{{\"kind\":\"{}\",\"wave_lo\":{},\"wave_hi\":{},\"wall_ms\":{},\
-             \"cpu_busy_ms\":{},\"gpu_busy_ms\":{},\"copy_ms\":{}}}",
-            kind,
-            p.waves.start,
-            p.waves.end,
-            num(p.wall_s * 1e3),
-            num(p.cpu_busy_s * 1e3),
-            num(p.gpu_busy_s * 1e3),
-            num(p.copy_s * 1e3),
-        ));
-    }
-    format!(
-        "{{\"problem\":\"{}\",\"n\":{},\"platform\":\"{}\",\"pattern\":\"{}\",\
-         \"t_switch\":{},\"t_share\":{},\"tier\":\"{}\",\"memory_mode\":\"{}\",\
-         \"table_bytes\":{},\"total_ms\":{},\
-         \"utilization\":{{\"cpu\":{},\"gpu\":{},\"copy\":{}}},\
-         \"phases\":[{}],\"answer\":\"{}\"}}",
-        escape(&s.problem),
-        out.n,
-        escape(&out.platform),
-        escape(&s.patterns),
-        s.params.t_switch,
-        s.params.t_share,
-        s.tier.as_str(),
-        s.memory_mode.as_str(),
-        s.table_bytes,
-        num(s.hetero_ms),
-        num(out.utilization.cpu),
-        num(out.utilization.gpu),
-        num(out.utilization.copy),
-        phases,
-        escape(&s.answer),
-    )
+    let phases: Vec<String> = out
+        .phases
+        .iter()
+        .map(|p| {
+            let kind = match p.kind {
+                PhaseKind::CpuOnly => "cpu_only",
+                PhaseKind::Shared => "shared",
+            };
+            format!(
+                "{{\"kind\":\"{}\",\"wave_lo\":{},\"wave_hi\":{},\"wall_ms\":{},\
+                 \"cpu_busy_ms\":{},\"gpu_busy_ms\":{},\"copy_ms\":{}}}",
+                kind,
+                p.waves.start,
+                p.waves.end,
+                num(p.wall_s * 1e3),
+                num(p.cpu_busy_s * 1e3),
+                num(p.gpu_busy_s * 1e3),
+                num(p.copy_s * 1e3),
+            )
+        })
+        .collect();
+    let u = &out.utilization;
+    let extra = format!(
+        ",\"utilization\":{{\"cpu\":{},\"gpu\":{},\"copy\":{}}},\"phases\":[{}]",
+        num(u.cpu),
+        num(u.gpu),
+        num(u.copy),
+        phases.join(",")
+    );
+    summary_json(&out.summary, out.n, &out.platform, &extra)
 }
 
-/// Renders a rolling-mode [`RunSummary`] as one machine-readable JSON
-/// object — the rolling counterpart of [`render_solve_json`]. No grid
-/// is materialized, so there is no utilization / per-phase breakdown;
-/// `table_bytes` is the peak band-ring working set instead.
-pub fn render_rolling_json(s: &RunSummary, n: usize, platform: &str) -> String {
+/// Renders a [`RunSummary`] as one machine-readable JSON object, with
+/// `extra` (further fields, each with its leading comma) before the
+/// answer. A rolling solve has none: no grid, so no utilization or
+/// per-phase breakdown, and `table_bytes` is the band ring's.
+fn summary_json(s: &RunSummary, n: usize, platform: &str, extra: &str) -> String {
     format!(
         "{{\"problem\":\"{}\",\"n\":{},\"platform\":\"{}\",\"pattern\":\"{}\",\
          \"t_switch\":{},\"t_share\":{},\"tier\":\"{}\",\"memory_mode\":\"{}\",\
-         \"table_bytes\":{},\"total_ms\":{},\"answer\":\"{}\"}}",
+         \"table_bytes\":{},\"total_ms\":{}{extra},\"answer\":\"{}\"}}",
         escape(&s.problem),
         n,
         escape(platform),
@@ -1923,93 +1786,45 @@ pub fn run_classify(set: ContributingSet) -> Result<String, String> {
 
 /// Runs `tune` and renders both curves.
 pub fn run_tune(
-    problem: &str,
+    problem_name: &str,
     n: usize,
     platform_name: &str,
     refined: bool,
 ) -> Result<String, String> {
-    // Tuning happens inside run_solve when params are None; for the tune
-    // command we want the curves, so special-case the two string
-    // problems that dominate usage and fall back to fig9 otherwise.
-    let platform = platform_by_name(platform_name);
-    let fw = Framework::new(platform);
-    macro_rules! tune_of {
-        ($k:expr) => {{
-            let kernel = $k;
-            let result = if refined {
-                fw.tune_refined(&kernel).map_err(|e| e.to_string())?
-            } else {
-                fw.tune(&kernel).map_err(|e| e.to_string())?
-            };
-            let mut out = format!(
-                "tuned params: t_switch={} t_share={}\n\nt_switch sweep (t_share=0):\n",
-                result.params.t_switch, result.params.t_share
-            );
-            for p in &result.t_switch_curve {
-                out.push_str(&format!("  {:>8}  {:>10.3} ms\n", p.value, p.time * 1e3));
-            }
-            out.push_str("\nt_share sweep:\n");
-            for p in &result.t_share_curve {
-                out.push_str(&format!("  {:>8}  {:>10.3} ms\n", p.value, p.time * 1e3));
-            }
-            Ok(out)
-        }};
+    let result = problem(problem_name)?.tune(n, platform_name, false, refined)?;
+    let mut out = format!(
+        "tuned params: t_switch={} t_share={}\n\nt_switch sweep (t_share=0):\n",
+        result.params.t_switch, result.params.t_share
+    );
+    for p in &result.t_switch_curve {
+        out.push_str(&format!("  {:>8}  {:>10.3} ms\n", p.value, p.time * 1e3));
     }
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    match problem {
-        "levenshtein" => tune_of!(problems::LevenshteinKernel::new(seq(1), seq(2))),
-        "lcs" => tune_of!(problems::LcsKernel::new(seq(3), seq(4))),
-        "checkerboard" => tune_of!(problems::CheckerboardKernel::random(n, n, 9, 6)),
-        "dithering" => tune_of!(problems::DitherKernel::noise(n, n, 7)),
-        _ => tune_of!(problems::synthetic::fig9_kernel(
-            lddp_core::wavefront::Dims::new(n, n),
-            1
-        )),
+    out.push_str("\nt_share sweep:\n");
+    for p in &result.t_share_curve {
+        out.push_str(&format!("  {:>8}  {:>10.3} ms\n", p.value, p.time * 1e3));
     }
+    Ok(out)
 }
 
 /// Runs `balance`: dynamic load balancing vs the tuned static plan.
 pub fn run_balance(
-    problem: &str,
+    problem_name: &str,
     n: usize,
     platform_name: &str,
     t_switch: usize,
 ) -> Result<String, String> {
-    let platform = platform_by_name(platform_name);
-    macro_rules! balance_of {
-        ($k:expr) => {{
-            let kernel = $k;
-            let fw = Framework::new(platform.clone());
-            let tuned = fw.tune(&kernel).map_err(|e| e.to_string())?;
-            let static_s = fw
-                .estimate(&kernel, tuned.params)
-                .map_err(|e| e.to_string())?;
-            let balanced = fw
-                .solve_balanced(&kernel, t_switch)
-                .map_err(|e| e.to_string())?;
-            Ok(format!(
-                "{problem} {n}x{n} on {}\n  tuned static : {:>10.3} ms (t_switch={} t_share={})\n  balanced     : {:>10.3} ms (t_switch={} avg band={})",
-                platform.name,
-                static_s * 1e3,
-                tuned.params.t_switch,
-                tuned.params.t_share,
-                balanced.total_s * 1e3,
-                balanced.params.t_switch,
-                balanced.params.t_share,
-            ))
-        }};
-    }
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    match problem {
-        "levenshtein" => balance_of!(problems::LevenshteinKernel::new(seq(1), seq(2))),
-        "lcs" => balance_of!(problems::LcsKernel::new(seq(3), seq(4))),
-        "checkerboard" => balance_of!(problems::CheckerboardKernel::random(n, n, 9, 6)),
-        "dithering" => balance_of!(problems::DitherKernel::noise(n, n, 7)),
-        _ => balance_of!(problems::synthetic::fig9_kernel(
-            lddp_core::wavefront::Dims::new(n, n),
-            1
-        )),
-    }
+    let (static_s, tuned, balanced_s, balanced) =
+        problem(problem_name)?.balance(n, platform_name, t_switch)?;
+    Ok(format!(
+        "{problem_name} {n}x{n} on {}\n  tuned static : {:>10.3} ms (t_switch={} t_share={})\n  balanced     : {:>10.3} ms (t_switch={} avg band={})",
+        platform_by_name(platform_name).name,
+        static_s * 1e3,
+        tuned.t_switch,
+        tuned.t_share,
+        balanced_s * 1e3,
+        balanced.t_switch,
+        balanced.t_share,
+    ))
 }
 
 /// CPU/GPU/Framework virtual times for one instance.
@@ -2029,41 +1844,11 @@ pub struct CompareOutput {
 
 /// Computes the CPU/GPU/Framework triple for `compare`.
 pub fn run_compare_data(
-    problem: &str,
+    problem_name: &str,
     n: usize,
     platform_name: &str,
 ) -> Result<CompareOutput, String> {
-    let platform = platform_by_name(platform_name);
-    macro_rules! compare_of {
-        ($k:expr, $io:expr) => {{
-            let kernel = $k;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let cpu = fw.cpu_baseline(&kernel).map_err(|e| e.to_string())?;
-            let gpu = fw.gpu_baseline(&kernel).map_err(|e| e.to_string())?;
-            let tuned = fw.tune(&kernel).map_err(|e| e.to_string())?;
-            let het = fw
-                .estimate(&kernel, tuned.params)
-                .map_err(|e| e.to_string())?;
-            Ok(CompareOutput {
-                platform_label: platform.name.to_string(),
-                cpu_s: cpu,
-                gpu_s: gpu,
-                framework_s: het,
-                params: tuned.params,
-            })
-        }};
-    }
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    match problem {
-        "levenshtein" => compare_of!(problems::LevenshteinKernel::new(seq(1), seq(2)), (2 * n, 8)),
-        "lcs" => compare_of!(problems::LcsKernel::new(seq(3), seq(4)), (2 * n, 8)),
-        "checkerboard" => compare_of!(problems::CheckerboardKernel::random(n, n, 9, 6), (n * n, 0)),
-        "dithering" => compare_of!(problems::DitherKernel::noise(n, n, 7), (n * n, n * n)),
-        _ => compare_of!(
-            problems::synthetic::fig9_kernel(lddp_core::wavefront::Dims::new(n, n), 1),
-            (0, 0)
-        ),
-    }
+    problem(problem_name)?.compare(n, platform_name)
 }
 
 /// Runs `compare` and renders the CPU/GPU/Framework triple.
@@ -2118,31 +1903,17 @@ pub fn run_serve(
     // and pool/tuner/fleet-side series land in the same /metrics
     // exposition.
     let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
-    if fleet {
-        let backend =
+    let (fleet_backend, single);
+    let (backend, cache): (&dyn SolveBackend, _) = if fleet {
+        fleet_backend =
             crate::fleet_backend::FleetBackend::new().with_live(std::sync::Arc::clone(&live));
-        serve_with(
-            addr,
-            config,
-            trace_out,
-            tune_cache,
-            &backend,
-            backend.cache(),
-            live,
-        )
+        (&fleet_backend, fleet_backend.cache())
     } else {
-        let backend =
+        single =
             crate::serve_backend::FrameworkBackend::new().with_live(std::sync::Arc::clone(&live));
-        serve_with(
-            addr,
-            config,
-            trace_out,
-            tune_cache,
-            &backend,
-            backend.cache(),
-            live,
-        )
-    }
+        (&single, single.cache())
+    };
+    serve_with(addr, config, trace_out, tune_cache, backend, cache, live)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2331,25 +2102,19 @@ pub fn run_loadgen(opts: &LoadgenOpts) -> Result<String, String> {
             }
             report
         }
-        None if opts.fleet => {
-            let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
-            let backend =
-                crate::fleet_backend::FleetBackend::new().with_live(std::sync::Arc::clone(&live));
-            let mut server = Server::new(ServeConfig::default(), &backend, &NullSink);
-            server.attach_live(live);
-            server.run(None, |client| {
-                let before = lddp_trace::live::parse_prometheus(&client.metrics_text());
-                let mut report = lddp_serve::loadgen::run(client, &cfg);
-                let after = lddp_trace::live::parse_prometheus(&client.metrics_text());
-                report.server_metrics_delta = lddp_serve::loadgen::metrics_delta(&before, &after);
-                report
-            })
-        }
         None => {
             let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
-            let backend = crate::serve_backend::FrameworkBackend::new()
-                .with_live(std::sync::Arc::clone(&live));
-            let mut server = Server::new(ServeConfig::default(), &backend, &NullSink);
+            let (fleet, single);
+            let backend: &dyn SolveBackend = if opts.fleet {
+                fleet = crate::fleet_backend::FleetBackend::new()
+                    .with_live(std::sync::Arc::clone(&live));
+                &fleet
+            } else {
+                single = crate::serve_backend::FrameworkBackend::new()
+                    .with_live(std::sync::Arc::clone(&live));
+                &single
+            };
+            let mut server = Server::new(ServeConfig::default(), backend, &NullSink);
             server.attach_live(live);
             server.run(None, |client| {
                 let before = lddp_trace::live::parse_prometheus(&client.metrics_text());
@@ -2385,6 +2150,103 @@ fn best_secs(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// The engines `bench --quick` times every problem on.
+struct QuickBench {
+    engine: ParallelEngine,
+    bulk: ParallelEngine,
+    simd: ParallelEngine,
+    scalar: ParallelEngine,
+    iters: usize,
+}
+
+impl QuickBench {
+    /// One problem's entry: cells/s per tier, pooled vs fresh-engine
+    /// solves, and the single-worker guard.
+    fn entry<K: Kernel>(&self, p: &Problem<K>, n: usize) -> Result<String, String> {
+        let (engine, iters) = (&self.engine, self.iters);
+        let threads = engine.threads();
+        let kernel = (p.instance)(n);
+        let d = kernel.dims();
+        let cells = (d.rows * d.cols) as f64;
+        // Warm the pool, the allocator, and the page cache once before
+        // timing.
+        engine.solve(&kernel).map_err(|e| e.to_string())?;
+        let time = |e: &ParallelEngine| {
+            best_secs(iters, || {
+                e.solve(&kernel).unwrap();
+            })
+        };
+        let auto_s = time(engine);
+        let bulk_s = time(&self.bulk);
+        // On hosts without SIMD support (or for kernels without a SIMD
+        // hook) this measures the downgraded tier — the recorded "tier"
+        // key says which one actually ran.
+        let simd_s = time(&self.simd);
+        let scalar_s = time(&self.scalar);
+        // A fresh engine per solve pays thread spawn + teardown — the
+        // pre-pool cost model.
+        let spawn_s = best_secs(iters, || {
+            ParallelEngine::new(threads).solve(&kernel).unwrap();
+        });
+        let bitparallel = match p.gridless {
+            Some(gridless) => {
+                let bp_s = best_secs(iters, || {
+                    std::hint::black_box(gridless(&kernel));
+                });
+                format!(",\"cells_per_s_bitparallel\":{}", num(cells / bp_s))
+            }
+            None => String::new(),
+        };
+        // Single-worker regression guard on the two problems the
+        // roadmap flagged: with one thread both the pooled and the
+        // fresh-engine paths bypass the pool's barrier handoff, so the
+        // ratio must sit near 1.0. The pre-bypass engine paid the spin
+        // barrier here and reported pool_speedup well below 1; a
+        // lenient floor keeps that from coming back silently.
+        let one_thread = if matches!(p.name, "lcs" | "needleman-wunsch") {
+            let pool_1t = time(&ParallelEngine::new(1));
+            let spawn_1t = best_secs(iters, || {
+                ParallelEngine::new(1).solve(&kernel).unwrap();
+            });
+            let speedup_1t = spawn_1t / pool_1t;
+            if speedup_1t < 0.5 {
+                return Err(format!(
+                    "bench regression: {} pool_speedup_1t = {speedup_1t:.3} (< 0.5); the \
+                     single-worker solve is paying a pool handoff it should bypass",
+                    p.name
+                ));
+            }
+            format!(
+                ",\"solve_ms_pool_1t\":{},\"solve_ms_spawn_1t\":{},\"pool_speedup_1t\":{}",
+                num(pool_1t * 1e3),
+                num(spawn_1t * 1e3),
+                num(speedup_1t),
+            )
+        } else {
+            String::new()
+        };
+        Ok(format!(
+            "{{\"problem\":\"{}\",\"cells\":{},\"tier\":\"{}\",\
+             \"cells_per_s_scalar\":{},\"cells_per_s_bulk\":{},\"cells_per_s_simd\":{},\
+             \"bulk_speedup\":{},\"simd_speedup\":{}{},\
+             \"solve_ms_pool\":{},\"solve_ms_spawn\":{},\"pool_speedup\":{}{}}}",
+            escape(p.name),
+            num(cells),
+            engine.select_tier(&kernel).as_str(),
+            num(cells / scalar_s),
+            num(cells / bulk_s),
+            num(cells / simd_s),
+            num(scalar_s / bulk_s),
+            num(bulk_s / simd_s),
+            bitparallel,
+            num(auto_s * 1e3),
+            num(spawn_s * 1e3),
+            num(spawn_s / auto_s),
+            one_thread,
+        ))
+    }
+}
+
 /// Quick wall-clock benchmark of the real thread engine: cells/s per
 /// problem across the execution tiers (scalar, bulk, SIMD, and — for
 /// `lcs` — the bit-parallel row kernel), pooled-vs-fresh-engine solve
@@ -2396,151 +2258,36 @@ pub fn run_bench_quick(n: usize, out_path: Option<&str>) -> Result<String, Strin
     // against the baseline must include the telemetry the serving path
     // always pays, not a telemetry-free best case.
     let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
-    let engine = crate::parallel::ParallelEngine::host().with_live(live);
-    let scalar_engine = engine.clone().with_bulk_enabled(false);
-    let bulk_engine = engine.clone().with_tier(Some(ExecTier::Bulk));
-    let simd_engine = engine.clone().with_tier(Some(ExecTier::Simd));
-    let threads = engine.threads();
-    let iters = 3;
-
+    let engine = ParallelEngine::host().with_live(live);
+    let bench = QuickBench {
+        bulk: engine.clone().with_tier(Some(ExecTier::Bulk)),
+        simd: engine.clone().with_tier(Some(ExecTier::Simd)),
+        scalar: engine.clone().with_tier(Some(ExecTier::Scalar)),
+        engine,
+        iters: 3,
+    };
+    let threads = bench.engine.threads();
     let mut entries: Vec<String> = Vec::new();
-    for problem in BENCH_PROBLEMS {
-        macro_rules! qb {
-            ($kernel:expr, $io:expr, $answer:expr) => {{
-                let kernel = $kernel;
-                let _ = $io;
-                let d = kernel.dims();
-                let cells = (d.rows * d.cols) as f64;
-                // Warm the pool, the allocator, and the page cache once
-                // before timing; the dead call pins the answer closure's
-                // kernel-parameter type (some registry arms use `&_`).
-                let g = engine.solve(&kernel).map_err(|e| e.to_string())?;
-                if false {
-                    let _: String = $answer(&kernel, &g);
-                }
-                let auto_s = best_secs(iters, || {
-                    engine.solve(&kernel).unwrap();
-                });
-                let bulk_s = best_secs(iters, || {
-                    bulk_engine.solve(&kernel).unwrap();
-                });
-                // On hosts without SIMD support (or for kernels without
-                // a SIMD hook) this measures the downgraded tier — the
-                // recorded "tier" key says which one actually ran.
-                let simd_s = best_secs(iters, || {
-                    simd_engine.solve(&kernel).unwrap();
-                });
-                let scalar_s = best_secs(iters, || {
-                    scalar_engine.solve(&kernel).unwrap();
-                });
-                // A fresh engine per solve pays thread spawn + teardown
-                // — the pre-pool cost model.
-                let spawn_s = best_secs(iters, || {
-                    crate::parallel::ParallelEngine::new(threads)
-                        .solve(&kernel)
-                        .unwrap();
-                });
-                let bitparallel = if *problem == "lcs" {
-                    let a = crate::workloads::random_seq(n, 4, 3);
-                    let b = crate::workloads::random_seq(n, 4, 4);
-                    let bp_s = best_secs(iters, || {
-                        std::hint::black_box(problems::lcs::lcs_length_bitparallel(&a, &b));
-                    });
-                    format!(",\"cells_per_s_bitparallel\":{}", num(cells / bp_s))
-                } else {
-                    String::new()
-                };
-                // Single-worker regression guard on the two problems the
-                // roadmap flagged: with one thread both the pooled and the
-                // fresh-engine paths bypass the pool's barrier handoff, so
-                // the ratio must sit near 1.0. The pre-bypass engine paid
-                // the spin-barrier here and reported pool_speedup well
-                // below 1; a lenient floor keeps that from coming back
-                // silently.
-                let one_thread = if matches!(*problem, "lcs" | "needleman-wunsch") {
-                    let pool_1t_engine = crate::parallel::ParallelEngine::new(1);
-                    let pool_1t = best_secs(iters, || {
-                        pool_1t_engine.solve(&kernel).unwrap();
-                    });
-                    let spawn_1t = best_secs(iters, || {
-                        crate::parallel::ParallelEngine::new(1).solve(&kernel).unwrap();
-                    });
-                    let speedup_1t = spawn_1t / pool_1t;
-                    if speedup_1t < 0.5 {
-                        return Err(format!(
-                            "bench regression: {problem} pool_speedup_1t = {speedup_1t:.3} \
-                             (< 0.5); the single-worker solve is paying a pool handoff it \
-                             should bypass"
-                        ));
-                    }
-                    format!(
-                        ",\"solve_ms_pool_1t\":{},\"solve_ms_spawn_1t\":{},\"pool_speedup_1t\":{}",
-                        num(pool_1t * 1e3),
-                        num(spawn_1t * 1e3),
-                        num(speedup_1t),
-                    )
-                } else {
-                    String::new()
-                };
-                Ok(format!(
-                    "{{\"problem\":\"{}\",\"cells\":{},\"tier\":\"{}\",\
-                     \"cells_per_s_scalar\":{},\"cells_per_s_bulk\":{},\"cells_per_s_simd\":{},\
-                     \"bulk_speedup\":{},\"simd_speedup\":{}{},\
-                     \"solve_ms_pool\":{},\"solve_ms_spawn\":{},\"pool_speedup\":{}{}}}",
-                    escape(problem),
-                    num(cells),
-                    engine.select_tier(&kernel).as_str(),
-                    num(cells / scalar_s),
-                    num(cells / bulk_s),
-                    num(cells / simd_s),
-                    num(scalar_s / bulk_s),
-                    num(bulk_s / simd_s),
-                    bitparallel,
-                    num(auto_s * 1e3),
-                    num(spawn_s * 1e3),
-                    num(spawn_s / auto_s),
-                    one_thread,
-                ))
-            }};
-        }
-        let entry: Result<String, String> = with_problem!(*problem, n, qb);
-        entries.push(entry?);
+    for name in BENCH_PROBLEMS {
+        entries.push(problem(name)?.bench_quick(n, &bench)?);
     }
 
     // §V-A-style worker-count sweep, every candidate through the same
     // pool (no fresh thread set per point).
-    let sweep: Result<String, String> = {
-        macro_rules! sweep_of {
-            ($kernel:expr, $io:expr, $answer:expr) => {{
-                let kernel = $kernel;
-                let _ = $io;
-                if false {
-                    let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                    let _: String = $answer(&kernel, &g);
-                }
-                let (best, points) = engine
-                    .tune_worker_count(&kernel, &[])
-                    .map_err(|e| e.to_string())?;
-                let pts: Vec<String> = points
-                    .iter()
-                    .map(|p| format!("{{\"workers\":{},\"ms\":{}}}", p.value, num(p.time * 1e3)))
-                    .collect();
-                Ok(format!(
-                    "{{\"problem\":\"lcs\",\"best_workers\":{best},\"points\":[{}]}}",
-                    pts.join(",")
-                ))
-            }};
-        }
-        with_problem!("lcs", n, sweep_of)
-    };
-
+    let (best, points) = problem("lcs")?.worker_sweep(n, &bench.engine)?;
+    let points: Vec<String> = points
+        .iter()
+        .map(|p| format!("{{\"workers\":{},\"ms\":{}}}", p.value, num(p.time * 1e3)))
+        .collect();
     let json = format!(
-        "{{\"bench\":\"quick\",\"n\":{n},\"threads\":{threads},\"iters\":{iters},\
-         \"simd\":\"{}\",\"avx512\":{},\"problems\":[{}],\"worker_sweep\":{}}}",
+        "{{\"bench\":\"quick\",\"n\":{n},\"threads\":{threads},\"iters\":{},\
+         \"simd\":\"{}\",\"avx512\":{},\"problems\":[{}],\"worker_sweep\":\
+         {{\"problem\":\"lcs\",\"best_workers\":{best},\"points\":[{}]}}}}",
+        bench.iters,
         lddp_core::kernel::simd_backend(),
         lddp_core::kernel::avx512_available(),
         entries.join(","),
-        sweep?
+        points.join(",")
     );
     if let Some(path) = out_path {
         std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
@@ -2559,10 +2306,9 @@ pub fn run_bench_quick(n: usize, out_path: Option<&str>) -> Result<String, Strin
 /// is covered by the property tests at smaller sizes.
 pub fn run_bench_rolling(n: usize, out_path: Option<&str>) -> Result<String, String> {
     let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
-    let engine = crate::parallel::ParallelEngine::host().with_live(live);
+    let engine = ParallelEngine::host().with_live(live);
     let threads = engine.threads();
     let iters = 2;
-    let params = ScheduleParams::default();
 
     let mut entries: Vec<String> = Vec::new();
     for problem in BENCH_PROBLEMS {
@@ -2570,11 +2316,21 @@ pub fn run_bench_rolling(n: usize, out_path: Option<&str>) -> Result<String, Str
         let cells = (n * n) as f64;
         let mut last: Option<RunSummary> = None;
         let mut err: Option<String> = None;
-        let secs = best_secs(iters, || {
-            match run_solve_rolling(problem, n, "high", params, None, &engine) {
-                Ok(s) => last = Some(s),
-                Err(e) => err = Some(e),
-            }
+        let args = SolveArgs {
+            problem,
+            n,
+            platform: "high",
+            params: ScheduleParams::default(),
+            tier: None,
+            memory: MemoryMode::Rolling,
+            engine: Some(&engine),
+            emit: None,
+            injector: None,
+            devices: 1,
+        };
+        let secs = best_secs(iters, || match solve_served(&args) {
+            Ok(s) => last = Some(s.summary),
+            Err(e) => err = Some(e),
         });
         if let Some(e) = err {
             return Err(e);
@@ -2674,36 +2430,22 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
 
     // Stage 1: the engine's degradation ladder under worker/bulk
     // panics, every answer checked against the sequential oracle.
-    // A fixed worker count (not host-sized) for two reasons: the
-    // single-threaded shortcut path never consults the injector, so a
-    // one-core host would silently skip the whole stage; and a pinned
-    // pool makes the per-(worker, wave) draw sequence — and thus the
-    // campaign report — identical on every machine.
-    let engine = crate::parallel::ParallelEngine::new(4);
+    // A fixed worker count (not host-sized): a pinned pool makes the
+    // per-(worker, wave) draw sequence — and thus the campaign report —
+    // identical on every machine.
+    let engine = ParallelEngine::new(4);
     let ladder_plan = FaultPlan::new(seed, cfg);
     let mut ladder_solves = 0u64;
     let mut ladder_degraded = 0u64;
     let mut rung_bulk = 0u64;
     let mut rung_seq = 0u64;
-    for problem in CHAOS_PROBLEMS {
-        let oracle = run_solve_seq(problem, n)?;
+    for name in CHAOS_PROBLEMS {
+        let oracle = run_solve_seq(name, n)?;
         for _ in 0..ladder_iters {
-            macro_rules! ladder {
-                ($kernel:expr, $io:expr, $answer:expr) => {{
-                    let kernel = $kernel;
-                    let _ = $io;
-                    let (grid, steps) = engine
-                        .solve_degrading(&kernel, &ladder_plan)
-                        .map_err(|e| e.to_string())?;
-                    Ok(($answer(&kernel, &grid), steps))
-                }};
-            }
-            let probe: Result<(String, Vec<DegradeStep>), String> =
-                with_problem!(*problem, n, ladder);
-            let (answer, steps) = probe?;
+            let (answer, steps) = problem(name)?.on_engine(n, &engine, Some(&ladder_plan))?;
             if answer != oracle {
                 return Err(format!(
-                    "chaos: degraded {problem} answer diverged from the oracle \
+                    "chaos: degraded {name} answer diverged from the oracle \
                      (got \"{answer}\", want \"{oracle}\", rungs {steps:?})"
                 ));
             }
@@ -2722,20 +2464,9 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
     }
     // The pool must come out of the campaign healthy: one clean solve,
     // no injector, same oracle.
-    {
-        let oracle = run_solve_seq("lcs", n)?;
-        macro_rules! health {
-            ($kernel:expr, $io:expr, $answer:expr) => {{
-                let kernel = $kernel;
-                let _ = $io;
-                let grid = engine.solve(&kernel).map_err(|e| e.to_string())?;
-                Ok($answer(&kernel, &grid))
-            }};
-        }
-        let clean: Result<String, String> = with_problem!("lcs", n, health);
-        if clean? != oracle {
-            return Err("chaos: pool unhealthy after the ladder stage".into());
-        }
+    let (clean, _) = LCS.on_engine(n, &engine, None)?;
+    if clean != run_solve_seq("lcs", n)? {
+        return Err("chaos: pool unhealthy after the ladder stage".into());
     }
 
     // Stage 2: device faults in the hetero executor degrade to the
@@ -2743,37 +2474,29 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
     let hetero_plan = FaultPlan::new(seed ^ 0x9e37_79b9_7f4a_7c15, cfg);
     let hetero_n = 64;
     let hetero_oracle = run_solve_seq("lcs", hetero_n)?;
-    macro_rules! hetero_probe {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform_by_name("high")).with_io_bytes($io.0, $io.1);
-            // Pinned rather than tuned: on instances this small the
-            // tuner often picks a CPU-only schedule, which has no
-            // device-involved waves and therefore nothing to fault.
-            // An early switch with a narrow CPU band guarantees the
-            // device participates in most waves.
-            let params = ScheduleParams::new(8, 32);
-            let mut cpu_only = 0u64;
-            for _ in 0..hetero_iters {
-                let sol = fw
-                    .solve_chaos(&kernel, params, &hetero_plan)
-                    .map_err(|e| e.to_string())?;
-                if !sol.degradation.is_empty() {
-                    cpu_only += 1;
-                }
-                let answer: String = $answer(&kernel, &sol.grid);
-                if answer != hetero_oracle {
-                    return Err(format!(
-                        "chaos: hetero answer diverged after a device fault \
-                         (got \"{answer}\", want \"{hetero_oracle}\")"
-                    ));
-                }
-            }
-            Ok(cpu_only)
-        }};
+    let kernel = (LCS.instance)(hetero_n);
+    let fw = LCS.framework(hetero_n, "high");
+    // Pinned rather than tuned: on instances this small the tuner often
+    // picks a CPU-only schedule, which has no device-involved waves and
+    // therefore nothing to fault. An early switch with a narrow CPU band
+    // guarantees the device participates in most waves.
+    let params = ScheduleParams::new(8, 32);
+    let mut cpu_only_reruns = 0u64;
+    for _ in 0..hetero_iters {
+        let sol = fw
+            .solve_chaos(&kernel, params, &hetero_plan)
+            .map_err(|e| e.to_string())?;
+        if !sol.degradation.is_empty() {
+            cpu_only_reruns += 1;
+        }
+        let answer = LCS.render(&kernel, &sol.grid);
+        if answer != hetero_oracle {
+            return Err(format!(
+                "chaos: hetero answer diverged after a device fault \
+                 (got \"{answer}\", want \"{hetero_oracle}\")"
+            ));
+        }
     }
-    let cpu_only: Result<u64, String> = with_problem!("lcs", hetero_n, hetero_probe);
-    let cpu_only_reruns = cpu_only?;
 
     // Stage 3: the serving stack over real HTTP, faults on both sides
     // of the wire, retrying clients, oracle-checked answers.
@@ -2872,14 +2595,26 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                          (its answer needs the full table)"
                     ));
                 }
-                let engine = crate::parallel::ParallelEngine::host();
+                let engine = ParallelEngine::host();
                 let params = match params {
                     Some(p) => p,
                     None => tune_params(&problem, n, &platform)?,
                 };
-                let summary = run_solve_rolling(&problem, n, &platform, params, None, &engine)?;
+                let summary = solve_served(&SolveArgs {
+                    problem: &problem,
+                    n,
+                    platform: &platform,
+                    params,
+                    tier: None,
+                    memory: MemoryMode::Rolling,
+                    engine: Some(&engine),
+                    emit: None,
+                    injector: None,
+                    devices: 1,
+                })?
+                .summary;
                 if json {
-                    Ok(render_rolling_json(&summary, n, &platform))
+                    Ok(summary_json(&summary, n, &platform, ""))
                 } else {
                     Ok(summary.render())
                 }
@@ -3494,52 +3229,84 @@ mod tests {
         ));
     }
 
+    fn served(problem: &str, tier: Option<ExecTier>, engine: &ParallelEngine) -> RunSummary {
+        solve_served(&SolveArgs {
+            problem,
+            n: 64,
+            platform: "high",
+            params: ScheduleParams::new(4, 16),
+            tier,
+            memory: MemoryMode::Full,
+            engine: Some(engine),
+            emit: None,
+            injector: None,
+            devices: 1,
+        })
+        .unwrap()
+        .summary
+    }
+
     #[test]
     fn pooled_solve_honors_tier_pins_and_bitparallel_matches() {
-        let engine = crate::parallel::ParallelEngine::new(2);
-        let params = ScheduleParams::new(4, 16);
-        let auto = run_solve_pooled("lcs", 64, "high", params, None, &engine).unwrap();
-        let scalar =
-            run_solve_pooled("lcs", 64, "high", params, Some(ExecTier::Scalar), &engine).unwrap();
+        let engine = ParallelEngine::new(2);
+        let auto = served("lcs", None, &engine);
+        let scalar = served("lcs", Some(ExecTier::Scalar), &engine);
         assert_eq!(scalar.tier, ExecTier::Scalar);
         assert_eq!(scalar.answer, auto.answer);
-        let bp = run_solve_pooled(
-            "lcs",
-            64,
-            "high",
-            params,
-            Some(ExecTier::BitParallel),
-            &engine,
-        )
-        .unwrap();
+        let bp = served("lcs", Some(ExecTier::BitParallel), &engine);
         assert_eq!(bp.tier, ExecTier::BitParallel);
         assert_eq!(bp.answer, auto.answer);
-        // Only lcs has a bit-parallel kernel; everything else downgrades
-        // the pin to the best available grid tier.
-        let lev = run_solve_pooled(
-            "levenshtein",
-            64,
-            "high",
-            params,
-            Some(ExecTier::BitParallel),
-            &engine,
-        )
-        .unwrap();
+        // Only lcs has a bit-parallel kernel; everything else solves on
+        // the best available grid tier.
+        let lev = served("levenshtein", Some(ExecTier::BitParallel), &engine);
         assert_ne!(lev.tier, ExecTier::BitParallel);
         assert!(lev.answer.contains("edit distance"));
     }
 
     #[test]
-    fn tune_config_sweeps_tiers_and_returns_a_reachable_one() {
-        let engine = crate::parallel::ParallelEngine::new(1);
-        let config = tune_config("levenshtein", 48, "high", &engine).unwrap();
-        // Levenshtein has no bit-parallel kernel, so the sweep can only
-        // land on a grid tier the engine can actually execute.
-        assert_ne!(config.tier, ExecTier::BitParallel);
-        // The winner came from the sweep's candidates, which stop at the
-        // best tier the engine can reach for this kernel.
-        let reachable = select_tier("levenshtein", 48, &engine).unwrap();
-        assert!(config.tier <= reachable);
+    fn tune_config_takes_the_availability_order_without_solving() {
+        let engine = ParallelEngine::new(2);
+        for problem in PROBLEMS {
+            let config = tune_config(problem, 48, "high", &engine).unwrap();
+            assert_eq!(
+                config.tier,
+                select_tier(problem, 48, &engine).unwrap(),
+                "{problem}"
+            );
+            // Only lcs has a gridless kernel; the rest land on a grid
+            // tier the engine can execute.
+            assert_eq!(
+                config.tier == ExecTier::BitParallel,
+                *problem == "lcs",
+                "{problem}"
+            );
+        }
+        assert!(
+            !engine.pool_started(),
+            "tuning must not solve on the engine"
+        );
+    }
+
+    #[test]
+    fn the_registry_lists_every_problem_once_in_order() {
+        let names: Vec<&str> = REGISTRY.iter().map(|p| p.name()).collect();
+        assert_eq!(names, PROBLEMS);
+        assert!(problem("nonsense").is_err());
+        let rolling: Vec<&str> = PROBLEMS
+            .iter()
+            .copied()
+            .filter(|p| rolling_supported(p))
+            .collect();
+        assert_eq!(
+            rolling,
+            [
+                "levenshtein",
+                "lcs",
+                "dtw",
+                "needleman-wunsch",
+                "smith-waterman"
+            ]
+        );
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! mechanism-only.
 
 use crate::cli;
+use crate::serve_backend::{backend_solve, serve, tuned, validate_request};
 use lddp_chaos::FaultInjector;
 use lddp_core::kernel::{ExecTier, MemoryMode};
-use lddp_core::tuner_cache::{TuneKey, TunedConfig, TunerCache};
-use lddp_core::wavefront::Dims;
+use lddp_core::tuner_cache::{TunedConfig, TunerCache};
 use lddp_fleet::{default_fleet, Fleet};
 use lddp_serve::{BackendSolve, BandFrame, BatchPlan, PoolHealth, SolveBackend, SolveRequest};
 use lddp_trace::live::LiveRegistry;
@@ -38,7 +38,7 @@ pub const FLEET_SPLIT_DEVICES: usize = 3;
 
 /// [`SolveBackend`] over a [`Fleet`] of per-platform worker pools and a
 /// cost-aware dispatcher. Tuned configurations are cached per
-/// `(pattern, dims bucket, fleet platform)` so each platform's estimate
+/// `(problem, dims bucket, fleet platform)` so each platform's estimate
 /// uses parameters tuned for *that* platform.
 pub struct FleetBackend {
     cache: TunerCache,
@@ -97,23 +97,11 @@ impl FleetBackend {
 
     /// A backend whose fleet-placed solves consult `injector` — chaos
     /// campaigns attach a seeded [`lddp_chaos::FaultPlan`] here, so the
-    /// graceful-degradation ladder applies per placed platform. Every
-    /// pool gets at least two workers: the engines' single-threaded
-    /// shortcut bypasses injection entirely, which on a one-core host
-    /// would mute the campaign.
+    /// graceful-degradation ladder applies per placed platform.
     pub fn with_injector(injector: Arc<dyn FaultInjector>) -> FleetBackend {
-        let specs = default_fleet()
-            .into_iter()
-            .map(|mut s| {
-                s.threads = s.threads.max(2);
-                s
-            })
-            .collect();
         FleetBackend {
-            cache: TunerCache::new(),
-            fleet: Fleet::new(specs),
             injector: Some(injector),
-            live: None,
+            ..FleetBackend::new()
         }
     }
 
@@ -141,161 +129,92 @@ impl FleetBackend {
     }
 
     /// Tuned configuration for `probe` on fleet member `idx`, cached
-    /// per `(pattern, dims bucket, fleet platform name)`. Pinned
-    /// parameters skip tuning (never a cache hit) but still take the
-    /// placed engine's own tier pick.
+    /// per `(problem, dims bucket, fleet platform name)`. Pinned
+    /// parameters skip tuning (never a cache hit) but take the same
+    /// tier rule as a tuned request.
     fn tuned_for(&self, probe: &SolveRequest, idx: usize) -> Result<(TunedConfig, bool), String> {
         let pool = self.fleet.pool(idx);
-        if let Some(params) = probe.params {
-            let tier = cli::select_tier(&probe.problem, probe.n, &pool.engine)?;
-            let memory = probe.memory_mode.unwrap_or_else(|| {
-                cli::choose_memory_mode(&probe.problem, probe.n, cost_platform(&pool.spec.name))
-            });
-            return Ok((
-                TunedConfig::new(params, tier).with_memory_mode(memory),
-                false,
-            ));
-        }
-        let pattern = cli::classify_problem(&probe.problem, probe.n)?;
-        let key = TuneKey::new(pattern, Dims::new(probe.n, probe.n), pool.spec.name.clone());
-        let (config, hit) = self.cache.get_or_tune(&key, || {
-            if let Some(live) = &self.live {
-                live.counter(
-                    "lddp_tuner_sweeps_total",
-                    &[],
-                    "Full tuning sweeps executed on a tuner-cache miss.",
-                )
-                .inc();
-            }
-            cli::tune_config(
-                &probe.problem,
-                probe.n,
-                cost_platform(&pool.spec.name),
-                &pool.engine,
-            )
-        })?;
-        // A per-request memory-mode pin overrides the tuner's per-pool
-        // budget choice without touching the cached artifact.
-        let config = match probe.memory_mode {
-            Some(memory) => config.with_memory_mode(memory),
-            None => config,
-        };
-        Ok((config, hit))
+        let live = self.live.as_deref();
+        let platform = cost_platform(&pool.spec.name);
+        tuned(
+            &self.cache,
+            live,
+            probe,
+            &pool.spec.name,
+            platform,
+            &pool.engine,
+        )
     }
 
-    /// Executes one placed request: large grids first try the
-    /// cross-device MultiPlan split (skipped under fault injection so
-    /// chaos campaigns exercise the pools' degradation ladder), then
-    /// the placed pool. Returns `(summary, degraded rungs, devices)`.
-    fn solve_on(
+    /// Executes one request on its placed pool, bracketed by the pool's
+    /// backlog. Large grids are split across devices — except under
+    /// fault injection, so chaos campaigns exercise the pools'
+    /// degradation ladder, and in rolling mode, which keeps no grid to
+    /// band-split. A stream (`emit`) gets one frame per device band of a
+    /// split, or the placed pool's rolling bands.
+    fn solve_via(
         &self,
         req: &SolveRequest,
-        idx: usize,
-        params: lddp_core::schedule::ScheduleParams,
-        tier: lddp_core::kernel::ExecTier,
-        memory: MemoryMode,
-    ) -> Result<(cli::RunSummary, Vec<String>, usize), String> {
-        let rolling = memory == MemoryMode::Rolling
-            && cli::rolling_supported(&req.problem)
-            && tier != lddp_core::kernel::ExecTier::BitParallel;
-        // Rolling solves never materialize a grid, so there is nothing
-        // for a cross-device MultiPlan split to band — they always run
-        // whole on the placed pool.
-        if req.n >= FLEET_MULTI_N && self.injector.is_none() && !rolling {
-            // An Err here (e.g. a pattern the k-way band split cannot
-            // express) is not fatal — the placed pool solves it whole.
-            if let Ok(summary) =
-                cli::run_solve_multi(&req.problem, req.n, params, FLEET_SPLIT_DEVICES)
-            {
-                return Ok((summary, Vec::new(), FLEET_SPLIT_DEVICES));
-            }
-        }
+        plan: &BatchPlan,
+        emit: Option<&(dyn Fn(BandFrame) -> bool + Sync)>,
+    ) -> Result<BackendSolve, String> {
+        let idx = plan
+            .placement
+            .as_deref()
+            .and_then(|name| self.fleet.index_of(name))
+            .unwrap_or(0);
+        let predicted = plan.predicted_s.unwrap_or(0.0);
+        let config = plan.config;
         let pool = self.fleet.pool(idx);
-        let platform = cost_platform(&pool.spec.name);
-        match (&self.injector, rolling) {
-            (Some(inj), true) => {
-                let (summary, degraded) = cli::run_solve_rolling_chaos(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                    inj.as_ref(),
-                )?;
-                Ok((summary, degraded, 1))
-            }
-            (Some(inj), false) => {
-                let (summary, degraded) = cli::run_solve_pooled_chaos(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                    inj.as_ref(),
-                )?;
-                Ok((summary, degraded, 1))
-            }
-            (None, true) => {
-                let summary = cli::run_solve_rolling(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                )?;
-                Ok((summary, Vec::new(), 1))
-            }
-            (None, false) => {
-                let summary = cli::run_solve_pooled(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                )?;
-                Ok((summary, Vec::new(), 1))
-            }
+        let rolling = config.memory_mode == MemoryMode::Rolling
+            && config.tier != ExecTier::BitParallel
+            && cli::rolling_supported(&req.problem);
+        let devices = if req.n >= FLEET_MULTI_N && self.injector.is_none() && !rolling {
+            FLEET_SPLIT_DEVICES
+        } else {
+            1
+        };
+        let args = cli::SolveArgs {
+            problem: &req.problem,
+            n: req.n,
+            platform: cost_platform(&pool.spec.name),
+            params: config.params,
+            tier: Some(config.tier),
+            memory: config.memory_mode,
+            engine: Some(&pool.engine),
+            emit: None,
+            injector: self.injector.as_deref(),
+            devices,
+        };
+        // Backlog brackets the solve so concurrent placements see this
+        // pool's in-flight work, attributed to the request's service
+        // class; metrics record the outcome either way.
+        let class = req.priority.index();
+        self.fleet.dispatcher().begin_for(idx, predicted, class);
+        self.publish_backlog(idx, class);
+        let started = Instant::now();
+        let result = serve(args, emit);
+        let actual = started.elapsed().as_secs_f64();
+        self.fleet.dispatcher().finish_for(idx, predicted, class);
+        self.publish_backlog(idx, class);
+
+        let served = result?;
+        if served.devices > 1 {
+            self.fleet.metrics().on_split(served.devices);
         }
+        self.fleet
+            .metrics()
+            .on_finish(idx, predicted, actual, !served.degraded.is_empty());
+        Ok(backend_solve(served, Some(pool.spec.name.clone())))
     }
 }
 
 impl SolveBackend for FleetBackend {
     fn validate(&self, req: &SolveRequest) -> Result<(), String> {
-        if !cli::PROBLEMS.contains(&req.problem.as_str()) {
-            return Err(format!(
-                "unknown problem \"{}\"; expected one of {}",
-                req.problem,
-                cli::PROBLEMS.join(", ")
-            ));
-        }
-        if req.n < 2 {
-            return Err("\"n\" must be at least 2".to_string());
-        }
-        if req.n > crate::serve_backend::MAX_SERVE_N {
-            return Err(format!(
-                "\"n\" exceeds the serving cap of {}",
-                crate::serve_backend::MAX_SERVE_N
-            ));
-        }
         // In fleet mode the request's platform is a cost-model hint the
         // dispatcher overrides; any fleet preset name is admissible.
-        if req.platform != "high" && req.platform != "low" && req.platform != "cpu-only" {
-            return Err(format!(
-                "unknown platform \"{}\"; expected high, low, or cpu-only",
-                req.platform
-            ));
-        }
-        if req.memory_mode == Some(MemoryMode::Rolling) && !cli::rolling_supported(&req.problem) {
-            return Err(format!(
-                "problem \"{}\" has no rolling-mode solve (its answer needs the full table)",
-                req.problem
-            ));
-        }
-        Ok(())
+        let platforms = ["high", "low", "cpu-only"];
+        validate_request(req, &platforms, "high, low, or cpu-only")
     }
 
     fn tune(
@@ -384,149 +303,17 @@ impl SolveBackend for FleetBackend {
         plan: &BatchPlan,
         _sink: &dyn TraceSink,
     ) -> Result<BackendSolve, String> {
-        let idx = plan
-            .placement
-            .as_deref()
-            .and_then(|name| self.fleet.index_of(name))
-            .unwrap_or(0);
-        let predicted = plan.predicted_s.unwrap_or(0.0);
-        // Cached (or pinned) parameters may come from a different
-        // instance in the same bucket; re-legalize for this exact size.
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let clamped = plan
-            .config
-            .params
-            .clamped_for(pattern, Dims::new(req.n, req.n));
-
-        // Backlog brackets the solve so concurrent placements see this
-        // pool's in-flight work, attributed to the request's service
-        // class; metrics record the outcome either way.
-        let class = req.priority.index();
-        self.fleet.dispatcher().begin_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-        let started = Instant::now();
-        let result = self.solve_on(req, idx, clamped, plan.config.tier, plan.config.memory_mode);
-        let actual = started.elapsed().as_secs_f64();
-        self.fleet.dispatcher().finish_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-
-        let (summary, degraded, devices) = result?;
-        if devices > 1 {
-            self.fleet.metrics().on_split(devices);
-        }
-        self.fleet
-            .metrics()
-            .on_finish(idx, predicted, actual, !degraded.is_empty());
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded,
-            placed_on: Some(self.fleet.pool(idx).spec.name.clone()),
-            devices,
-        })
+        self.solve_via(req, plan, None)
     }
 
     fn solve_streamed(
         &self,
         req: &SolveRequest,
         plan: &BatchPlan,
-        sink: &dyn TraceSink,
+        _sink: &dyn TraceSink,
         emit: &(dyn Fn(BandFrame) -> bool + Sync),
     ) -> Result<BackendSolve, String> {
-        // Chaos campaigns keep the non-streamed degradation ladder, and
-        // full-table-answer problems below the multi threshold have no
-        // band path: both fall back to the plain placed solve (zero
-        // band frames, then the done frame).
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let multi_eligible = req.n >= FLEET_MULTI_N && pattern.is_canonical();
-        if self.injector.is_some() || !(cli::rolling_supported(&req.problem) || multi_eligible) {
-            return self.solve_placed(req, plan, sink);
-        }
-        let idx = plan
-            .placement
-            .as_deref()
-            .and_then(|name| self.fleet.index_of(name))
-            .unwrap_or(0);
-        let predicted = plan.predicted_s.unwrap_or(0.0);
-        let clamped = plan
-            .config
-            .params
-            .clamped_for(pattern, Dims::new(req.n, req.n));
-        let rolling_mode = plan.config.memory_mode == MemoryMode::Rolling
-            && cli::rolling_supported(&req.problem)
-            && plan.config.tier != ExecTier::BitParallel;
-
-        // Same backlog brackets as `solve_placed`: concurrent
-        // placements must see streamed work in flight too.
-        let class = req.priority.index();
-        self.fleet.dispatcher().begin_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-        let started = Instant::now();
-        let bridge =
-            |ev: lddp_core::rolling::BandEvent| emit(crate::serve_backend::band_frame_of(ev));
-        let result: Result<(cli::RunSummary, usize), String> = (|| {
-            // Routing mirrors `solve_on`: large non-rolling grids go
-            // through the cross-device MultiPlan split, streaming one
-            // frame per device band as the table reassembles.
-            if req.n >= FLEET_MULTI_N && !rolling_mode {
-                if let Ok(summary) = cli::run_solve_multi_stream(
-                    &req.problem,
-                    req.n,
-                    clamped,
-                    FLEET_SPLIT_DEVICES,
-                    &bridge,
-                ) {
-                    return Ok((summary, FLEET_SPLIT_DEVICES));
-                }
-            }
-            // Wave problems stream bands off the placed pool's rolling
-            // path (forced: a full-table solve has no sealed bands to
-            // publish; the answers are byte-identical). Anything left
-            // — a multi-eligible problem whose split fell through —
-            // solves whole, non-streamed, on the placed pool.
-            if cli::rolling_supported(&req.problem) {
-                let pool = self.fleet.pool(idx);
-                let summary = cli::run_solve_rolling_stream(
-                    &req.problem,
-                    req.n,
-                    cost_platform(&pool.spec.name),
-                    clamped,
-                    Some(plan.config.tier),
-                    &pool.engine,
-                    crate::serve_backend::STREAM_BANDS,
-                    &bridge,
-                )?;
-                return Ok((summary, 1));
-            }
-            self.solve_on(req, idx, clamped, plan.config.tier, plan.config.memory_mode)
-                .map(|(summary, _degraded, devices)| (summary, devices))
-        })();
-        let actual = started.elapsed().as_secs_f64();
-        self.fleet.dispatcher().finish_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-
-        let (summary, devices) = result?;
-        if devices > 1 {
-            self.fleet.metrics().on_split(devices);
-        }
-        self.fleet
-            .metrics()
-            .on_finish(idx, predicted, actual, false);
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded: Vec::new(),
-            placed_on: Some(self.fleet.pool(idx).spec.name.clone()),
-            devices,
-        })
+        self.solve_via(req, plan, Some(emit))
     }
 
     fn pool_health(&self) -> Vec<PoolHealth> {

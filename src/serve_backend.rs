@@ -8,7 +8,8 @@
 
 use crate::cli;
 use lddp_chaos::FaultInjector;
-use lddp_core::kernel::{ExecTier, MemoryMode};
+use lddp_core::kernel::MemoryMode;
+use lddp_core::rolling::BandEvent;
 use lddp_core::schedule::ScheduleParams;
 use lddp_core::tuner_cache::{TuneKey, TunedConfig, TunerCache};
 use lddp_core::wavefront::Dims;
@@ -29,10 +30,10 @@ pub const MAX_SERVE_N: usize = 8192;
 /// barrier bookkeeping showing up in throughput.
 pub const STREAM_BANDS: usize = 32;
 
-/// Bridges an engine [`BandEvent`](lddp_core::rolling::BandEvent) to
-/// the serve-layer wire frame. `elapsed_ms` is stamped by the server
-/// at emission (it owns the request clock), so it is zero here.
-pub(crate) fn band_frame_of(ev: lddp_core::rolling::BandEvent) -> BandFrame {
+/// Bridges an engine [`BandEvent`] to the serve-layer wire frame.
+/// `elapsed_ms` is stamped by the server at emission (it owns the
+/// request clock), so it is zero here.
+fn band_frame_of(ev: BandEvent) -> BandFrame {
     BandFrame {
         band: ev.band,
         bands: ev.bands,
@@ -48,9 +49,125 @@ pub(crate) fn band_frame_of(ev: lddp_core::rolling::BandEvent) -> BandFrame {
     }
 }
 
+/// The served solve of `args`, with `emit` (serve-layer frames) bridged
+/// to the engine's band events.
+pub(crate) fn serve(
+    args: cli::SolveArgs<'_>,
+    emit: Option<&(dyn Fn(BandFrame) -> bool + Sync)>,
+) -> Result<cli::ServedSolve, String> {
+    let bridge = emit.map(|emit| move |ev: BandEvent| emit(band_frame_of(ev)));
+    cli::solve_served(&cli::SolveArgs {
+        emit: bridge
+            .as_ref()
+            .map(|b| b as &(dyn Fn(BandEvent) -> bool + Sync)),
+        ..args
+    })
+}
+
+/// Checks `req` against the problem registry, the serving size cap and
+/// the cost-model `platforms` the backend accepts (`expected` names them
+/// in the error).
+pub(crate) fn validate_request(
+    req: &SolveRequest,
+    platforms: &[&str],
+    expected: &str,
+) -> Result<(), String> {
+    if !cli::PROBLEMS.contains(&req.problem.as_str()) {
+        return Err(format!(
+            "unknown problem \"{}\"; expected one of {}",
+            req.problem,
+            cli::PROBLEMS.join(", ")
+        ));
+    }
+    if req.n < 2 {
+        return Err("\"n\" must be at least 2".to_string());
+    }
+    if req.n > MAX_SERVE_N {
+        return Err(format!("\"n\" exceeds the serving cap of {MAX_SERVE_N}"));
+    }
+    if !platforms.contains(&req.platform.as_str()) {
+        return Err(format!(
+            "unknown platform \"{}\"; expected {expected}",
+            req.platform
+        ));
+    }
+    if req.memory_mode == Some(MemoryMode::Rolling) && !cli::rolling_supported(&req.problem) {
+        return Err(format!(
+            "problem \"{}\" has no rolling-mode solve (its answer needs the full table)",
+            req.problem
+        ));
+    }
+    Ok(())
+}
+
+/// The configuration `probe` solves under on `engine`: tuned on the
+/// `platform` cost model and cached per `(problem, dims bucket,
+/// key_platform)`, with tuner-cache misses counted in `live`. Pinned
+/// parameters skip tuning (never a cache hit) but take the same tier
+/// rule as a tuned request — requests pin schedule parameters, not
+/// execution machinery. A per-request memory-mode pin overrides the
+/// tuner's budget choice without touching the cached artifact (the
+/// batch key keeps pinned and unpinned requests apart).
+pub(crate) fn tuned(
+    cache: &TunerCache,
+    live: Option<&LiveRegistry>,
+    probe: &SolveRequest,
+    key_platform: &str,
+    platform: &str,
+    engine: &ParallelEngine,
+) -> Result<(TunedConfig, bool), String> {
+    let (problem, n) = (probe.problem.as_str(), probe.n);
+    let (config, hit) = match probe.params {
+        Some(params) => {
+            let tier = cli::select_tier(problem, n, engine)?;
+            let memory = cli::choose_memory_mode(problem, n, platform);
+            (
+                TunedConfig::new(params, tier).with_memory_mode(memory),
+                false,
+            )
+        }
+        None => {
+            let key = TuneKey::new(problem, Dims::new(n, n), key_platform);
+            cache.get_or_tune(&key, || {
+                if let Some(live) = live {
+                    live.counter(
+                        "lddp_tuner_sweeps_total",
+                        &[],
+                        "Full tuning sweeps executed on a tuner-cache miss.",
+                    )
+                    .inc();
+                }
+                cli::tune_config(problem, n, platform, engine)
+            })?
+        }
+    };
+    Ok((
+        probe
+            .memory_mode
+            .map_or(config, |m| config.with_memory_mode(m)),
+        hit,
+    ))
+}
+
+/// The reply half of a served solve.
+pub(crate) fn backend_solve(served: cli::ServedSolve, placed_on: Option<String>) -> BackendSolve {
+    let s = served.summary;
+    BackendSolve {
+        answer: s.answer,
+        virtual_ms: s.hetero_ms,
+        params: s.params,
+        tier: s.tier,
+        memory_mode: s.memory_mode,
+        table_bytes: s.table_bytes,
+        degraded: served.degraded,
+        placed_on,
+        devices: served.devices,
+    }
+}
+
 /// [`SolveBackend`] over the real [`Framework`](crate::Framework)
 /// solve path, with tuned parameters cached per
-/// `(pattern, dims bucket, platform)` and tables computed on one
+/// `(problem, dims bucket, platform)` and tables computed on one
 /// persistent [`ParallelEngine`]: its worker pool spins up on the first
 /// request and is reused by every batch for the lifetime of the server,
 /// so steady-state serving pays no thread spawns.
@@ -109,15 +226,10 @@ impl FrameworkBackend {
     /// rungs taken in [`BackendSolve::degraded`], so the server can
     /// count and surface them per response.
     pub fn with_injector(injector: Arc<dyn FaultInjector>) -> FrameworkBackend {
-        let mut backend = FrameworkBackend::new();
-        // The engine's single-threaded shortcut bypasses injection
-        // entirely, so a one-core host would mute the campaign; give an
-        // injected backend at least two workers.
-        if backend.engine.threads() < 2 {
-            backend.engine = ParallelEngine::new(2);
+        FrameworkBackend {
+            injector: Some(injector),
+            ..FrameworkBackend::new()
         }
-        backend.injector = Some(injector);
-        backend
     }
 
     /// The tuner cache (for stats and tests).
@@ -125,44 +237,32 @@ impl FrameworkBackend {
         &self.cache
     }
 
-    fn tune_key(&self, req: &SolveRequest) -> Result<TuneKey, String> {
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        Ok(TuneKey::new(
-            pattern,
-            Dims::new(req.n, req.n),
-            req.platform.clone(),
-        ))
+    /// One served solve on the shared engine.
+    fn serve(
+        &self,
+        req: &SolveRequest,
+        config: TunedConfig,
+        emit: Option<&(dyn Fn(BandFrame) -> bool + Sync)>,
+    ) -> Result<BackendSolve, String> {
+        let args = cli::SolveArgs {
+            problem: &req.problem,
+            n: req.n,
+            platform: &req.platform,
+            params: config.params,
+            tier: Some(config.tier),
+            memory: config.memory_mode,
+            engine: Some(&self.engine),
+            emit: None,
+            injector: self.injector.as_deref(),
+            devices: 1,
+        };
+        serve(args, emit).map(|s| backend_solve(s, None))
     }
 }
 
 impl SolveBackend for FrameworkBackend {
     fn validate(&self, req: &SolveRequest) -> Result<(), String> {
-        if !cli::PROBLEMS.contains(&req.problem.as_str()) {
-            return Err(format!(
-                "unknown problem \"{}\"; expected one of {}",
-                req.problem,
-                cli::PROBLEMS.join(", ")
-            ));
-        }
-        if req.n < 2 {
-            return Err("\"n\" must be at least 2".to_string());
-        }
-        if req.n > MAX_SERVE_N {
-            return Err(format!("\"n\" exceeds the serving cap of {MAX_SERVE_N}"));
-        }
-        if req.platform != "high" && req.platform != "low" {
-            return Err(format!(
-                "unknown platform \"{}\"; expected high or low",
-                req.platform
-            ));
-        }
-        if req.memory_mode == Some(MemoryMode::Rolling) && !cli::rolling_supported(&req.problem) {
-            return Err(format!(
-                "problem \"{}\" has no rolling-mode solve (its answer needs the full table)",
-                req.problem
-            ));
-        }
-        Ok(())
+        validate_request(req, &["high", "low"], "high or low")
     }
 
     fn tune(
@@ -170,40 +270,9 @@ impl SolveBackend for FrameworkBackend {
         probe: &SolveRequest,
         _sink: &dyn TraceSink,
     ) -> Result<(TunedConfig, bool), String> {
-        if let Some(params) = probe.params {
-            // Pinned parameters skip tuning; never a cache hit. The tier
-            // is still the engine's own pick — requests pin schedule
-            // parameters, not execution machinery. The memory mode is
-            // the request's pin, or the tuner's budget model.
-            let tier = cli::select_tier(&probe.problem, probe.n, &self.engine)?;
-            let memory = probe.memory_mode.unwrap_or_else(|| {
-                cli::choose_memory_mode(&probe.problem, probe.n, &probe.platform)
-            });
-            return Ok((
-                TunedConfig::new(params, tier).with_memory_mode(memory),
-                false,
-            ));
-        }
-        let key = self.tune_key(probe)?;
-        let (config, hit) = self.cache.get_or_tune(&key, || {
-            if let Some(live) = &self.live {
-                live.counter(
-                    "lddp_tuner_sweeps_total",
-                    &[],
-                    "Full tuning sweeps executed on a tuner-cache miss.",
-                )
-                .inc();
-            }
-            cli::tune_config(&probe.problem, probe.n, &probe.platform, &self.engine)
-        })?;
-        // A per-request memory-mode pin overrides the tuner's choice for
-        // this batch without touching the cached artifact (the batch key
-        // keeps pinned and unpinned requests apart).
-        let config = match probe.memory_mode {
-            Some(memory) => config.with_memory_mode(memory),
-            None => config,
-        };
-        Ok((config, hit))
+        let platform = probe.platform.as_str();
+        let live = self.live.as_deref();
+        tuned(&self.cache, live, probe, platform, platform, &self.engine)
     }
 
     fn estimate_ms(&self, req: &SolveRequest) -> Option<f64> {
@@ -215,10 +284,9 @@ impl SolveBackend for FrameworkBackend {
         let params = req
             .params
             .or_else(|| {
-                self.tune_key(req)
-                    .ok()
-                    .and_then(|key| self.cache.get(&key))
-                    .map(|config| config.params)
+                let key =
+                    TuneKey::new(req.problem.as_str(), Dims::new(req.n, req.n), &req.platform);
+                self.cache.get(&key).map(|c| c.params)
             })
             .unwrap_or_else(|| ScheduleParams::new(2, 16));
         cli::estimate_virtual(&req.problem, req.n, &req.platform, params)
@@ -236,120 +304,21 @@ impl SolveBackend for FrameworkBackend {
         config: TunedConfig,
         _sink: &dyn TraceSink,
     ) -> Result<BackendSolve, String> {
-        // Cached (or pinned) parameters may have been produced for a
-        // different instance in the same bucket; re-legalize for this
-        // exact size before planning.
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let clamped = config.params.clamped_for(pattern, Dims::new(req.n, req.n));
-        // The table is computed on the shared pooled engine — the serve
-        // spans (queue wait, batch, solve) come from the server; the
-        // per-wave framework trace is deliberately skipped here, as it
-        // would emit thousands of spans per request. Rolling-mode
-        // batches route through the score-only wave-band path instead
-        // of materializing the grid.
-        let rolling = config.memory_mode == MemoryMode::Rolling
-            && cli::rolling_supported(&req.problem)
-            && config.tier != ExecTier::BitParallel;
-        let (summary, degraded) = match (&self.injector, rolling) {
-            (Some(inj), true) => cli::run_solve_rolling_chaos(
-                &req.problem,
-                req.n,
-                &req.platform,
-                clamped,
-                Some(config.tier),
-                &self.engine,
-                inj.as_ref(),
-            )?,
-            (Some(inj), false) => cli::run_solve_pooled_chaos(
-                &req.problem,
-                req.n,
-                &req.platform,
-                clamped,
-                Some(config.tier),
-                &self.engine,
-                inj.as_ref(),
-            )?,
-            (None, true) => {
-                let summary = cli::run_solve_rolling(
-                    &req.problem,
-                    req.n,
-                    &req.platform,
-                    clamped,
-                    Some(config.tier),
-                    &self.engine,
-                )?;
-                (summary, Vec::new())
-            }
-            (None, false) => {
-                let summary = cli::run_solve_pooled(
-                    &req.problem,
-                    req.n,
-                    &req.platform,
-                    clamped,
-                    Some(config.tier),
-                    &self.engine,
-                )?;
-                (summary, Vec::new())
-            }
-        };
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded,
-            placed_on: None,
-            devices: 1,
-        })
+        self.serve(req, config, None)
     }
 
     fn solve_streamed(
         &self,
         req: &SolveRequest,
         plan: &BatchPlan,
-        sink: &dyn TraceSink,
+        _sink: &dyn TraceSink,
         emit: &(dyn Fn(BandFrame) -> bool + Sync),
     ) -> Result<BackendSolve, String> {
-        // Streaming needs sealed bands to publish: problems whose
-        // answer needs the full table have no band path, and chaos
-        // campaigns keep the non-streamed degradation ladder. Both
-        // fall back to the plain placed solve — the client sees zero
-        // band frames, then the done frame.
-        if self.injector.is_some() || !cli::rolling_supported(&req.problem) {
-            return self.solve_placed(req, plan, sink);
-        }
-        let config = plan.config;
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let clamped = config.params.clamped_for(pattern, Dims::new(req.n, req.n));
-        // The rolling band path runs regardless of the tuner's
-        // memory-mode choice: a full-table solve only produces its
-        // corner at the very end, which would hold the first frame
-        // back for the entire solve. Rolling answers are
-        // byte-identical to the full-table ones, so the done frame
-        // matches a non-streamed solve of the same request.
-        let summary = cli::run_solve_rolling_stream(
-            &req.problem,
-            req.n,
-            &req.platform,
-            clamped,
-            Some(config.tier),
-            &self.engine,
-            STREAM_BANDS,
-            &|ev| emit(band_frame_of(ev)),
-        )?;
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded: Vec::new(),
-            placed_on: None,
-            devices: 1,
-        })
+        // Wave problems stream bands off a rolling solve, whatever the
+        // tuned memory mode: a full-table solve only produces its answer
+        // at the very end. Problems without a band path, and injected
+        // solves, send zero band frames, then the done frame.
+        self.serve(req, plan.config, Some(emit))
     }
 }
 
@@ -426,11 +395,15 @@ mod tests {
     fn live_registry_counts_tuner_sweeps_and_pool_solves() {
         let reg = Arc::new(LiveRegistry::new());
         let b = FrameworkBackend::new().with_live(Arc::clone(&reg));
-        let req = SolveRequest::new("lcs", 100);
+        // A grid problem: lcs is served by the gridless bit-parallel
+        // kernel, which never touches the pool.
+        let req = SolveRequest::new("levenshtein", 100);
         let (config, hit) = b.tune(&req, &NullSink).unwrap();
         assert!(!hit);
         // Same bucket: served from the cache, no second sweep.
-        let (_, hit2) = b.tune(&SolveRequest::new("lcs", 128), &NullSink).unwrap();
+        let (_, hit2) = b
+            .tune(&SolveRequest::new("levenshtein", 128), &NullSink)
+            .unwrap();
         assert!(hit2);
         b.solve(&req, config, &NullSink).unwrap();
         let text = reg.to_prometheus();

@@ -54,3 +54,50 @@ fn every_cli_problem_is_classifiable_and_tunable() {
             .unwrap_or_else(|e| panic!("tuning \"{name}\" failed: {e}"));
     }
 }
+
+#[test]
+fn compare_tune_and_balance_solve_the_problem_they_name() {
+    let (n, platform) = (32, "high");
+    let fig9_compare = cli::run_compare_data("fig9", n, platform).unwrap();
+    let fig9_tune = cli::run_tune("fig9", n, platform, false).unwrap();
+    // `balance` names the problem on its first line; the figures follow.
+    let figures = |out: String| out.lines().skip(1).collect::<Vec<_>>().join("\n");
+    let fig9_balance = figures(cli::run_balance("fig9", n, platform, 0).unwrap());
+    for name in cli::PROBLEMS {
+        // `compare` tunes the instance the traced solve tunes.
+        let c = cli::run_compare_data(name, n, platform)
+            .unwrap_or_else(|e| panic!("compare \"{name}\" failed: {e}"));
+        let solved = cli::run_solve_traced(name, n, platform, None, &NullSink).unwrap();
+        assert_eq!(
+            c.params, solved.summary.params,
+            "\"{name}\": compare tuned another problem's kernel"
+        );
+        let tune = cli::run_tune(name, n, platform, false)
+            .unwrap_or_else(|e| panic!("tune \"{name}\" failed: {e}"));
+        let balance = cli::run_balance(name, n, platform, 0)
+            .unwrap_or_else(|e| panic!("balance \"{name}\" failed: {e}"));
+        if *name == "fig9" {
+            continue;
+        }
+        assert_ne!(
+            (c.cpu_s, c.gpu_s, c.framework_s),
+            (
+                fig9_compare.cpu_s,
+                fig9_compare.gpu_s,
+                fig9_compare.framework_s
+            ),
+            "\"{name}\": compare printed fig9's figures"
+        );
+        assert_ne!(tune, fig9_tune, "\"{name}\": tune printed fig9's curves");
+        assert_ne!(
+            figures(balance),
+            fig9_balance,
+            "\"{name}\": balance printed fig9's figures"
+        );
+    }
+    for unknown in ["nonsense", ""] {
+        assert!(cli::run_compare_data(unknown, n, platform).is_err());
+        assert!(cli::run_tune(unknown, n, platform, false).is_err());
+        assert!(cli::run_balance(unknown, n, platform, 0).is_err());
+    }
+}

@@ -111,7 +111,7 @@ fn parallel_engine_histogram_flows_through_the_same_sink() {
     use lddp::core::cell::{ContributingSet, RepCell};
     use lddp::core::kernel::{ClosureKernel, Neighbors};
     use lddp::core::Dims;
-    use lddp::parallel::ParallelEngine;
+    use lddp::parallel::{ParallelEngine, SolveSpec};
 
     let set = ContributingSet::new(&[RepCell::W, RepCell::Nw, RepCell::N]);
     let kernel = ClosureKernel::new(Dims::new(64, 64), set, |i, j, n: &Neighbors<u64>| {
@@ -124,7 +124,11 @@ fn parallel_engine_histogram_flows_through_the_same_sink() {
         "parallel.barrier_wait_s",
         vec![1e-7, 1e-6, 1e-5, 1e-4, 1e-3],
     );
-    ParallelEngine::new(2).solve_traced(&kernel, &rec).unwrap();
+    let spec = SolveSpec {
+        sink: Some(&rec),
+        ..SolveSpec::default()
+    };
+    ParallelEngine::new(2).run(&kernel, &spec).unwrap();
     let data = rec.snapshot();
     let h = &data.histograms["parallel.barrier_wait_s"];
     assert!(h.count > 0, "barrier waits must be observed");
