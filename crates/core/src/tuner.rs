@@ -66,8 +66,9 @@ pub fn tune(
 /// [`tune`] with every evaluated [`SweepPoint`] recorded into `sink`:
 /// one `tuner.sweep` instant event per evaluation (args: `stage`,
 /// `value`, `time_s`) on the tuner track, a `tuner.time_s` counter
-/// series over the evaluation sequence, and a `tuner.evals` monotonic
-/// counter — enough to replay and plot the Fig 7 curves from a trace.
+/// series over the evaluation sequence, and the
+/// `lddp_tuner_evals_total` counter — enough to replay and plot the
+/// Fig 7 curves from a trace.
 pub fn tune_with_sink(
     t_switch_candidates: &[usize],
     t_share_candidates: &[usize],
@@ -124,7 +125,7 @@ fn record_sweep_point(
                 .with_arg("time_s", time_s),
         );
         sink.sample(tracks::TUNER, "tuner.time_s", *seq as f64, time_s);
-        sink.count("tuner.evals", 1);
+        sink.count("lddp_tuner_evals_total", 1);
     }
     *seq += 1;
 }
@@ -414,8 +415,7 @@ mod tests {
 
     #[test]
     fn sink_records_every_sweep_point() {
-        use lddp_trace::Recorder;
-        let rec = Recorder::new();
+        let rec = lddp_trace::live::LiveRegistry::new();
         let result = tune_with_sink(
             &[0, 2, 4],
             &[0, 8],
@@ -423,11 +423,11 @@ mod tests {
             &rec,
         )
         .unwrap();
-        let data = rec.snapshot();
+        let data = rec.flight().snapshot_since(f64::NEG_INFINITY);
         // One instant + one counter sample per evaluation.
         assert_eq!(data.instants.len(), 3 + 2);
         assert_eq!(data.samples.len(), 3 + 2);
-        assert_eq!(data.counters["tuner.evals"], 5);
+        assert_eq!(rec.counter("lddp_tuner_evals_total", &[], "").get(), 5);
         // Sequence numbers are the instants' timestamps, in order.
         let ts: Vec<f64> = data.instants.iter().map(|e| e.t_s).collect();
         assert_eq!(ts, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
@@ -445,8 +445,7 @@ mod tests {
 
     #[test]
     fn concave_sink_matches_curves() {
-        use lddp_trace::Recorder;
-        let rec = Recorder::new();
+        let rec = lddp_trace::live::LiveRegistry::new();
         let r = tune_concave_with_sink(
             (0, 50),
             (0, 50),
@@ -455,11 +454,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.params, ScheduleParams::new(20, 10));
-        let data = rec.snapshot();
+        let data = rec.flight().snapshot_since(f64::NEG_INFINITY);
         // Every ternary-search probe was recorded (curves are deduped,
         // the sink stream is not — so it has at least as many points).
         assert!(data.instants.len() >= r.t_switch_curve.len() + r.t_share_curve.len());
-        assert_eq!(data.counters["tuner.evals"] as usize, data.instants.len());
+        let evals = rec.counter("lddp_tuner_evals_total", &[], "").get();
+        assert_eq!(evals as usize, data.instants.len());
     }
 
     #[test]

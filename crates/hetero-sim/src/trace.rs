@@ -2,7 +2,8 @@
 //! phase, per-wave compute spans on the CPU/GPU tracks, transfer spans
 //! and cumulative byte counters on the Link track — all on the *model*
 //! clock, so a Perfetto view of a simulated run shows exactly the
-//! three-phase structure of the paper's Figs 3–6.
+//! three-phase structure of the paper's Figs 3–6 — plus the run's
+//! `lddp_sim_*` totals and per-wave span histogram.
 //!
 //! The emitters consume the [`WaveRecord`](crate::exec::WaveRecord)
 //! stream an executor produces with `record_timeline` on; they do not
@@ -87,7 +88,7 @@ pub fn record_run(
         }
         cpu_cells += r.cpu_cells as u64;
         gpu_cells += r.gpu_cells as u64;
-        sink.observe("sim.wave_span_s", r.span_s);
+        sink.observe("lddp_sim_wave_span_seconds", r.span_s);
     }
 
     // Phase spans over the same clock. A phase's wave range indexes the
@@ -116,11 +117,11 @@ pub fn record_run(
         );
     }
 
-    sink.count("sim.waves", timeline.len() as u64);
-    sink.count("sim.cells.cpu", cpu_cells);
-    sink.count("sim.cells.gpu", gpu_cells);
-    sink.count("sim.bytes_to_gpu", bytes_to_gpu);
-    sink.count("sim.bytes_to_cpu", bytes_to_cpu);
+    sink.count("lddp_sim_waves_total", timeline.len() as u64);
+    sink.count("lddp_sim_cpu_cells_total", cpu_cells);
+    sink.count("lddp_sim_gpu_cells_total", gpu_cells);
+    sink.count("lddp_sim_bytes_to_gpu_total", bytes_to_gpu);
+    sink.count("lddp_sim_bytes_to_cpu_total", bytes_to_cpu);
 }
 
 #[cfg(test)]
@@ -133,9 +134,16 @@ mod tests {
     use lddp_core::pattern::Pattern;
     use lddp_core::schedule::{Plan, ScheduleParams};
     use lddp_core::wavefront::Dims;
-    use lddp_trace::{NullSink, Recorder};
+    use lddp_trace::live::LiveRegistry;
+    use lddp_trace::{NullSink, TraceData};
 
-    fn traced_run(dims: Dims, params: ScheduleParams) -> (lddp_trace::TraceData, usize) {
+    /// The registry's timeline and one of its counters.
+    fn collected(reg: &LiveRegistry, counter: &str) -> (TraceData, u64) {
+        let data = reg.flight().snapshot_since(f64::NEG_INFINITY);
+        (data, reg.counter(counter, &[], "").get())
+    }
+
+    fn traced_run(dims: Dims, params: ScheduleParams) -> (LiveRegistry, usize) {
         let set = ContributingSet::new(&[RepCell::W, RepCell::Nw, RepCell::N]);
         let kernel =
             ClosureKernel::new(dims, set, |_i, _j, _n: &Neighbors<u32>| 0u32).with_cost_ops(8);
@@ -145,19 +153,20 @@ mod tests {
             ..Default::default()
         };
         let report = run_hetero(&kernel, &plan, &hetero_high(), &opts).unwrap();
-        let rec = Recorder::new();
+        let rec = LiveRegistry::with_flight_capacity(usize::MAX);
         record_run(
             &rec,
             &report.timeline,
             &plan.phases(),
             report.breakdown.setup_s,
         );
-        (rec.snapshot(), report.timeline.len())
+        (rec, report.timeline.len())
     }
 
     #[test]
     fn emits_one_span_per_schedule_phase() {
-        let (data, _) = traced_run(Dims::new(64, 64), ScheduleParams::new(8, 16));
+        let (rec, _) = traced_run(Dims::new(64, 64), ScheduleParams::new(8, 16));
+        let data = rec.flight().snapshot_since(f64::NEG_INFINITY);
         // Ramp-up/down anti-diagonal: CpuOnly, Shared, CpuOnly.
         let phase_spans: Vec<_> = data
             .spans
@@ -177,7 +186,8 @@ mod tests {
 
     #[test]
     fn wave_spans_land_on_engine_tracks_and_cover_all_waves() {
-        let (data, waves) = traced_run(Dims::new(32, 32), ScheduleParams::new(4, 8));
+        let (rec, waves) = traced_run(Dims::new(32, 32), ScheduleParams::new(4, 8));
+        let (data, sim_waves) = collected(&rec, "lddp_sim_waves_total");
         let cpu: Vec<_> = data
             .spans_named("wave")
             .filter(|s| s.track == tracks::CPU)
@@ -197,12 +207,15 @@ mod tests {
             assert!(w[0].start_s <= w[1].start_s);
         }
         assert!(data.spans.iter().all(|s| s.dur_s >= 0.0));
-        assert_eq!(data.counters["sim.waves"], waves as u64);
+        assert_eq!(sim_waves, waves as u64);
+        let spans = rec.histogram("lddp_sim_wave_span_seconds", &[], "");
+        assert_eq!(spans.count(), waves as u64);
     }
 
     #[test]
     fn transfers_show_up_on_the_link_track() {
-        let (data, _) = traced_run(Dims::new(64, 64), ScheduleParams::new(4, 8));
+        let (rec, _) = traced_run(Dims::new(64, 64), ScheduleParams::new(4, 8));
+        let (data, bytes_to_gpu) = collected(&rec, "lddp_sim_bytes_to_gpu_total");
         let copies: Vec<_> = data
             .spans_named("copy")
             .filter(|s| s.track == tracks::LINK)
@@ -214,7 +227,8 @@ mod tests {
             assert!(s.value >= last);
             last = s.value;
         }
-        assert!(data.counters["sim.bytes_to_gpu"] > 0);
+        assert!(bytes_to_gpu > 0);
+        assert_eq!(last, bytes_to_gpu as f64, "the series ends at the total");
     }
 
     #[test]
@@ -249,14 +263,14 @@ mod tests {
             ..Default::default()
         };
         let report = run_hetero(&kernel, &plan, &hetero_high(), &opts).unwrap();
-        let rec = Recorder::new();
+        let rec = LiveRegistry::with_flight_capacity(usize::MAX);
         record_run(
             &rec,
             &report.timeline,
             &plan.phases(),
             report.breakdown.setup_s,
         );
-        let data = rec.snapshot();
+        let data = rec.flight().snapshot_since(f64::NEG_INFINITY);
         assert!((data.track_busy_s(tracks::CPU) - report.breakdown.cpu_busy_s).abs() < 1e-12);
         assert!((data.track_busy_s(tracks::GPU) - report.breakdown.gpu_busy_s).abs() < 1e-12);
     }

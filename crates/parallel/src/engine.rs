@@ -51,12 +51,12 @@
 //!   memory modes agree bit for bit.
 //!
 //! With a trace sink, or a live registry on a pooled full-table run,
-//! the loop records wall-clock instrumentation: one span per non-empty
-//! (worker, wave) chunk, per-worker busy time, and a histogram of time
-//! spent waiting at the inter-wave barrier — the otherwise invisible
-//! synchronization cost of the heavy-thread design. The cost is two
-//! clock reads per wave; every other run records whole-run aggregates
-//! only.
+//! the loop times every wave. The sink receives the timeline: one span
+//! per non-empty (worker, wave) chunk and each worker's busy time. The
+//! registry receives the counts and a histogram of time spent waiting
+//! at the inter-wave barrier — the otherwise invisible synchronization
+//! cost of the heavy-thread design. The cost is two clock reads per
+//! wave; every other run records whole-run aggregates only.
 //!
 //! # Safety architecture
 //!
@@ -430,7 +430,8 @@ struct WorkerTrace {
     spans: Vec<(usize, f64, f64, usize)>,
     /// Total compute time across all waves.
     busy_s: f64,
-    /// Time spent blocked at the inter-wave barrier, one entry per wave.
+    /// Time spent blocked at the inter-wave barrier, one entry per wave
+    /// of a pooled run — kept only for a live registry's histogram.
     barrier_wait_s: Vec<f64>,
 }
 
@@ -964,7 +965,7 @@ impl ParallelEngine {
                         tr.spans.push((w, t0, t1 - t0, owned));
                     }
                     tr.busy_s += t1 - t0;
-                    if pool.is_some() {
+                    if pool.is_some() && live.is_some() {
                         tr.barrier_wait_s.push(t2 - t1);
                     }
                     t0 = t2;
@@ -1004,7 +1005,8 @@ impl ParallelEngine {
         Ok(captured.into_inner().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Emits a finished run into the sink and the live registry.
+    /// Emits a finished run's timeline into the sink and its counts
+    /// into the live registry.
     fn record(
         &self,
         sink: &dyn TraceSink,
@@ -1025,14 +1027,7 @@ impl ParallelEngine {
                     );
                 }
                 sink.sample(tracks::worker(t), "worker.busy_s", total_s, tr.busy_s);
-                for &wait_s in &tr.barrier_wait_s {
-                    sink.observe("parallel.barrier_wait_s", wait_s);
-                }
             }
-            sink.count("parallel.waves", waves as u64);
-            sink.count("parallel.cells", cells as u64);
-            sink.count("parallel.workers", traces.len() as u64);
-            sink.count(&format!("parallel.tier.{}", tier.as_str()), 1);
         }
         if let Some(live) = self.live.as_deref() {
             record_live(live, tier, 1, waves, cells, traces);
@@ -1269,7 +1264,31 @@ mod tests {
     use lddp_core::kernel::{simd_available, ClosureKernel, SimdWaveKernel, WaveKernel};
     use lddp_core::seq::solve_row_major;
     use lddp_core::wavefront::Dims;
-    use lddp_trace::Recorder;
+    use lddp_trace::live::{parse_prometheus, LiveRegistry};
+    use lddp_trace::TraceData;
+
+    /// An engine whose registry is also its runs' sink: the timeline
+    /// lands in the registry's unbounded ring, the counts in its
+    /// `lddp_pool_*` families.
+    fn live_engine(threads: usize) -> (ParallelEngine, Arc<LiveRegistry>) {
+        let reg = Arc::new(LiveRegistry::with_flight_capacity(usize::MAX));
+        (
+            ParallelEngine::new(threads).with_live(Arc::clone(&reg)),
+            reg,
+        )
+    }
+
+    fn timeline(reg: &LiveRegistry) -> TraceData {
+        reg.flight().snapshot_since(f64::NEG_INFINITY)
+    }
+
+    /// The value of one exposition series, `name{labels}`.
+    fn series(reg: &LiveRegistry, name: &str) -> Option<f64> {
+        parse_prometheus(&reg.to_prometheus())
+            .into_iter()
+            .find(|(s, _)| s == name)
+            .map(|(_, v)| v)
+    }
 
     /// A full-memory run of `spec`, unwrapped to its grid.
     fn grid_of<K: Kernel>(
@@ -1522,15 +1541,22 @@ mod tests {
         let kernel = mix_kernel(dims, set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let threads = 3;
-        let rec = Recorder::new();
-        let got = grid_of(&ParallelEngine::new(threads), &kernel, traced_spec(&rec)).unwrap();
+        let (engine, reg) = live_engine(threads);
+        let got = grid_of(&engine, &kernel, traced_spec(&*reg)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
 
-        let data = rec.snapshot();
+        let data = timeline(&reg);
         let waves = Pattern::AntiDiagonal.num_waves(dims.rows, dims.cols);
-        assert_eq!(data.counters["parallel.waves"], waves as u64);
-        assert_eq!(data.counters["parallel.cells"], dims.len() as u64);
-        assert_eq!(data.counters["parallel.workers"], threads as u64);
+        assert_eq!(series(&reg, "lddp_pool_waves_total"), Some(waves as f64));
+        assert_eq!(
+            series(&reg, "lddp_pool_cells_total"),
+            Some(dims.len() as f64)
+        );
+        let busy_series = parse_prometheus(&reg.to_prometheus())
+            .into_iter()
+            .filter(|(s, _)| s.starts_with("lddp_pool_worker_busy_seconds_total{"))
+            .count();
+        assert_eq!(busy_series, threads);
 
         // Every worker lane has spans, and they sum to the cell count.
         let mut cells = 0u64;
@@ -1564,8 +1590,8 @@ mod tests {
         assert_eq!(cells, dims.len() as u64);
 
         // Barrier waits: one observation per (worker, wave).
-        let h = &data.histograms["parallel.barrier_wait_s"];
-        assert_eq!(h.count, (threads * waves) as u64);
+        let h = reg.histogram("lddp_pool_barrier_wait_seconds", &[], "");
+        assert_eq!(h.count(), (threads * waves) as u64);
         // Per-worker busy-time samples on the worker lanes.
         let busy: Vec<_> = data
             .samples
@@ -1584,12 +1610,16 @@ mod tests {
         let dims = Dims::new(9, 5);
         let kernel = mix_kernel(dims, set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
-        let rec = Recorder::new();
-        let got = grid_of(&ParallelEngine::new(1), &kernel, traced_spec(&rec)).unwrap();
+        let (engine, reg) = live_engine(1);
+        let got = grid_of(&engine, &kernel, traced_spec(&*reg)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
-        let data = rec.snapshot();
-        assert_eq!(data.counters["parallel.workers"], 1);
-        assert!(!data.spans.is_empty());
+        let busy_series = parse_prometheus(&reg.to_prometheus())
+            .into_iter()
+            .filter(|(s, _)| s.starts_with("lddp_pool_worker_busy_seconds_total{"))
+            .count();
+        assert_eq!(busy_series, 1);
+        assert!(series(&reg, "lddp_pool_worker_busy_seconds_total{worker=\"0\"}").is_some());
+        assert!(!timeline(&reg).spans.is_empty());
     }
 
     #[test]
@@ -1658,10 +1688,10 @@ mod tests {
             set: ContributingSet::new(&[RepCell::W, RepCell::Nw, RepCell::N]),
         };
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
-        let rec = Recorder::new();
+        let rec = LiveRegistry::new();
         let got = grid_of(&ParallelEngine::new(3), &kernel, traced_spec(&rec)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
-        let data = rec.snapshot();
+        let data = timeline(&rec);
         let mut cells = 0u64;
         for s in &data.spans {
             for (k, v) in &s.args {
@@ -1884,12 +1914,12 @@ mod tests {
             dims: Dims::new(33, 29),
             set: anti_diag_set(),
         });
-        let rec = Recorder::new();
-        let engine = ParallelEngine::new(3);
+        let (engine, reg) = live_engine(3);
         let tier = engine.select_tier(&kernel);
-        grid_of(&engine, &kernel, traced_spec(&rec)).unwrap();
-        let data = rec.snapshot();
-        assert_eq!(data.counters[&format!("parallel.tier.{tier}")], 1);
+        grid_of(&engine, &kernel, traced_spec(&*reg)).unwrap();
+        let data = timeline(&reg);
+        let solves = format!("lddp_pool_solves_total{{tier=\"{tier}\"}}");
+        assert_eq!(series(&reg, &solves), Some(1.0));
         let wave_spans: Vec<_> = data.spans.iter().filter(|s| s.name == "wave").collect();
         assert!(!wave_spans.is_empty());
         for s in wave_spans {
@@ -2123,11 +2153,12 @@ mod tests {
         );
 
         // Tracing at 1 thread records wave spans without the pool too.
-        let rec = Recorder::new();
+        let rec = LiveRegistry::new();
         let engine = ParallelEngine::new(1);
         let got = grid_of(&engine, &kernel, traced_spec(&rec)).unwrap();
         assert_eq!(got.to_row_major(), oracle);
         assert!(engine.pool.get().is_none());
+        assert!(!timeline(&rec).spans.is_empty());
         // New accessors report a pool that was never created as healthy.
         assert_eq!(engine.pool_dead_workers(), 0);
         assert_eq!(engine.heal_pool(), 0);

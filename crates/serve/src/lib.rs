@@ -80,7 +80,7 @@ mod tests {
     use lddp_core::kernel::{ExecTier, MemoryMode};
     use lddp_core::schedule::ScheduleParams;
     use lddp_core::tuner_cache::TunedConfig;
-    use lddp_trace::{NullSink, Recorder, TraceSink};
+    use lddp_trace::{NullSink, TraceSink};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -336,14 +336,13 @@ mod tests {
     #[test]
     fn traced_run_emits_queue_batch_solve_spans_and_counters() {
         let backend = MockBackend::new();
-        let recorder = Recorder::new();
-        let server = Server::new(ServeConfig::default(), &backend, &recorder);
+        let server = Server::new(ServeConfig::default(), &backend, &NullSink);
         server.run(None, |client| {
             for _ in 0..3 {
                 client.solve(SolveRequest::new("dtw", 128)).unwrap();
             }
         });
-        let data = recorder.into_data();
+        let data = server.live().flight().snapshot_since(f64::NEG_INFINITY);
         let span_names: Vec<&str> = data.spans.iter().map(|s| s.name.as_str()).collect();
         for expected in [
             lddp_trace::catalog::SPAN_QUEUE_WAIT,
@@ -355,19 +354,22 @@ mod tests {
                 "missing span {expected:?} in {span_names:?}"
             );
         }
+        // One queue-depth sample per admission.
+        let depths = data
+            .samples
+            .iter()
+            .filter(|c| c.name == lddp_trace::catalog::SMP_QUEUE_DEPTH)
+            .count();
+        assert_eq!(depths, 3);
+        let text = server.metrics_text();
         for expected in [
-            lddp_trace::catalog::CTR_ACCEPTED,
-            lddp_trace::catalog::CTR_COMPLETED,
-            lddp_trace::catalog::CTR_BATCHES,
+            "lddp_serve_accepted_total 3\n",
+            "lddp_serve_completed_total 3\n",
+            "lddp_serve_solves_total{tier=\"simd\"} 3\n",
         ] {
-            assert!(
-                data.counters.contains_key(expected),
-                "missing counter {expected:?} in {:?}",
-                data.counters.keys().collect::<Vec<_>>()
-            );
+            assert!(text.contains(expected), "missing {expected:?} in {text}");
         }
-        assert_eq!(data.counters[lddp_trace::catalog::CTR_COMPLETED], 3);
-        assert_eq!(data.counters[lddp_trace::catalog::CTR_TIER_SIMD], 3);
+        assert!(server.snapshot().batches > 0);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //!
 //! A [`Server`] is wired to a [`SolveBackend`] (the thing that actually
 //! tunes and solves — `lddp::serve_backend::FrameworkBackend` in the
-//! umbrella crate, a mock in tests) and a
-//! [`TraceSink`](lddp_trace::TraceSink). [`Server::run`] owns the
-//! thread topology: it spawns the worker pool (and, given a listener,
-//! the HTTP front end) inside one `std::thread::scope`, hands the
-//! caller an in-process [`Client`], and on return of the caller's
-//! closure initiates shutdown and drains — every admitted request is
-//! answered before `run` returns.
+//! umbrella crate, a mock in tests) and records every event once into
+//! its [`LiveRegistry`]: counts and latency sketches through
+//! [`ServeStats`] (`GET /metrics`), spans and the queue-depth series
+//! into the registry's flight ring (`GET /debug/trace`).
+//! [`Server::run`] owns the thread topology: it spawns the worker pool
+//! (and, given a listener, the HTTP front end) inside one
+//! `std::thread::scope`, hands the caller an in-process [`Client`], and
+//! on return of the caller's closure initiates shutdown and drains —
+//! every admitted request is answered before `run` returns.
 //!
 //! ```
 //! use lddp_serve::{BackendSolve, ServeConfig, Server, SolveBackend, SolveRequest};
@@ -344,8 +346,10 @@ struct TenantBucket {
 }
 
 impl<'a> Server<'a> {
-    /// A server wired to `backend` and `sink` (pass
-    /// [`NullSink`](lddp_trace::NullSink) for untraced serving).
+    /// A server wired to `backend`. `sink` is handed on to every
+    /// backend call and the server records nothing into it (pass
+    /// [`NullSink`](lddp_trace::NullSink)); the server's own events go
+    /// to its registry.
     pub fn new(
         config: ServeConfig,
         backend: &'a (dyn SolveBackend + 'a),
@@ -486,8 +490,8 @@ impl<'a> Server<'a> {
     }
 
     /// Feeds the ladder one queue-fill observation, publishing the new
-    /// level and recording any transition in the stats, the flight
-    /// recorder, and the trace sink.
+    /// level and recording any transition in the stats and the flight
+    /// ring.
     fn observe_pressure(&self) {
         let fill = self.queue.fill();
         let transition = {
@@ -504,18 +508,16 @@ impl<'a> Server<'a> {
             } else {
                 self.stats.brownout_disengaged.inc();
             }
-            let span = Span::new(
-                catalog::SPAN_BROWNOUT,
-                tracks::SERVE_QUEUE,
-                self.since_epoch(Instant::now()),
-                0.0,
-            )
-            .with_arg("from", t.from as u64)
-            .with_arg("to", t.to as u64);
-            self.live.flight().record_span(span.clone());
-            if self.sink.enabled() {
-                self.sink.span(span);
-            }
+            self.live.span(
+                Span::new(
+                    catalog::SPAN_BROWNOUT,
+                    tracks::SERVE_QUEUE,
+                    self.since_epoch(Instant::now()),
+                    0.0,
+                )
+                .with_arg("from", t.from as u64)
+                .with_arg("to", t.to as u64),
+            );
         }
     }
 
@@ -596,16 +598,10 @@ impl<'a> Server<'a> {
     ) -> Result<(String, mpsc::Receiver<Result<SolveResponse, ServeError>>), RejectReason> {
         if let Err(msg) = self.backend.validate(&req) {
             self.stats.rejected_invalid.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_INVALID, 1);
-            }
             return Err(RejectReason::Invalid(msg));
         }
         if let Err(wait) = self.breaker.allow() {
             self.stats.rejected_breaker.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_BREAKER, 1);
-            }
             return Err(RejectReason::BreakerOpen {
                 retry_after_s: wait.as_secs().max(1),
             });
@@ -630,9 +626,6 @@ impl<'a> Server<'a> {
         }
         if let Err(retry_after_s) = self.check_tenant_quota(&req.tenant) {
             self.stats.rejected_tenant.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_TENANT, 1);
-            }
             self.tenant_outcome(&req.tenant, "rejected");
             return Err(RejectReason::TenantQuota {
                 tenant: req.tenant.clone(),
@@ -663,9 +656,6 @@ impl<'a> Server<'a> {
                 if estimate.is_finite() && estimate > deadline_ms as f64 {
                     self.stats.rejected_infeasible.inc();
                     self.stats.class_shed[class].inc();
-                    if self.sink.enabled() {
-                        self.sink.count(catalog::CTR_REJECTED_INFEASIBLE, 1);
-                    }
                     self.tenant_outcome(&req.tenant, "rejected");
                     return Err(RejectReason::DeadlineInfeasible {
                         estimate_ms: estimate.ceil() as u64,
@@ -680,9 +670,6 @@ impl<'a> Server<'a> {
         if level >= 1 && req.priority == Priority::Batch {
             self.stats.rejected_brownout.inc();
             self.stats.class_shed[class].inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_BROWNOUT, 1);
-            }
             self.tenant_outcome(&req.tenant, "rejected");
             self.observe_pressure();
             return Err(RejectReason::BrownoutShed {
@@ -709,33 +696,24 @@ impl<'a> Server<'a> {
                 self.stats.accepted.inc();
                 self.stats.class_accepted[class].inc();
                 self.tenant_outcome(&tenant, "accepted");
-                if self.sink.enabled() {
-                    self.sink.count(catalog::CTR_ACCEPTED, 1);
-                    self.sink.sample(
-                        tracks::SERVE_QUEUE,
-                        catalog::SMP_QUEUE_DEPTH,
-                        self.since_epoch(now),
-                        depth as f64,
-                    );
-                }
+                self.live.sample(
+                    tracks::SERVE_QUEUE,
+                    catalog::SMP_QUEUE_DEPTH,
+                    self.since_epoch(now),
+                    depth as f64,
+                );
                 Ok((format!("{trace_id:016x}"), rx))
             }
             Err((_job, reason)) => {
-                let (counter, name) = match &reason {
+                let counter = match &reason {
                     RejectReason::QueueFull { .. } => {
                         self.stats.class_shed[class].inc();
-                        (&self.stats.rejected_full, catalog::CTR_REJECTED_FULL)
+                        &self.stats.rejected_full
                     }
-                    _ => (
-                        &self.stats.rejected_shutdown,
-                        catalog::CTR_REJECTED_SHUTDOWN,
-                    ),
+                    _ => &self.stats.rejected_shutdown,
                 };
                 counter.inc();
                 self.tenant_outcome(&tenant, "rejected");
-                if self.sink.enabled() {
-                    self.sink.count(name, 1);
-                }
                 Err(reason)
             }
         };
@@ -784,9 +762,6 @@ impl<'a> Server<'a> {
                 let waited = job.enqueued.elapsed();
                 self.stats.rejected_deadline.inc();
                 self.stats.class_shed[job.req.priority.index()].inc();
-                if self.sink.enabled() {
-                    self.sink.count(catalog::CTR_REJECTED_DEADLINE, 1);
-                }
                 let reason = RejectReason::DeadlineExceeded {
                     waited_ms: waited.as_millis() as u64,
                     deadline_ms: job.req.deadline_ms.unwrap_or(0),
@@ -819,9 +794,6 @@ impl<'a> Server<'a> {
     fn record_backend_failure(&self) {
         if self.breaker.record_failure() {
             self.stats.breaker_opens.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_BREAKER_OPEN, 1);
-            }
         }
     }
 
@@ -850,17 +822,10 @@ impl<'a> Server<'a> {
             .with_arg("id", job.id)
             .with_arg("trace_id", format!("{:016x}", job.trace_id))
             .with_arg("problem", job.req.problem.clone());
-            self.live.flight().record_span(wait_span.clone());
-            if sink.enabled() {
-                sink.span(wait_span);
-                sink.observe(catalog::HIST_QUEUE_WAIT, waited.as_secs_f64());
-            }
+            self.live.span(wait_span);
             if job.deadline.is_some_and(|d| picked_up > d) {
                 self.stats.rejected_deadline.inc();
                 self.stats.class_shed[job.req.priority.index()].inc();
-                if sink.enabled() {
-                    sink.count(catalog::CTR_REJECTED_DEADLINE, 1);
-                }
                 let reason = RejectReason::DeadlineExceeded {
                     waited_ms: waited.as_millis() as u64,
                     deadline_ms: job.req.deadline_ms.unwrap_or(0),
@@ -879,10 +844,6 @@ impl<'a> Server<'a> {
         self.stats.batches.inc();
         self.stats.batched_jobs.add(batch_size as u64);
         self.stats.batch_size.observe(batch_size as f64);
-        if sink.enabled() {
-            sink.count(catalog::CTR_BATCHES, 1);
-            sink.observe(catalog::HIST_BATCH_SIZE, batch_size as f64);
-        }
 
         // Brownout level ≥ 3: force the rolling (wave-band) memory
         // mode onto batch-class solves that support it — smaller
@@ -918,9 +879,6 @@ impl<'a> Server<'a> {
             Ok(Err(msg)) => {
                 self.record_backend_failure();
                 self.stats.errors.add(batch_size as u64);
-                if sink.enabled() {
-                    sink.count(catalog::CTR_ERRORS, batch_size as u64);
-                }
                 for (job, _) in live {
                     self.finish_job(job, Err(ServeError::Backend(msg.clone())));
                 }
@@ -930,9 +888,6 @@ impl<'a> Server<'a> {
                 let msg = panic_text(payload.as_ref());
                 self.record_backend_failure();
                 self.stats.panics.add(batch_size as u64);
-                if sink.enabled() {
-                    sink.count(catalog::CTR_PANICS, batch_size as u64);
-                }
                 for (job, _) in live {
                     self.finish_job(job, Err(ServeError::Panicked(msg.clone())));
                 }
@@ -957,18 +912,7 @@ impl<'a> Server<'a> {
         if let Some(placement) = &plan.placement {
             tune_span = tune_span.with_arg("placed_on", placement.clone());
         }
-        self.live.flight().record_span(tune_span.clone());
-        if sink.enabled() {
-            sink.span(tune_span);
-            sink.count(
-                if cache_hit {
-                    catalog::CTR_TUNE_HIT
-                } else {
-                    catalog::CTR_TUNE_MISS
-                },
-                1,
-            );
-        }
+        self.live.span(tune_span);
 
         for (mut job, waited) in live {
             let solve_start = Instant::now();
@@ -1010,20 +954,18 @@ impl<'a> Server<'a> {
             }));
             let solve_end = Instant::now();
             let solve = solve_end.duration_since(solve_start);
-            let solve_span = Span::new(
-                catalog::SPAN_SOLVE,
-                lane,
-                self.since_epoch(solve_start),
-                solve.as_secs_f64(),
-            )
-            .with_arg("id", job.id)
-            .with_arg("trace_id", format!("{:016x}", job.trace_id))
-            .with_arg("problem", job.req.problem.clone())
-            .with_arg("n", job.req.n);
-            self.live.flight().record_span(solve_span.clone());
-            if sink.enabled() {
-                sink.span(solve_span);
-            }
+            self.live.span(
+                Span::new(
+                    catalog::SPAN_SOLVE,
+                    lane,
+                    self.since_epoch(solve_start),
+                    solve.as_secs_f64(),
+                )
+                .with_arg("id", job.id)
+                .with_arg("trace_id", format!("{:016x}", job.trace_id))
+                .with_arg("problem", job.req.problem.clone())
+                .with_arg("n", job.req.n),
+            );
             let elapsed_ms = solve.as_millis() as u64;
             let overran = self
                 .config
@@ -1037,9 +979,6 @@ impl<'a> Server<'a> {
                     // as unhealthy as a failing one.
                     self.record_backend_failure();
                     self.stats.watchdog_timeouts.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_WATCHDOG, 1);
-                    }
                     let err = ServeError::WatchdogTimeout {
                         elapsed_ms,
                         watchdog_ms: self.config.watchdog_ms.unwrap_or(0),
@@ -1055,9 +994,6 @@ impl<'a> Server<'a> {
                     self.stats.class_latency_s[class].observe(total.as_secs_f64());
                     if !done.degraded.is_empty() {
                         self.stats.degraded_solves.inc();
-                        if sink.enabled() {
-                            sink.count(catalog::CTR_DEGRADED, 1);
-                        }
                     }
                     self.stats.record_latency(
                         total.as_secs_f64() * 1e3,
@@ -1078,20 +1014,13 @@ impl<'a> Server<'a> {
                             "End-to-end latency (admission to answer) by problem, seconds.",
                         )
                         .observe(total.as_secs_f64());
-                    let (tier_ctr, tier_name) = match done.tier {
-                        ExecTier::Scalar => (&self.stats.tier_scalar, catalog::CTR_TIER_SCALAR),
-                        ExecTier::Bulk => (&self.stats.tier_bulk, catalog::CTR_TIER_BULK),
-                        ExecTier::Simd => (&self.stats.tier_simd, catalog::CTR_TIER_SIMD),
-                        ExecTier::BitParallel => {
-                            (&self.stats.tier_bitparallel, catalog::CTR_TIER_BITPARALLEL)
-                        }
-                    };
-                    tier_ctr.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_COMPLETED, 1);
-                        sink.count(tier_name, 1);
-                        sink.observe(catalog::HIST_LATENCY, total.as_secs_f64());
+                    match done.tier {
+                        ExecTier::Scalar => &self.stats.tier_scalar,
+                        ExecTier::Bulk => &self.stats.tier_bulk,
+                        ExecTier::Simd => &self.stats.tier_simd,
+                        ExecTier::BitParallel => &self.stats.tier_bitparallel,
                     }
+                    .inc();
                     let resp = SolveResponse {
                         id: job.id,
                         problem: job.req.problem.clone(),
@@ -1122,37 +1051,28 @@ impl<'a> Server<'a> {
                 Ok(Err(msg)) => {
                     self.record_backend_failure();
                     self.stats.errors.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_ERRORS, 1);
-                    }
                     self.finish_job(job, Err(ServeError::Backend(msg)));
                 }
                 Err(payload) => {
                     let msg = panic_text(payload.as_ref());
                     self.record_backend_failure();
                     self.stats.panics.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_PANICS, 1);
-                    }
                     self.finish_job(job, Err(ServeError::Panicked(msg)));
                 }
             }
         }
 
-        let batch_end = Instant::now();
-        let batch_span = Span::new(
-            catalog::SPAN_BATCH,
-            lane,
-            self.since_epoch(picked_up),
-            batch_end.duration_since(picked_up).as_secs_f64(),
-        )
-        .with_arg("batch", batch_size)
-        .with_arg("key", key.label())
-        .with_arg("cache_hit", if cache_hit { "true" } else { "false" });
-        self.live.flight().record_span(batch_span.clone());
-        if sink.enabled() {
-            sink.span(batch_span);
-        }
+        self.live.span(
+            Span::new(
+                catalog::SPAN_BATCH,
+                lane,
+                self.since_epoch(picked_up),
+                picked_up.elapsed().as_secs_f64(),
+            )
+            .with_arg("batch", batch_size)
+            .with_arg("key", key.label())
+            .with_arg("cache_hit", if cache_hit { "true" } else { "false" }),
+        );
     }
 
     // ---- HTTP front end --------------------------------------------

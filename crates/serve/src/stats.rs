@@ -2,9 +2,10 @@
 //!
 //! Counters are sharded lock-free atomics and latency distributions are
 //! log-linear [`HistogramSketch`]es — O(1) memory in request count, so
-//! a long-lived server never grows, and the same objects double as the
-//! `/metrics` series when the stats are built from a [`LiveRegistry`]
-//! (one source of truth; `/stats` and `/metrics` can never disagree).
+//! a long-lived server never grows. Every instrument is a
+//! [`LiveRegistry`] series, so the same objects are the `/metrics`
+//! exposition (one source of truth; `/stats` and `/metrics` can never
+//! disagree).
 
 use lddp_trace::json::num;
 use lddp_trace::live::{Counter, HistogramSketch, LiveRegistry};
@@ -30,13 +31,9 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Live counters and latency sketches of one server.
-///
-/// Every instrument is an `Arc` handle; [`ServeStats::new`] creates
-/// standalone instruments (tests, embedded servers without a scrape
-/// endpoint), while [`ServeStats::with_registry`] registers the same
-/// instruments under their `/metrics` family names so one increment
-/// feeds both `/stats` and the Prometheus exposition.
+/// Live counters and latency sketches of one server: `Arc` handles on
+/// registry series, so one increment feeds both `/stats` and the
+/// Prometheus exposition.
 #[derive(Debug)]
 pub struct ServeStats {
     pub(crate) accepted: Arc<Counter>,
@@ -93,58 +90,7 @@ pub struct ServeStats {
     pub(crate) class_latency_s: [Arc<HistogramSketch>; 2],
 }
 
-impl Default for ServeStats {
-    fn default() -> ServeStats {
-        ServeStats::new()
-    }
-}
-
 impl ServeStats {
-    /// Fresh zeroed stats on standalone instruments.
-    pub fn new() -> ServeStats {
-        ServeStats {
-            accepted: Arc::new(Counter::new()),
-            completed: Arc::new(Counter::new()),
-            errors: Arc::new(Counter::new()),
-            rejected_full: Arc::new(Counter::new()),
-            rejected_shutdown: Arc::new(Counter::new()),
-            rejected_deadline: Arc::new(Counter::new()),
-            rejected_invalid: Arc::new(Counter::new()),
-            rejected_breaker: Arc::new(Counter::new()),
-            rejected_infeasible: Arc::new(Counter::new()),
-            rejected_tenant: Arc::new(Counter::new()),
-            rejected_brownout: Arc::new(Counter::new()),
-            panics: Arc::new(Counter::new()),
-            watchdog_timeouts: Arc::new(Counter::new()),
-            breaker_opens: Arc::new(Counter::new()),
-            degraded_solves: Arc::new(Counter::new()),
-            batches: Arc::new(Counter::new()),
-            batched_jobs: Arc::new(Counter::new()),
-            tune_hits: Arc::new(Counter::new()),
-            tune_misses: Arc::new(Counter::new()),
-            tier_scalar: Arc::new(Counter::new()),
-            tier_bulk: Arc::new(Counter::new()),
-            tier_simd: Arc::new(Counter::new()),
-            tier_bitparallel: Arc::new(Counter::new()),
-            class_accepted: [Arc::new(Counter::new()), Arc::new(Counter::new())],
-            class_completed: [Arc::new(Counter::new()), Arc::new(Counter::new())],
-            class_shed: [Arc::new(Counter::new()), Arc::new(Counter::new())],
-            brownout_engaged: Arc::new(Counter::new()),
-            brownout_disengaged: Arc::new(Counter::new()),
-            stream_bands: Arc::new(Counter::new()),
-            stream_stalls: Arc::new(Counter::new()),
-            stream_ttfb_s: Arc::new(HistogramSketch::new()),
-            batch_size: Arc::new(HistogramSketch::new()),
-            total_s: Arc::new(HistogramSketch::new()),
-            queue_s: Arc::new(HistogramSketch::new()),
-            solve_s: Arc::new(HistogramSketch::new()),
-            class_latency_s: [
-                Arc::new(HistogramSketch::new()),
-                Arc::new(HistogramSketch::new()),
-            ],
-        }
-    }
-
     /// Stats whose instruments live in `registry` under their
     /// `/metrics` family names, so the Prometheus exposition and the
     /// `/stats` JSON report the same numbers.
@@ -572,7 +518,7 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_parseable_json() {
-        let stats = ServeStats::new();
+        let stats = ServeStats::with_registry(&LiveRegistry::new());
         stats.accepted.add(3);
         stats.completed.add(2);
         stats.rejected_full.add(1);
@@ -645,7 +591,7 @@ mod tests {
     #[test]
     fn latency_sketch_is_bounded_and_accurate() {
         use lddp_trace::live::SKETCH_RELATIVE_ERROR;
-        let stats = ServeStats::new();
+        let stats = ServeStats::with_registry(&LiveRegistry::new());
         let n = 200_000u64;
         for i in 1..=n {
             // 1 µs … 200 ms, uniform in index.

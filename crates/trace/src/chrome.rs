@@ -141,17 +141,18 @@ pub fn to_chrome_json(data: &TraceData) -> String {
 mod tests {
     use super::*;
     use crate::json::{self, Json};
-    use crate::{tracks, Recorder, TraceSink};
+    use crate::live::LiveRegistry;
+    use crate::{tracks, TraceSink};
 
     fn sample_data() -> TraceData {
-        let rec = Recorder::new();
+        let rec = LiveRegistry::new();
         rec.span(Span::new("phase", tracks::SCHEDULE, 0.0, 3.0).with_arg("kind", "Shared"));
         rec.span(Span::new("wave", tracks::CPU, 0.0, 1.0).with_arg("cells", 128usize));
         rec.span(Span::new("wave", tracks::GPU, 1.0, 2.0));
         rec.span(Span::new("copy", tracks::LINK, 1.0, 0.5).with_arg("bytes", 4096u64));
         rec.instant(InstantEvent::new("tune", tracks::TUNER, 0.0).with_arg("t_switch", 8usize));
         rec.sample(tracks::LINK, "bytes_to_gpu", 1.5, 4096.0);
-        rec.snapshot()
+        rec.flight().snapshot_since(f64::NEG_INFINITY)
     }
 
     #[test]
@@ -216,9 +217,9 @@ mod tests {
 
     #[test]
     fn names_are_escaped() {
-        let rec = Recorder::new();
+        let rec = LiveRegistry::new();
         rec.span(Span::new("a\"b\\c", tracks::CPU, 0.0, 1.0).with_arg("s", "x\ny"));
-        let text = to_chrome_json(&rec.snapshot());
+        let text = to_chrome_json(&rec.flight().snapshot_since(f64::NEG_INFINITY));
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let span = events

@@ -1,17 +1,20 @@
 //! # lddp-trace
 //!
 //! Zero-dependency structured tracing for the LDDP engines: spans,
-//! instant events, monotonic counters and fixed-bucket histograms
-//! recorded through a cheap [`TraceSink`] trait, plus two exporters —
-//! Chrome trace-event JSON ([`chrome`], loadable in Perfetto or
-//! `chrome://tracing`) and a flat JSON-lines metrics dump ([`metrics`]).
+//! instant events, counter samples, monotonic counters and histograms
+//! recorded through a cheap [`TraceSink`] trait, collected by the
+//! [`live::LiveRegistry`] and exported as Chrome trace-event JSON
+//! ([`chrome`], loadable in Perfetto or `chrome://tracing`) and
+//! Prometheus text ([`live::LiveRegistry::to_prometheus`]).
 //!
 //! The design constraint is that *disabled* tracing must cost nothing:
 //! every instrumentation site checks [`TraceSink::enabled`] once and
 //! takes the untraced path when it returns `false`, so the no-op
 //! [`NullSink`] compiles down to a branch that never fires. The
-//! collecting [`Recorder`] keeps everything in memory until an exporter
-//! serializes a [`TraceData`] snapshot.
+//! registry is the one collector: timeline events go to its flight
+//! ring, counts and observations to its named counter and sketch
+//! families. An offline run gives the ring an unbounded capacity and
+//! keeps every event.
 //!
 //! Timestamps are plain `f64` seconds on whatever clock the emitter
 //! uses: the discrete-event simulator feeds *model* time, the thread
@@ -20,14 +23,16 @@
 //! [`tracks`]).
 //!
 //! ```
-//! use lddp_trace::{Recorder, Span, TraceSink, tracks};
+//! use lddp_trace::live::LiveRegistry;
+//! use lddp_trace::{Span, TraceSink, tracks};
 //!
-//! let rec = Recorder::new();
-//! rec.span(Span::new("wave", tracks::CPU, 0.0, 1e-3).with_arg("cells", 4096u64));
-//! rec.count("waves", 1);
-//! rec.observe("wave_span_s", 1e-3);
-//! let json = lddp_trace::chrome::to_chrome_json(&rec.snapshot());
+//! let reg = LiveRegistry::with_flight_capacity(usize::MAX);
+//! reg.span(Span::new("wave", tracks::CPU, 0.0, 1e-3).with_arg("cells", 4096u64));
+//! reg.count("lddp_example_waves_total", 1);
+//! reg.observe("lddp_example_wave_span_seconds", 1e-3);
+//! let json = lddp_trace::chrome::to_chrome_json(&reg.flight().snapshot_since(f64::NEG_INFINITY));
 //! assert!(json.contains("\"ph\":\"X\""));
+//! assert!(reg.to_prometheus().contains("lddp_example_waves_total 1\n"));
 //! ```
 
 #![warn(missing_docs)]
@@ -35,10 +40,6 @@
 pub mod chrome;
 pub mod json;
 pub mod live;
-pub mod metrics;
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Coordinates of a timeline lane: `pid` is the exported "process"
 /// (one per modelled engine), `tid` the lane within it.
@@ -110,9 +111,11 @@ pub mod tracks {
     }
 }
 
-/// The serve subsystem's span/counter catalog: every name `lddp-serve`
-/// emits, as constants, so dashboards and tests don't drift from the
-/// instrumentation sites (see `docs/SERVING.md` for semantics).
+/// The serve subsystem's timeline names: every span and sample series
+/// `lddp-serve` records into the flight ring, as constants, so
+/// dashboards and tests don't drift from the instrumentation sites.
+/// Its counts and histograms are `/metrics` families (see
+/// `docs/OBSERVABILITY.md`).
 pub mod catalog {
     /// Span: request sat in the admission queue (queue lane; args:
     /// `id`, `problem`).
@@ -126,65 +129,11 @@ pub mod catalog {
     /// Span: the once-per-batch parameter resolution (tuner-cache
     /// lookup or sweep) on a worker lane (args: `key`, `cache_hit`).
     pub const SPAN_TUNE: &str = "serve.tune";
-    /// Counter: requests admitted into the queue.
-    pub const CTR_ACCEPTED: &str = "serve.accepted";
-    /// Counter: requests rejected because the queue was full.
-    pub const CTR_REJECTED_FULL: &str = "serve.rejected.queue_full";
-    /// Counter: requests rejected because the server was draining.
-    pub const CTR_REJECTED_SHUTDOWN: &str = "serve.rejected.shutting_down";
-    /// Counter: requests dropped because their deadline expired queued.
-    pub const CTR_REJECTED_DEADLINE: &str = "serve.rejected.deadline";
-    /// Counter: requests rejected as invalid at admission.
-    pub const CTR_REJECTED_INVALID: &str = "serve.rejected.invalid";
-    /// Counter: requests completed successfully.
-    pub const CTR_COMPLETED: &str = "serve.completed";
-    /// Counter: requests that failed in the backend.
-    pub const CTR_ERRORS: &str = "serve.errors";
-    /// Counter: batches executed.
-    pub const CTR_BATCHES: &str = "serve.batches";
-    /// Counter: tuner-cache hits (one per batch).
-    pub const CTR_TUNE_HIT: &str = "serve.tuner_cache.hit";
-    /// Counter: tuner-cache misses (a fresh tune ran).
-    pub const CTR_TUNE_MISS: &str = "serve.tuner_cache.miss";
-    /// Counter: requests rejected because the circuit breaker was open.
-    pub const CTR_REJECTED_BREAKER: &str = "serve.rejected.breaker_open";
-    /// Counter: backend panics caught and isolated (request got a 500,
-    /// the worker survived).
-    pub const CTR_PANICS: &str = "serve.panics";
-    /// Counter: solves whose answer was withheld because they blew the
-    /// watchdog budget.
-    pub const CTR_WATCHDOG: &str = "serve.watchdog_timeouts";
-    /// Counter: circuit-breaker trips (closed/half-open → open).
-    pub const CTR_BREAKER_OPEN: &str = "serve.breaker.opens";
-    /// Counter: solves that succeeded only after degradation (see
-    /// `docs/ROBUSTNESS.md` for the ladder).
-    pub const CTR_DEGRADED: &str = "serve.degraded";
-    /// Counter: solves executed on the scalar cell-at-a-time tier.
-    pub const CTR_TIER_SCALAR: &str = "serve.tier.scalar";
-    /// Counter: solves executed on the bulk run-at-a-time tier.
-    pub const CTR_TIER_BULK: &str = "serve.tier.bulk";
-    /// Counter: solves executed on the SIMD lane tier.
-    pub const CTR_TIER_SIMD: &str = "serve.tier.simd";
-    /// Counter: solves executed on the bit-parallel tier.
-    pub const CTR_TIER_BITPARALLEL: &str = "serve.tier.bitparallel";
-    /// Sample series: queue depth after each admission/dequeue.
-    pub const SMP_QUEUE_DEPTH: &str = "serve.queue_depth";
-    /// Histogram: end-to-end request latency, seconds.
-    pub const HIST_LATENCY: &str = "serve.latency_s";
-    /// Histogram: time spent waiting in the queue, seconds.
-    pub const HIST_QUEUE_WAIT: &str = "serve.queue_wait_s";
-    /// Histogram: jobs per executed batch.
-    pub const HIST_BATCH_SIZE: &str = "serve.batch_size";
-    /// Counter: requests rejected up front because the §IV estimate
-    /// cannot meet their deadline.
-    pub const CTR_REJECTED_INFEASIBLE: &str = "serve.rejected.deadline_infeasible";
-    /// Counter: requests rejected because the tenant was over quota.
-    pub const CTR_REJECTED_TENANT: &str = "serve.rejected.tenant_quota";
-    /// Counter: batch-class requests shed by the brownout ladder.
-    pub const CTR_REJECTED_BROWNOUT: &str = "serve.rejected.brownout_shed";
     /// Span (zero-duration marker): one brownout-ladder level
     /// transition on the queue lane (args: `from`, `to`).
     pub const SPAN_BROWNOUT: &str = "serve.brownout";
+    /// Sample series: queue depth after each admission.
+    pub const SMP_QUEUE_DEPTH: &str = "serve.queue_depth";
 }
 
 /// A typed span/instant argument value.
@@ -309,96 +258,6 @@ pub struct CounterSample {
     pub value: f64,
 }
 
-/// A fixed-bucket histogram: `bounds[i]` is the inclusive upper bound
-/// of bucket `i`; one overflow bucket catches the rest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Inclusive upper bounds, strictly increasing.
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts; `counts.len() == bounds.len() + 1`.
-    pub counts: Vec<u64>,
-    /// Sum of all recorded values.
-    pub sum: f64,
-    /// Number of recorded values.
-    pub count: u64,
-}
-
-impl Histogram {
-    /// A histogram with the given (strictly increasing) upper bounds.
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let counts = vec![0; bounds.len() + 1];
-        Histogram {
-            bounds,
-            counts,
-            sum: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Exponential bounds `start, start*factor, …` (`count` of them).
-    pub fn exponential(start: f64, factor: f64, count: usize) -> Self {
-        let mut bounds = Vec::with_capacity(count);
-        let mut b = start;
-        for _ in 0..count {
-            bounds.push(b);
-            b *= factor;
-        }
-        Histogram::with_bounds(bounds)
-    }
-
-    /// The default latency histogram: 1 ns … ≈17 s, factor 4.
-    pub fn default_seconds() -> Self {
-        Histogram::exponential(1e-9, 4.0, 18)
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Estimated `q`-quantile (`q` clamped to 0..=1) from the bucket
-    /// counts: the inclusive upper bound of the bucket holding the
-    /// rank. Overflow-bucket ranks report the last finite bound (the
-    /// histogram does not track an exact max). Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = if q.is_finite() {
-            q.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let bound_idx = idx.min(self.bounds.len().saturating_sub(1));
-                return self.bounds.get(bound_idx).copied().unwrap_or(0.0);
-            }
-        }
-        self.bounds.last().copied().unwrap_or(0.0)
-    }
-}
-
 /// The cheap recording interface every engine emits through.
 ///
 /// All methods take `&self` so one sink can be shared across call
@@ -446,7 +305,8 @@ impl TraceSink for NullSink {
     fn observe(&self, _name: &str, _value: f64) {}
 }
 
-/// Everything a [`Recorder`] collected, ready for an exporter.
+/// A window of timeline events, ready for an exporter: what
+/// [`live::FlightRecorder::snapshot_since`] hands out.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceData {
     /// Spans in emission order.
@@ -455,10 +315,6 @@ pub struct TraceData {
     pub instants: Vec<InstantEvent>,
     /// Counter samples in emission order.
     pub samples: Vec<CounterSample>,
-    /// Monotonic counters, by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histograms, by name.
-    pub histograms: BTreeMap<String, Histogram>,
 }
 
 impl TraceData {
@@ -477,86 +333,6 @@ impl TraceData {
     }
 }
 
-#[derive(Debug, Default)]
-struct RecorderInner {
-    data: TraceData,
-}
-
-/// The collecting sink: keeps every event in memory, hands out
-/// [`TraceData`] snapshots for export.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    inner: Mutex<RecorderInner>,
-}
-
-impl Recorder {
-    /// An empty recorder with default histogram bounds.
-    pub fn new() -> Self {
-        Recorder::default()
-    }
-
-    /// Pre-registers a histogram with explicit bucket bounds (otherwise
-    /// the first [`TraceSink::observe`] creates it with
-    /// [`Histogram::default_seconds`]).
-    pub fn register_histogram(&self, name: &str, bounds: Vec<f64>) {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .data
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds));
-    }
-
-    /// A deep copy of everything recorded so far.
-    pub fn snapshot(&self) -> TraceData {
-        self.inner.lock().unwrap().data.clone()
-    }
-
-    /// Consumes the recorder, returning the collected data.
-    pub fn into_data(self) -> TraceData {
-        self.inner.into_inner().unwrap().data
-    }
-}
-
-impl TraceSink for Recorder {
-    fn span(&self, span: Span) {
-        self.inner.lock().unwrap().data.spans.push(span);
-    }
-
-    fn instant(&self, event: InstantEvent) {
-        self.inner.lock().unwrap().data.instants.push(event);
-    }
-
-    fn count(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.data.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                inner.data.counters.insert(name.to_string(), delta);
-            }
-        }
-    }
-
-    fn sample(&self, track: Track, name: &str, t_s: f64, value: f64) {
-        self.inner.lock().unwrap().data.samples.push(CounterSample {
-            name: name.to_string(),
-            track,
-            t_s,
-            value,
-        });
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .data
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::default_seconds)
-            .record(value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,61 +344,6 @@ mod tests {
         NullSink.span(Span::new("x", tracks::CPU, 0.0, 1.0));
         NullSink.count("c", 3);
         NullSink.observe("h", 0.5);
-    }
-
-    #[test]
-    fn recorder_collects_everything() {
-        let rec = Recorder::new();
-        assert!(rec.enabled());
-        rec.span(Span::new("a", tracks::CPU, 0.0, 1.0).with_arg("cells", 7usize));
-        rec.span(Span::new("b", tracks::GPU, 1.0, 2.0));
-        rec.instant(InstantEvent::new("mark", tracks::TUNER, 0.5).with_arg("v", 1.5));
-        rec.count("waves", 2);
-        rec.count("waves", 3);
-        rec.sample(tracks::LINK, "bytes", 0.1, 64.0);
-        rec.observe("lat", 1e-6);
-        rec.observe("lat", 1e-3);
-        let data = rec.snapshot();
-        assert_eq!(data.spans.len(), 2);
-        assert_eq!(data.instants.len(), 1);
-        assert_eq!(data.samples.len(), 1);
-        assert_eq!(data.counters["waves"], 5);
-        let h = &data.histograms["lat"];
-        assert_eq!(h.count, 2);
-        assert!((h.mean() - (1e-6 + 1e-3) / 2.0).abs() < 1e-12);
-        assert!((data.track_busy_s(tracks::CPU) - 1.0).abs() < 1e-12);
-        assert_eq!(data.spans_named("b").count(), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::with_bounds(vec![1.0, 2.0, 4.0]);
-        for v in [0.5, 1.0, 1.5, 3.0, 100.0] {
-            h.record(v);
-        }
-        assert_eq!(h.counts, vec![2, 1, 1, 1]);
-        assert_eq!(h.count, 5);
-        // Boundary values land in the lower bucket (inclusive bound).
-        let mut h2 = Histogram::with_bounds(vec![1.0]);
-        h2.record(1.0);
-        assert_eq!(h2.counts, vec![1, 0]);
-    }
-
-    #[test]
-    fn exponential_bounds_cover_wide_range() {
-        let h = Histogram::default_seconds();
-        assert_eq!(h.bounds.len(), 18);
-        assert!(h.bounds[0] == 1e-9);
-        assert!(*h.bounds.last().unwrap() > 10.0);
-    }
-
-    #[test]
-    fn explicit_histogram_bounds_are_respected() {
-        let rec = Recorder::new();
-        rec.register_histogram("w", vec![0.1, 0.2]);
-        rec.observe("w", 0.15);
-        let data = rec.snapshot();
-        assert_eq!(data.histograms["w"].counts, vec![0, 1, 0]);
     }
 
     #[test]

@@ -1,11 +1,7 @@
-//! Live telemetry: always-on, bounded-memory instruments for a running
-//! server, as opposed to the snapshot-and-export [`Recorder`] layer.
+//! Live telemetry: the one collector every trace goes through,
+//! bounded-memory by default so a running server can keep it on.
 //!
-//! The offline layer ([`Recorder`](crate::Recorder) → [`chrome`](crate::chrome) /
-//! [`metrics`](crate::metrics)) keeps *every* event in memory until an
-//! exporter drains it — ideal for a bounded run, fatal for a server
-//! handling live traffic. This module provides the complementary live
-//! layer, all of it O(1) in request count:
+//! All of it is O(1) in request count:
 //!
 //! - [`Counter`] — a sharded monotonic `u64` counter (one cache line
 //!   per shard, relaxed atomics; increments never contend on a lock).
@@ -16,18 +12,21 @@
 //!   array keyed by the sample's binary exponent plus a linear
 //!   subdivision, so quantile estimates carry a bounded relative error
 //!   ([`SKETCH_RELATIVE_ERROR`], ≤ 3.2%) without storing samples.
-//! - [`FlightRecorder`] — a fixed-capacity ring of the most recent
-//!   spans/instants, always on, dumpable after the fact (the "what was
-//!   the server doing just before the incident" view).
+//! - [`FlightRecorder`] — a ring of the most recent spans, instants and
+//!   counter samples, always on, dumpable after the fact (the "what was
+//!   the server doing just before the incident" view). An offline run
+//!   sizes it `usize::MAX` and keeps its whole timeline.
 //! - [`LiveRegistry`] — the named-series registry tying them together,
 //!   with Prometheus text exposition ([`LiveRegistry::to_prometheus`]).
+//!   It is also a [`TraceSink`]: timeline events go to the ring, counts
+//!   and observations to the counter or sketch family of that name.
 //!
 //! The hot path is lock-free: every instrument hands out `Arc` handles,
 //! and recording through a handle touches only atomics. Registration
 //! (name → handle lookup) takes a read lock on a `BTreeMap` — callers
 //! on latency-critical paths should resolve handles once and keep them.
 
-use crate::{InstantEvent, Span, TraceData};
+use crate::{CounterSample, InstantEvent, Span, TraceData, TraceSink, Track};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -398,6 +397,8 @@ pub enum FlightEvent {
     Span(Span),
     /// An instant marker.
     Instant(InstantEvent),
+    /// One sample of a counter series (a Chrome `C` event).
+    Sample(CounterSample),
 }
 
 impl FlightEvent {
@@ -406,24 +407,26 @@ impl FlightEvent {
         match self {
             FlightEvent::Span(s) => &s.name,
             FlightEvent::Instant(e) => &e.name,
+            FlightEvent::Sample(c) => &c.name,
         }
     }
 
-    /// End time (instants end when they happen), seconds on the
-    /// emitter's clock.
+    /// End time (instants and samples end when they happen), seconds
+    /// on the emitter's clock.
     pub fn end_s(&self) -> f64 {
         match self {
             FlightEvent::Span(s) => s.end_s(),
             FlightEvent::Instant(e) => e.t_s,
+            FlightEvent::Sample(c) => c.t_s,
         }
     }
 }
 
-/// A fixed-capacity ring of the most recent spans/instants: always on,
-/// bounded memory, oldest events overwritten first. The write path
-/// takes a short mutex (spans are emitted a handful of times per
-/// request, not per cell); counters and histograms — the truly hot
-/// instruments — never touch it.
+/// A capacity-bounded ring of the most recent timeline events: always
+/// on, oldest events overwritten first, memory allocated as it fills.
+/// The write path takes a short mutex (events are emitted a handful of
+/// times per request, not per cell); counters and histograms — the
+/// truly hot instruments — never touch it.
 #[derive(Debug)]
 pub struct FlightRecorder {
     inner: Mutex<VecDeque<FlightEvent>>,
@@ -437,10 +440,11 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A ring retaining at most `capacity` events (min 1).
+    /// A ring retaining at most `capacity` events (min 1);
+    /// `usize::MAX` keeps everything.
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            inner: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
+            inner: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
         }
     }
@@ -460,22 +464,13 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    fn push(&self, event: FlightEvent) {
+    /// Records one event, dropping the oldest when the ring is full.
+    pub fn record(&self, event: FlightEvent) {
         let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == self.capacity {
             ring.pop_front();
         }
         ring.push_back(event);
-    }
-
-    /// Records a span.
-    pub fn record_span(&self, span: Span) {
-        self.push(FlightEvent::Span(span));
-    }
-
-    /// Records an instant.
-    pub fn record_instant(&self, event: InstantEvent) {
-        self.push(FlightEvent::Instant(event));
     }
 
     /// The retained events in recording order (oldest first).
@@ -501,6 +496,7 @@ impl FlightRecorder {
             match ev {
                 FlightEvent::Span(s) => data.spans.push(s.clone()),
                 FlightEvent::Instant(e) => data.instants.push(e.clone()),
+                FlightEvent::Sample(c) => data.samples.push(c.clone()),
             }
         }
         data
@@ -622,6 +618,19 @@ impl LiveRegistry {
         &self.flight
     }
 
+    /// Every histogram series as `(name{labels}, sketch)`, sorted by
+    /// family and label set.
+    pub fn histograms(&self) -> Vec<(String, Arc<HistogramSketch>)> {
+        let map = self.histograms.read().unwrap_or_else(|e| e.into_inner());
+        map.iter()
+            .map(|(k, h)| {
+                let mut name = String::new();
+                write_series_name(&mut name, &k.family, &borrow_labels(&k.labels));
+                (name, Arc::clone(h))
+            })
+            .collect()
+    }
+
     /// Renders every registered series in the Prometheus text
     /// exposition format (version 0.0.4): `# HELP` / `# TYPE` lines per
     /// family, then one sample line per series, label values escaped.
@@ -727,6 +736,37 @@ impl LiveRegistry {
     }
 }
 
+/// The registry as the one trace collector: spans, instants and
+/// counter samples go to the flight ring; `count` and `observe` go to
+/// the unlabelled counter or sketch family of that name, so emitters
+/// name them in the `/metrics` scheme (`lddp_*`).
+impl TraceSink for LiveRegistry {
+    fn span(&self, span: Span) {
+        self.flight.record(FlightEvent::Span(span));
+    }
+
+    fn instant(&self, event: InstantEvent) {
+        self.flight.record(FlightEvent::Instant(event));
+    }
+
+    fn count(&self, name: &str, delta: u64) {
+        self.counter(name, &[], "").add(delta);
+    }
+
+    fn sample(&self, track: Track, name: &str, t_s: f64, value: f64) {
+        self.flight.record(FlightEvent::Sample(CounterSample {
+            name: name.to_string(),
+            track,
+            t_s,
+            value,
+        }));
+    }
+
+    fn observe(&self, name: &str, value: f64) {
+        self.histogram(name, &[], "").observe(value);
+    }
+}
+
 fn borrow_labels(labels: &[(String, String)]) -> Vec<(&str, &str)> {
     labels
         .iter()
@@ -766,6 +806,14 @@ pub fn fmt_value(v: f64) -> String {
 
 /// Appends one `name{labels} value` exposition line to `out`.
 pub fn write_series(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
+    write_series_name(out, name, labels);
+    out.push(' ');
+    out.push_str(&fmt_value(value));
+    out.push('\n');
+}
+
+/// Appends a series name, `name{labels}`, to `out`.
+fn write_series_name(out: &mut String, name: &str, labels: &[(&str, &str)]) {
     out.push_str(name);
     if !labels.is_empty() {
         out.push('{');
@@ -780,9 +828,6 @@ pub fn write_series(out: &mut String, name: &str, labels: &[(&str, &str)], value
         }
         out.push('}');
     }
-    out.push(' ');
-    out.push_str(&fmt_value(value));
-    out.push('\n');
 }
 
 /// Appends `# HELP` / `# TYPE` lines for a family rendered outside the
@@ -942,7 +987,8 @@ mod tests {
     fn flight_ring_overwrites_oldest_first() {
         let fr = FlightRecorder::new(3);
         for i in 0..5u64 {
-            fr.record_span(Span::new(format!("s{i}"), tracks::CPU, i as f64, 0.5));
+            let span = Span::new(format!("s{i}"), tracks::CPU, i as f64, 0.5);
+            fr.record(FlightEvent::Span(span));
         }
         assert_eq!(fr.len(), 3);
         let names: Vec<String> = fr.events().iter().map(|e| e.name().to_string()).collect();
@@ -952,16 +998,74 @@ mod tests {
     #[test]
     fn flight_snapshot_filters_by_end_time() {
         let fr = FlightRecorder::new(16);
-        fr.record_span(Span::new("old", tracks::CPU, 0.0, 1.0));
-        fr.record_instant(InstantEvent::new("mark", tracks::CPU, 5.0));
-        fr.record_span(Span::new("new", tracks::CPU, 9.0, 1.0));
+        fr.record(FlightEvent::Span(Span::new("old", tracks::CPU, 0.0, 1.0)));
+        fr.record(FlightEvent::Instant(InstantEvent::new(
+            "mark",
+            tracks::CPU,
+            5.0,
+        )));
+        fr.record(FlightEvent::Sample(CounterSample {
+            name: "depth".into(),
+            track: tracks::CPU,
+            t_s: 2.0,
+            value: 3.0,
+        }));
+        fr.record(FlightEvent::Span(Span::new("new", tracks::CPU, 9.0, 1.0)));
         let all = fr.snapshot_since(f64::NEG_INFINITY);
         assert_eq!(all.spans.len(), 2);
         assert_eq!(all.instants.len(), 1);
+        assert_eq!(all.samples.len(), 1);
         let recent = fr.snapshot_since(4.0);
         assert_eq!(recent.spans.len(), 1);
         assert_eq!(recent.spans[0].name, "new");
         assert_eq!(recent.instants.len(), 1);
+        assert!(recent.samples.is_empty());
+    }
+
+    /// An unbounded ring keeps every event, past the default capacity,
+    /// without reserving that capacity up front.
+    #[test]
+    fn unbounded_ring_keeps_everything() {
+        let fr = FlightRecorder::new(usize::MAX);
+        let n = DEFAULT_FLIGHT_CAPACITY + 10;
+        for i in 0..n {
+            fr.record(FlightEvent::Span(Span::new(
+                "s",
+                tracks::CPU,
+                i as f64,
+                0.5,
+            )));
+        }
+        assert_eq!(fr.len(), n);
+        assert_eq!(fr.snapshot_since(f64::NEG_INFINITY).spans[0].start_s, 0.0);
+    }
+
+    /// The registry as a sink: timeline events land in the ring in
+    /// emission order, counts and observations in the named families.
+    #[test]
+    fn registry_sink_collects_everything() {
+        let reg = LiveRegistry::new();
+        assert!(reg.enabled());
+        reg.span(Span::new("a", tracks::CPU, 0.0, 1.0).with_arg("cells", 7usize));
+        reg.span(Span::new("b", tracks::GPU, 1.0, 2.0));
+        reg.instant(InstantEvent::new("mark", tracks::TUNER, 0.5).with_arg("v", 1.5));
+        reg.count("lddp_test_waves_total", 2);
+        reg.count("lddp_test_waves_total", 3);
+        reg.sample(tracks::LINK, "bytes", 0.1, 64.0);
+        reg.observe("lddp_test_lat_seconds", 1e-6);
+        reg.observe("lddp_test_lat_seconds", 1e-3);
+        let data = reg.flight().snapshot_since(f64::NEG_INFINITY);
+        assert_eq!(data.spans.len(), 2);
+        assert_eq!(data.instants.len(), 1);
+        assert_eq!(data.samples.len(), 1);
+        assert!((data.track_busy_s(tracks::CPU) - 1.0).abs() < 1e-12);
+        assert_eq!(data.spans_named("b").count(), 1);
+        assert_eq!(reg.counter("lddp_test_waves_total", &[], "").get(), 5);
+        let hists = reg.histograms();
+        assert_eq!(hists.len(), 1);
+        assert_eq!(hists[0].0, "lddp_test_lat_seconds");
+        assert_eq!(hists[0].1.count(), 2);
+        assert!((hists[0].1.sum() - (1e-6 + 1e-3)).abs() < 1e-12);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! # https://ui.perfetto.dev (or chrome://tracing)
 //! ```
 //!
-//! See docs/OBSERVABILITY.md for the trace model (tracks, counters,
-//! histograms) and EXPERIMENTS.md for how these traces relate to the
+//! See docs/OBSERVABILITY.md for the trace model (tracks, counter
+//! series, `/metrics` families) and EXPERIMENTS.md for how these traces relate to the
 //! paper's figures.
 
 use lddp::platforms;
 use lddp::problems::LevenshteinKernel;
-use lddp::trace::{chrome, metrics, Recorder};
+use lddp::trace::chrome;
+use lddp::trace::live::LiveRegistry;
 use lddp::workloads::random_seq;
 use lddp::Framework;
 
@@ -30,14 +31,14 @@ fn main() {
         ("hetero_low", platforms::hetero_low()),
     ] {
         let fw = Framework::new(platform).with_io_bytes(2 * n, 8);
-        let rec = Recorder::new();
-        let solution = fw.solve_traced(&kernel, None, &rec).expect("solve");
-        let data = rec.into_data();
+        let reg = LiveRegistry::with_flight_capacity(usize::MAX);
+        let solution = fw.solve_traced(&kernel, None, &reg).expect("solve");
+        let data = reg.flight().snapshot_since(f64::NEG_INFINITY);
 
         let trace_path = format!("{label}.trace.json");
         std::fs::write(&trace_path, chrome::to_chrome_json(&data)).expect("write trace");
-        let metrics_path = format!("{label}.metrics.jsonl");
-        std::fs::write(&metrics_path, metrics::to_jsonl(&data)).expect("write metrics");
+        let metrics_path = format!("{label}.metrics.prom");
+        std::fs::write(&metrics_path, reg.to_prometheus()).expect("write metrics");
 
         println!(
             "{label}: {:.3} ms virtual, t_switch={} t_share={}, {} phases",

@@ -10,7 +10,7 @@
 //! lddp-cli tune    --problem lcs --n 2048 [--refined]
 //! lddp-cli compare --problem checkerboard --n 4096 [--json]
 //! lddp-cli trace   --problem levenshtein --n 512 --out run.trace.json
-//!                  [--metrics run.metrics.jsonl]
+//!                  [--metrics run.metrics.prom]
 //! lddp-cli serve   --addr 127.0.0.1:8700 [--workers W] [--queue-cap Q]
 //!                  [--max-batch B] [--deadline-ms D] [--trace serve.trace.json]
 //!                  [--tune-cache cache.json]
@@ -50,7 +50,8 @@ use lddp_problems as problems;
 use lddp_serve::loadgen::{HttpTarget, LoadgenConfig};
 use lddp_serve::{Priority, ServeConfig, Server, SolveBackend, SolveRequest};
 use lddp_trace::json::{escape, num};
-use lddp_trace::{chrome, metrics, NullSink, Recorder, TraceSink};
+use lddp_trace::live::LiveRegistry;
+use lddp_trace::{chrome, NullSink, TraceSink};
 use std::time::{Duration, Instant};
 
 /// Parsed command line.
@@ -122,7 +123,7 @@ pub enum Command {
         params: Option<ScheduleParams>,
         /// Output path for the Chrome trace JSON.
         out: String,
-        /// Optional output path for the JSON-lines metrics dump.
+        /// Optional output path for the run's Prometheus exposition.
         metrics: Option<String>,
     },
     /// Run the batching solve server (see docs/SERVING.md).
@@ -645,7 +646,7 @@ pub fn usage() -> String {
          \x20 lddp-cli compare --problem <name> [--n N] [--platform high|low] [--json]\n\
          \x20 lddp-cli trace   --problem <name> [--n N] [--platform high|low]\n\
          \x20                  [--t-switch X] [--t-share Y]\n\
-         \x20                  [--out trace.json] [--metrics metrics.jsonl]\n\
+         \x20                  [--out trace.json] [--metrics metrics.prom]\n\
          \x20 lddp-cli serve   [--addr host:port] [--workers W] [--queue-cap Q]\n\
          \x20                  [--batch-queue-cap Q] [--tenant-rps R] [--tenant-burst B]\n\
          \x20                  [--max-batch B] [--deadline-ms D] [--watchdog-ms W]\n\
@@ -1029,11 +1030,10 @@ impl<K: Kernel> Problem<K> {
         };
         let fw = self.framework(a.n, a.platform);
         let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-        // Cached parameters may come from another instance of their
-        // bucket: legalize them for this request's `n × n`.
-        let params = a
-            .params
-            .clamped_for(class.exec_pattern, Dims::new(a.n, a.n));
+        // Legalize against the kernel's own table, the shape `Plan::new`
+        // validates, as the estimate does: cached parameters may come
+        // from another instance of their bucket.
+        let params = a.params.clamped_for(class.exec_pattern, kernel.dims());
         let mut degraded = Vec::new();
         // One device-fault draw per injected request: the modelled
         // device dying costs the request its heterogeneous speedup, not
@@ -1127,7 +1127,7 @@ impl<K: Kernel> Problem<K> {
     ) -> Result<ServedSolve, String> {
         let platform = fleet_multi_platform(a.devices);
         let dims = kernel.dims();
-        let params = a.params.clamped_for(raw, Dims::new(a.n, a.n));
+        let params = a.params.clamped_for(raw, dims);
         let boundaries = crate::fleet::split_bands(dims.cols, a.devices);
         // The plan carries one t_switch: take the strictest of the
         // per-band clamps (each band against its own rows × width).
@@ -1135,7 +1135,7 @@ impl<K: Kernel> Problem<K> {
             crate::fleet::per_band_params(params, raw, dims.rows, &boundaries, dims.cols)
                 .iter()
                 .map(|p| p.t_switch)
-                .chain(std::iter::once(params.clamped_for(raw, dims).t_switch))
+                .chain(std::iter::once(params.t_switch))
                 .min()
                 .unwrap_or(0);
         let plan = lddp_core::multi::MultiPlan::new(
@@ -1741,10 +1741,11 @@ fn summary_json(s: &RunSummary, n: usize, platform: &str, extra: &str) -> String
     )
 }
 
-/// Solves the named problem while recording a full trace, writes the
-/// Chrome trace-event JSON to `out_path` (and, optionally, the
-/// JSON-lines metrics dump to `metrics_path`), and returns a short
-/// confirmation.
+/// Solves the named problem with a registry as the sink, its ring
+/// unbounded so it keeps every event; writes the ring as Chrome
+/// trace-event JSON to `out_path` (and, optionally, the registry's
+/// Prometheus exposition to `metrics_path`), and returns a summary with
+/// the p50/p95/p99 of every histogram.
 pub fn run_trace(
     problem: &str,
     n: usize,
@@ -1753,21 +1754,30 @@ pub fn run_trace(
     out_path: &str,
     metrics_path: Option<&str>,
 ) -> Result<String, String> {
-    let rec = Recorder::new();
-    let output = run_solve_traced(problem, n, platform_name, params, &rec)?;
-    let data = rec.into_data();
-    let trace_json = chrome::to_chrome_json(&data);
-    std::fs::write(out_path, &trace_json).map_err(|e| format!("writing {out_path}: {e}"))?;
+    let reg = LiveRegistry::with_flight_capacity(usize::MAX);
+    let output = run_solve_traced(problem, n, platform_name, params, &reg)?;
+    let data = reg.flight().snapshot_since(f64::NEG_INFINITY);
+    std::fs::write(out_path, chrome::to_chrome_json(&data))
+        .map_err(|e| format!("writing {out_path}: {e}"))?;
     let mut msg = format!(
-        "{} spans, {} instants, {} counter series -> {out_path}\n\
+        "{} spans, {} instants, {} counter samples -> {out_path}\n\
          load it at https://ui.perfetto.dev or chrome://tracing\n{}",
         data.spans.len(),
         data.instants.len(),
-        data.counters.len(),
+        data.samples.len(),
         output.summary.render(),
     );
+    for (name, h) in reg.histograms() {
+        msg.push_str(&format!(
+            "\n{name}: p50 {:.3e} p95 {:.3e} p99 {:.3e} ({} samples)",
+            h.quantile(0.50),
+            h.quantile(0.95),
+            h.quantile(0.99),
+            h.count()
+        ));
+    }
     if let Some(mp) = metrics_path {
-        std::fs::write(mp, metrics::to_jsonl(&data)).map_err(|e| format!("writing {mp}: {e}"))?;
+        std::fs::write(mp, reg.to_prometheus()).map_err(|e| format!("writing {mp}: {e}"))?;
         msg.push_str(&format!("\nmetrics   : {mp}"));
     }
     Ok(msg)
@@ -1887,8 +1897,9 @@ pub fn render_compare_json(
 }
 
 /// Runs the batching solve server until `POST /shutdown` drains it,
-/// then returns the final stats snapshot (and writes the serve-run
-/// Chrome trace when `trace_out` is given). `fleet` swaps the single
+/// then returns the final stats snapshot (and, when `trace_out` is
+/// given, writes the registry's flight ring as Chrome trace JSON — the
+/// window `GET /debug/trace` serves). `fleet` swaps the single
 /// [`FrameworkBackend`](crate::serve_backend::FrameworkBackend) for
 /// the heterogeneous worker-pool fleet
 /// ([`FleetBackend`](crate::fleet_backend::FleetBackend)).
@@ -1936,11 +1947,6 @@ fn serve_with(
                 .map_err(|e| format!("loading tuner cache {path}: {e}"))?;
         }
     }
-    let recorder = trace_out.map(|_| Recorder::new());
-    let sink: &(dyn TraceSink + Sync) = match &recorder {
-        Some(r) => r,
-        None => &NullSink,
-    };
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = listener
         .local_addr()
@@ -1949,8 +1955,8 @@ fn serve_with(
     let queue_cap = config.queue_capacity;
     let max_batch = config.max_batch;
     let pools = backend.pool_health();
-    let mut server = Server::new(config, backend, sink);
-    server.attach_live(live);
+    let mut server = Server::new(config, backend, &NullSink);
+    server.attach_live(std::sync::Arc::clone(&live));
     let snapshot = server.run(Some(listener), |client| {
         println!(
             "lddp-serve listening on http://{local} (workers={workers}, queue={queue_cap}, max-batch={max_batch})"
@@ -1983,14 +1989,14 @@ fn serve_with(
             .map_err(|e| format!("writing tuner cache {path}: {e}"))?;
         msg.push_str(&format!("\ntune-cache: {} entries -> {path}", cache.len()));
     }
-    if let (Some(rec), Some(path)) = (recorder, trace_out) {
-        let data = rec.into_data();
-        let trace_json = chrome::to_chrome_json(&data);
-        std::fs::write(path, &trace_json).map_err(|e| format!("writing {path}: {e}"))?;
+    if let Some(path) = trace_out {
+        let data = live.flight().snapshot_since(f64::NEG_INFINITY);
+        std::fs::write(path, chrome::to_chrome_json(&data))
+            .map_err(|e| format!("writing {path}: {e}"))?;
         msg.push_str(&format!(
-            "\ntrace     : {} spans, {} counter series -> {path}",
+            "\ntrace     : {} spans, {} counter samples -> {path}",
             data.spans.len(),
-            data.counters.len()
+            data.samples.len()
         ));
     }
     Ok(msg)
@@ -2791,7 +2797,7 @@ mod tests {
     #[test]
     fn parse_trace_and_json_flags() {
         let cmd = parse(&argv(
-            "trace --problem lcs --n 128 --out t.json --metrics m.jsonl",
+            "trace --problem lcs --n 128 --out t.json --metrics m.prom",
         ))
         .unwrap();
         assert_eq!(
@@ -2802,7 +2808,7 @@ mod tests {
                 platform: "high".into(),
                 params: None,
                 out: "t.json".into(),
-                metrics: Some("m.jsonl".into()),
+                metrics: Some("m.prom".into()),
             }
         );
         let cmd = parse(&argv("trace --problem lcs --t-switch 8 --t-share 32")).unwrap();
@@ -2946,7 +2952,7 @@ mod tests {
     fn trace_command_writes_loadable_chrome_json() {
         let dir = std::env::temp_dir();
         let out = dir.join("lddp_cli_test.trace.json");
-        let metrics = dir.join("lddp_cli_test.metrics.jsonl");
+        let metrics = dir.join("lddp_cli_test.metrics.prom");
         // Explicit parameters that force a shared phase, so the trace
         // contains Link transfer spans (the tuner picks a CPU-only
         // schedule for small Levenshtein instances).
@@ -2960,6 +2966,7 @@ mod tests {
         )
         .unwrap();
         assert!(msg.contains("spans"));
+        assert!(msg.contains("lddp_sim_wave_span_seconds: p50 "), "{msg}");
         let text = std::fs::read_to_string(&out).unwrap();
         let v = lddp_trace::json::parse(&text).unwrap();
         let events = v.get("traceEvents").and_then(|j| j.as_arr()).unwrap();
@@ -2972,10 +2979,9 @@ mod tests {
         assert!(names.contains(&"wave"));
         assert!(names.contains(&"copy"));
         let m = std::fs::read_to_string(&metrics).unwrap();
-        assert!(m.lines().count() > 3);
-        for line in m.lines() {
-            lddp_trace::json::parse(line).unwrap();
-        }
+        let series = lddp_trace::live::parse_prometheus(&m);
+        assert!(series.contains(&("lddp_sim_waves_total".to_string(), 513.0)));
+        assert!(m.contains("# TYPE lddp_sim_wave_span_seconds histogram\n"));
 
         // A tuned trace additionally records the sweep.
         let msg = run_trace("levenshtein", 64, "high", None, out.to_str().unwrap(), None).unwrap();

@@ -290,7 +290,7 @@ impl Framework {
         kernel: &K,
         params: ScheduleParams,
     ) -> Result<Solution<K::Cell>> {
-        self.dispatch_solve(kernel, params, false, &NullSink)
+        self.dispatch_solve(kernel, params, false, &NullSink, None)
     }
 
     /// Solves functionally with explicit parameters while consulting a
@@ -308,82 +308,7 @@ impl Framework {
         params: ScheduleParams,
         injector: &dyn FaultInjector,
     ) -> Result<Solution<K::Cell>> {
-        let class = self.classify(kernel)?;
-        match class.adapter {
-            Adapter::None => {
-                self.chaos_inner(kernel, kernel, class, params, |i, j| (i, j), injector)
-            }
-            Adapter::Transpose => {
-                let t = TransposedKernel::new(kernel)?;
-                self.chaos_inner(kernel, &t, class, params, |i, j| (j, i), injector)
-            }
-            Adapter::Mirror => {
-                let cols = kernel.dims().cols;
-                let m = lddp_core::framework::MirroredKernel::new(kernel)?;
-                self.chaos_inner(
-                    kernel,
-                    &m,
-                    class,
-                    params,
-                    move |i, j| (i, cols - 1 - j),
-                    injector,
-                )
-            }
-        }
-    }
-
-    /// [`Framework::solve_chaos`]'s execution half: heterogeneous run
-    /// under injection, CPU-only rerun on a device fault, grid mapped
-    /// back into `user_kernel`'s coordinates.
-    fn chaos_inner<KU, KE>(
-        &self,
-        user_kernel: &KU,
-        exec_kernel: &KE,
-        class: Classification,
-        params: ScheduleParams,
-        to_exec: impl Fn(usize, usize) -> (usize, usize),
-        injector: &dyn FaultInjector,
-    ) -> Result<Solution<KU::Cell>>
-    where
-        KU: Kernel,
-        KE: Kernel<Cell = KU::Cell>,
-    {
-        let plan = Plan::new(
-            class.exec_pattern,
-            exec_kernel.contributing_set(),
-            exec_kernel.dims(),
-            params,
-        )?;
-        let opts = self.exec_options(true);
-        let mut degradation = Vec::new();
-        let report = match run_hetero_injected(exec_kernel, &plan, &self.platform, &opts, injector)
-        {
-            Ok(r) => r,
-            Err(lddp_core::Error::DeviceFault { .. }) => {
-                degradation.push(DegradeStep::HeteroToCpuOnly);
-                run_cpu_as(exec_kernel, class.exec_pattern, &self.platform, &opts)?
-            }
-            Err(e) => return Err(e),
-        };
-        let exec_grid = report.grid.expect("functional run returns the grid");
-        let dims = user_kernel.dims();
-        let mut grid = Grid::new(LayoutKind::RowMajor, dims);
-        for i in 0..dims.rows {
-            for j in 0..dims.cols {
-                let (ei, ej) = to_exec(i, j);
-                grid.set(i, j, exec_grid.get(ei, ej));
-            }
-        }
-        Ok(Solution {
-            grid,
-            total_s: report.total_s,
-            breakdown: report.breakdown,
-            classification: class,
-            params,
-            tier: host_tier(user_kernel),
-            phases: Vec::new(),
-            degradation,
-        })
+        self.dispatch_solve(kernel, params, false, &NullSink, Some(injector))
     }
 
     /// Tunes (when `params` is `None`) and solves with full
@@ -391,7 +316,8 @@ impl Framework {
     /// standard event set (phase/wave/transfer spans, byte counters,
     /// tuner sweep points) into `sink`, and returns per-phase stats in
     /// [`Solution::phases`]. Pass a
-    /// [`Recorder`](lddp_trace::Recorder) and export the snapshot with
+    /// [`LiveRegistry`](lddp_trace::live::LiveRegistry) with an
+    /// unbounded ring and export its snapshot with
     /// [`lddp_trace::chrome::to_chrome_json`] to get a
     /// Perfetto-loadable timeline.
     pub fn solve_traced<K: Kernel>(
@@ -404,7 +330,7 @@ impl Framework {
             Some(p) => p,
             None => self.tune_with_sink(kernel, sink)?.params,
         };
-        self.dispatch_solve(kernel, params, true, sink)
+        self.dispatch_solve(kernel, params, true, sink, None)
     }
 
     fn dispatch_solve<K: Kernel>(
@@ -413,15 +339,32 @@ impl Framework {
         params: ScheduleParams,
         record: bool,
         sink: &dyn TraceSink,
+        injector: Option<&dyn FaultInjector>,
     ) -> Result<Solution<K::Cell>> {
         let class = self.classify(kernel)?;
         match class.adapter {
-            Adapter::None => {
-                self.solve_inner(kernel, kernel, class, params, |i, j| (i, j), record, sink)
-            }
+            Adapter::None => self.solve_inner(
+                kernel,
+                kernel,
+                class,
+                params,
+                |i, j| (i, j),
+                record,
+                sink,
+                injector,
+            ),
             Adapter::Transpose => {
                 let t = TransposedKernel::new(kernel)?;
-                self.solve_inner(kernel, &t, class, params, |i, j| (j, i), record, sink)
+                self.solve_inner(
+                    kernel,
+                    &t,
+                    class,
+                    params,
+                    |i, j| (j, i),
+                    record,
+                    sink,
+                    injector,
+                )
             }
             Adapter::Mirror => {
                 let cols = kernel.dims().cols;
@@ -434,13 +377,17 @@ impl Framework {
                     move |i, j| (i, cols - 1 - j),
                     record,
                     sink,
+                    injector,
                 )
             }
         }
     }
 
     /// Runs `exec_kernel` heterogeneously and maps the grid back into
-    /// `user_kernel`'s coordinates via `to_exec`.
+    /// `user_kernel`'s coordinates via `to_exec` — the one functional
+    /// solve body. With `record`, the timeline goes into `sink` and
+    /// per-phase stats into the solution; under an `injector`, a device
+    /// fault reruns the instance on the modelled CPU alone.
     #[allow(clippy::too_many_arguments)]
     fn solve_inner<KU, KE>(
         &self,
@@ -451,6 +398,7 @@ impl Framework {
         to_exec: impl Fn(usize, usize) -> (usize, usize),
         record: bool,
         sink: &dyn TraceSink,
+        injector: Option<&dyn FaultInjector>,
     ) -> Result<Solution<KU::Cell>>
     where
         KU: Kernel,
@@ -464,7 +412,18 @@ impl Framework {
         )?;
         let mut opts = self.exec_options(true);
         opts.record_timeline = record;
-        let report = run_hetero(exec_kernel, &plan, &self.platform, &opts)?;
+        let mut degradation = Vec::new();
+        let report = match injector {
+            Some(inj) => run_hetero_injected(exec_kernel, &plan, &self.platform, &opts, inj),
+            None => run_hetero(exec_kernel, &plan, &self.platform, &opts),
+        };
+        let report = match report {
+            Err(lddp_core::Error::DeviceFault { .. }) => {
+                degradation.push(DegradeStep::HeteroToCpuOnly);
+                run_cpu_as(exec_kernel, class.exec_pattern, &self.platform, &opts)?
+            }
+            r => r?,
+        };
         let phases = if record {
             hetero_sim::trace::record_run(
                 sink,
@@ -493,7 +452,7 @@ impl Framework {
             params,
             tier: host_tier(user_kernel),
             phases,
-            degradation: Vec::new(),
+            degradation,
         })
     }
 

@@ -366,7 +366,8 @@ mod tests {
     fn solve_clamps_cached_params_for_smaller_instances() {
         let b = FrameworkBackend::new();
         // Deliberately illegal for n=32: t_switch far beyond the wave
-        // count. The backend must clamp instead of erroring.
+        // count. The backend must clamp instead of erroring — against
+        // the kernel's 33 × 33 table: half of its 65 waves, 33 columns.
         let solved = b
             .solve(
                 &SolveRequest::new("lcs", 32),
@@ -374,9 +375,32 @@ mod tests {
                 &NullSink,
             )
             .unwrap();
-        assert!(solved.params.t_switch <= 63);
-        assert!(solved.params.t_share <= 32);
+        assert_eq!(solved.params, ScheduleParams::new(32, 33));
         assert!(!solved.answer.is_empty());
+    }
+
+    /// Admission and placement estimate a request with the parameters
+    /// it is solved and reported with: both legalize against the
+    /// kernel's own table, (n + 1) × (n + 1) for lcs.
+    #[test]
+    fn estimate_and_solve_legalize_params_against_the_same_table() {
+        let b = FrameworkBackend::new();
+        let params = ScheduleParams::new(96, 97);
+        let solved = b
+            .solve(
+                &SolveRequest::new("lcs", 96),
+                TunedConfig::new(params, ExecTier::Bulk),
+                &NullSink,
+            )
+            .unwrap();
+        let pattern = crate::cli::classify_problem("lcs", 96).unwrap();
+        assert_eq!(
+            solved.params,
+            params.clamped_for(pattern, Dims::new(97, 97))
+        );
+        assert_eq!(solved.params, params, "96/97 is legal on the 97 x 97 table");
+        let estimate = crate::cli::estimate_virtual("lcs", 96, "high", params).unwrap();
+        assert_eq!(solved.virtual_ms, estimate * 1e3);
     }
 
     #[test]

@@ -97,6 +97,18 @@ fn fleet_serves_500_mixed_requests_oracle_checked() {
     ] {
         assert!(metrics_text.contains(family), "missing {family}");
     }
+    // One catalog: every family matches the Prometheus name grammar
+    // `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+    for (series, _) in lddp_trace::live::parse_prometheus(&metrics_text) {
+        let name = series.split('{').next().unwrap();
+        let mut chars = name.chars();
+        let head = chars.next().unwrap();
+        assert!(
+            (head.is_ascii_alphabetic() || head == '_' || head == ':')
+                && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+            "{name} is not a metric name"
+        );
+    }
 
     // /stats splices the fleet section.
     let v = json::parse(&stats).expect("stats_json parses");

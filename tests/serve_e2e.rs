@@ -7,7 +7,7 @@
 use lddp::serve_backend::FrameworkBackend;
 use lddp_serve::loadgen::{self, HttpTarget, LoadgenConfig};
 use lddp_serve::{ServeConfig, Server, SolveRequest};
-use lddp_trace::{catalog, chrome, json, NullSink, Recorder};
+use lddp_trace::{catalog, chrome, json, NullSink};
 use std::net::TcpListener;
 use std::time::Duration;
 
@@ -107,15 +107,14 @@ fn mixed_problem_streams_stay_correct() {
     });
 }
 
-/// The HTTP front end serves a full loadgen run, and the traced
-/// timeline exports to Chrome/Perfetto JSON carrying the queue-wait,
+/// The HTTP front end serves a full loadgen run, and the server's
+/// flight ring exports to Chrome/Perfetto JSON carrying the queue-wait,
 /// batch, and solve spans for the served requests.
 #[test]
 fn http_run_exports_perfetto_timeline_with_serve_spans() {
     let oracle = lddp::cli::run_solve_seq("levenshtein", 48).unwrap();
     let backend = FrameworkBackend::new();
-    let recorder = Recorder::new();
-    let server = Server::new(config(2, 64, 4), &backend, &recorder);
+    let server = Server::new(config(2, 64, 4), &backend, &NullSink);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
 
@@ -137,7 +136,7 @@ fn http_run_exports_perfetto_timeline_with_serve_spans() {
     assert_eq!(report.errors, 0);
     assert_eq!(report.mismatches, 0);
 
-    let data = recorder.into_data();
+    let data = server.live().flight().snapshot_since(f64::NEG_INFINITY);
     for span in [
         catalog::SPAN_QUEUE_WAIT,
         catalog::SPAN_BATCH,
@@ -152,8 +151,9 @@ fn http_run_exports_perfetto_timeline_with_serve_spans() {
         .filter(|s| s.name == catalog::SPAN_QUEUE_WAIT)
         .count();
     assert_eq!(waits, 40, "one queue-wait span per served request");
-    assert_eq!(data.counters[catalog::CTR_COMPLETED], 40);
-    assert_eq!(data.counters[catalog::CTR_ACCEPTED], 40);
+    let stats = server.snapshot();
+    assert_eq!(stats.completed, 40);
+    assert_eq!(stats.accepted, 40);
 
     // The export must be loadable: valid JSON in the Chrome trace shape
     // (object with a traceEvents array mentioning the serve spans).

@@ -2,23 +2,35 @@
 //! solve must export a Chrome trace-event JSON whose structure matches
 //! the schedule (one span per phase, per-wave CPU/GPU spans, Link
 //! transfer spans), and the export must survive a parse round-trip with
-//! the event count and ordering intact.
+//! the event count and ordering intact. The registry is the one
+//! collector: its ring keeps a whole offline run, and its exposition
+//! carries only `/metrics` names.
 
 use lddp::core::schedule::ScheduleParams;
 use lddp::platforms::hetero_high;
 use lddp::problems::LevenshteinKernel;
-use lddp::trace::{chrome, json, tracks, Recorder};
+use lddp::trace::live::{parse_prometheus, LiveRegistry, DEFAULT_FLIGHT_CAPACITY};
+use lddp::trace::{chrome, json, tracks, TraceData};
 use lddp::workloads::random_seq;
 use lddp::Framework;
 
-fn traced_levenshtein(n: usize) -> (lddp::trace::TraceData, lddp::Solution<u32>) {
+/// A registry that keeps every event, the way offline runs collect.
+fn collector() -> LiveRegistry {
+    LiveRegistry::with_flight_capacity(usize::MAX)
+}
+
+fn timeline(reg: &LiveRegistry) -> TraceData {
+    reg.flight().snapshot_since(f64::NEG_INFINITY)
+}
+
+fn traced_levenshtein(n: usize) -> (TraceData, lddp::Solution<u32>) {
     let kernel = LevenshteinKernel::new(random_seq(n, 4, 1), random_seq(n, 4, 2));
     let fw = Framework::new(hetero_high()).with_io_bytes(2 * n, 8);
-    let rec = Recorder::new();
+    let reg = collector();
     let solution = fw
-        .solve_traced(&kernel, Some(ScheduleParams::new(8, 24)), &rec)
+        .solve_traced(&kernel, Some(ScheduleParams::new(8, 24)), &reg)
         .unwrap();
-    (rec.into_data(), solution)
+    (timeline(&reg), solution)
 }
 
 #[test]
@@ -91,11 +103,11 @@ fn chrome_export_round_trips_count_and_order() {
 fn tuned_traced_solve_records_sweep_points() {
     let kernel = LevenshteinKernel::new(random_seq(48, 4, 5), random_seq(48, 4, 6));
     let fw = Framework::new(hetero_high());
-    let rec = Recorder::new();
-    let solution = fw.solve_traced(&kernel, None, &rec).unwrap();
-    let data = rec.snapshot();
+    let reg = collector();
+    let solution = fw.solve_traced(&kernel, None, &reg).unwrap();
+    let data = timeline(&reg);
     // The tuner recorded every sweep evaluation before the run.
-    assert!(data.counters["tuner.evals"] >= 2);
+    assert!(reg.counter("lddp_tuner_evals_total", &[], "").get() >= 2);
     assert!(data
         .instants
         .iter()
@@ -119,20 +131,22 @@ fn parallel_engine_histogram_flows_through_the_same_sink() {
             .wrapping_add(n.n.unwrap_or(i as u64))
             .wrapping_add(n.nw.unwrap_or(j as u64))
     });
-    let rec = Recorder::new();
-    rec.register_histogram(
-        "parallel.barrier_wait_s",
-        vec![1e-7, 1e-6, 1e-5, 1e-4, 1e-3],
-    );
+    // One registry is both the engine's and the run's sink: the
+    // timeline goes to its ring, the barrier histogram and counts to
+    // its `lddp_pool_*` families.
+    let reg = std::sync::Arc::new(collector());
     let spec = SolveSpec {
-        sink: Some(&rec),
+        sink: Some(&*reg),
         ..SolveSpec::default()
     };
-    ParallelEngine::new(2).run(&kernel, &spec).unwrap();
-    let data = rec.snapshot();
-    let h = &data.histograms["parallel.barrier_wait_s"];
-    assert!(h.count > 0, "barrier waits must be observed");
-    assert_eq!(h.counts.len(), 6);
+    ParallelEngine::new(2)
+        .with_live(std::sync::Arc::clone(&reg))
+        .run(&kernel, &spec)
+        .unwrap();
+    let data = timeline(&reg);
+    let h = reg.histogram("lddp_pool_barrier_wait_seconds", &[], "");
+    assert!(h.count() > 0, "barrier waits must be observed");
+    assert!(!h.cumulative_buckets().is_empty());
     assert!(
         data.samples
             .iter()
@@ -140,5 +154,63 @@ fn parallel_engine_histogram_flows_through_the_same_sink() {
             .count()
             == 2
     );
-    assert!(data.counters["parallel.waves"] > 0);
+    assert!(reg.counter("lddp_pool_waves_total", &[], "").get() > 0);
+}
+
+/// A model-time trace larger than the ring's default capacity keeps
+/// every event when the run's registry is unbounded.
+#[test]
+fn an_unbounded_ring_keeps_a_trace_past_the_default_capacity() {
+    let reg = collector();
+    let params = Some(ScheduleParams::new(64, 512));
+    lddp::cli::run_solve_traced("levenshtein", 1024, "high", params, &reg).unwrap();
+    let data = timeline(&reg);
+    assert!(data.spans.len() + data.samples.len() > DEFAULT_FLIGHT_CAPACITY);
+    assert_eq!(data.spans.len(), 4104);
+    assert_eq!(data.samples.len(), 2054);
+    assert_eq!(reg.counter("lddp_sim_waves_total", &[], "").get(), 2049);
+}
+
+/// Whether `name` matches the Prometheus grammar
+/// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+fn is_metric_name(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+}
+
+/// An offline run — tuner sweep, simulated run and engine run into one
+/// registry — exposes only `/metrics` names: no dotted name leaks into
+/// the catalog.
+#[test]
+fn offline_exposition_uses_only_metrics_names() {
+    let kernel = LevenshteinKernel::new(random_seq(48, 4, 5), random_seq(48, 4, 6));
+    let reg = std::sync::Arc::new(collector());
+    Framework::new(hetero_high())
+        .solve_traced(&kernel, None, &*reg)
+        .unwrap();
+    let spec = lddp::parallel::SolveSpec {
+        sink: Some(&*reg),
+        ..lddp::parallel::SolveSpec::default()
+    };
+    lddp::parallel::ParallelEngine::new(2)
+        .with_live(std::sync::Arc::clone(&reg))
+        .run(&kernel, &spec)
+        .unwrap();
+    let text = reg.to_prometheus();
+    let series = parse_prometheus(&text);
+    for family in [
+        "lddp_tuner_evals_total",
+        "lddp_sim_waves_total",
+        "lddp_sim_wave_span_seconds_count",
+        "lddp_pool_waves_total",
+    ] {
+        assert!(series.iter().any(|(s, _)| s == family), "missing {family}");
+    }
+    for (s, _) in &series {
+        let name = s.split('{').next().unwrap();
+        assert!(is_metric_name(name), "{name} is not a metric name");
+    }
 }
