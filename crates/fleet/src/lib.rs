@@ -11,10 +11,10 @@
 //! to score, place, count and split, but computing the per-platform
 //! estimates (cost model + tuner cache) and executing placed batches is
 //! the caller's job — in this workspace, the umbrella crate's
-//! `FleetBackend`, which routes large grids through
-//! [`core::multi`](lddp_core::multi)'s k-way `MultiPlan` band splits so
-//! one grid spans several simulated devices and reassembles
-//! oracle-identically.
+//! `FleetBackend`, which prices large grids as
+//! [`core::multi`](lddp_core::multi)'s k-way `MultiPlan` band splits
+//! over several simulated devices and answers them, like every request,
+//! on the placed pool's engine.
 //!
 //! ```
 //! use lddp_fleet::{default_fleet, Fleet};
@@ -119,11 +119,6 @@ impl Fleet {
         &self.pools[idx]
     }
 
-    /// All members, in construction order.
-    pub fn pools(&self) -> &[PlatformPool] {
-        &self.pools
-    }
-
     /// Index of the member named `name`, if any.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.pools.iter().position(|p| p.spec.name == name)
@@ -152,12 +147,6 @@ impl Fleet {
                 }
             })
             .collect()
-    }
-
-    /// Heals every member's pool; returns the number of workers
-    /// respawned fleet-wide.
-    pub fn heal_all(&self) -> usize {
-        self.pools.iter().map(|p| p.engine.heal_pool()).sum()
     }
 
     /// JSON summary for `/stats`: per-platform placements, solves,
@@ -206,7 +195,6 @@ mod tests {
         // Fresh engines: every pool is ready with zero dead workers.
         let health = fleet.health();
         assert!(health.iter().all(|h| h.ready && h.dead_workers == 0));
-        assert_eq!(fleet.heal_all(), 0);
     }
 
     #[test]

@@ -597,11 +597,6 @@ impl ParallelEngine {
         self
     }
 
-    /// The attached live registry, if any.
-    pub fn live_registry(&self) -> Option<&Arc<LiveRegistry>> {
-        self.live.as_ref()
-    }
-
     /// Workers of the engine's shared pool that have died (panicked or
     /// otherwise terminated) and not yet been healed. Zero when the
     /// pool is healthy — including before the pool's lazy creation,
@@ -617,13 +612,6 @@ impl ParallelEngine {
     /// for the "pool handoff at one thread" overhead class.
     pub fn pool_started(&self) -> bool {
         self.pool.get().is_some()
-    }
-
-    /// Respawns any dead workers in the shared pool (no-op while the
-    /// pool is healthy or not yet created). Returns how many workers
-    /// were respawned.
-    pub fn heal_pool(&self) -> usize {
-        self.pool.get().map_or(0, |p| p.heal())
     }
 
     /// The tier a [`solve`](ParallelEngine::solve) of `kernel` will
@@ -2159,9 +2147,8 @@ mod tests {
         assert_eq!(got.to_row_major(), oracle);
         assert!(engine.pool.get().is_none());
         assert!(!timeline(&rec).spans.is_empty());
-        // New accessors report a pool that was never created as healthy.
+        // A pool that was never created reports as healthy.
         assert_eq!(engine.pool_dead_workers(), 0);
-        assert_eq!(engine.heal_pool(), 0);
     }
 
     #[test]

@@ -517,9 +517,9 @@ pub struct SolveResponse {
     /// ("hetero-high", …); empty when the server runs a single
     /// backend without a fleet.
     pub placed_on: String,
-    /// Simulated devices that cooperated on the grid: 1 for ordinary
-    /// solves, >1 when the grid ran as a cross-device `MultiPlan`
-    /// band split.
+    /// Simulated devices the request was priced on: 1 for ordinary
+    /// solves, >1 when `virtual_ms` is the multi-device model's price
+    /// of a cross-device `MultiPlan` band split.
     pub devices: usize,
     /// Time from admission to the first streamed band frame leaving
     /// the server, milliseconds. 0 for non-streamed solves (and for

@@ -400,7 +400,7 @@ pub struct LoadReport {
     /// Completions per fleet platform, from the `placed_on` response
     /// field. Empty against a non-fleet server (no placement reported).
     pub fleet_placements: Vec<(String, usize)>,
-    /// Completions solved as a cross-device `MultiPlan` split
+    /// Completions priced as a cross-device `MultiPlan` split
     /// (`devices > 1` in the response).
     pub multiplan_splits: usize,
 }

@@ -150,8 +150,8 @@ pub struct BackendSolve {
     /// a fleet (`None` for single-platform backends; the server falls
     /// back to the batch plan's placement).
     pub placed_on: Option<String>,
-    /// Simulated devices that cooperated on the grid (1 = ordinary
-    /// solve, >1 = cross-device `MultiPlan` band split).
+    /// Simulated devices the request was priced on (1 = ordinary
+    /// solve, >1 = priced as a cross-device `MultiPlan` band split).
     pub devices: usize,
 }
 

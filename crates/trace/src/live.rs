@@ -830,20 +830,6 @@ fn write_series_name(out: &mut String, name: &str, labels: &[(&str, &str)]) {
     }
 }
 
-/// Appends `# HELP` / `# TYPE` lines for a family rendered outside the
-/// registry (values computed at scrape time).
-pub fn write_family(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push_str("\n# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
-}
-
 /// Parses Prometheus text exposition into `(series, value)` pairs,
 /// where `series` is the full `name{labels}` string. Comment and blank
 /// lines are skipped; unparsable values are dropped. This is the

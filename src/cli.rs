@@ -900,13 +900,10 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "maxsquare",
         instance: |n| problems::MaxSquareKernel::random(n, n, 0.8, 8),
         io_bytes: |n| (n * n / 8, 8),
-        answer: Answer::Table(|k, g| {
-            let d = k.dims();
-            let best = (0..d.rows)
-                .flat_map(|i| (0..d.cols).map(move |j| g.get(i, j)))
-                .fold(0, u32::max);
-            format!("largest all-ones square side = {best}")
-        }),
+        answer: Answer::Best(
+            |c| i64::from(*c),
+            |best| format!("largest all-ones square side = {best}"),
+        ),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -936,10 +933,7 @@ static REGISTRY: [&dyn Entry; 11] = [
             problems::WeightedEditKernel::new(seq(n, 13), seq(n, 14), costs)
         },
         io_bytes: |n| (2 * n, 8),
-        // The distance is the corner cell, but the problem is served
-        // from the full table: a rolling path would change its replies
-        // (`memory_mode`, stream frames).
-        answer: Answer::Table(|k, g| format!("weighted edit distance = {}", k.distance_from(g))),
+        answer: Answer::Corner(|c| format!("weighted edit distance = {c}")),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -1013,21 +1007,6 @@ impl<K: Kernel> Problem<K> {
     fn serve(&self, a: &SolveArgs<'_>) -> Result<ServedSolve, String> {
         let kernel = (self.instance)(a.n);
         let emit = a.emit.filter(|_| a.injector.is_none());
-        let raw = classify(kernel.contributing_set()).ok_or("empty contributing set")?;
-        if a.devices >= 2 && raw.is_canonical() {
-            return self.split(&kernel, a, raw, emit);
-        }
-        let Some(engine) = a.engine else {
-            return Err(if a.devices < 2 {
-                "a cross-device split needs at least 2 devices".into()
-            } else {
-                format!(
-                    "problem '{}' executes {raw} through an adapter; \
-                     no direct cross-device band split",
-                    self.name
-                )
-            });
-        };
         let fw = self.framework(a.n, a.platform);
         let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
         // Legalize against the kernel's own table, the shape `Plan::new`
@@ -1037,15 +1016,24 @@ impl<K: Kernel> Problem<K> {
         let mut degraded = Vec::new();
         // One device-fault draw per injected request: the modelled
         // device dying costs the request its heterogeneous speedup, not
-        // its answer.
-        let hetero_s = match a.injector {
+        // its answer. A split is a price on the multi-device model; the
+        // engine below answers it like any other request.
+        let (priced, devices) = match a.injector {
             Some(inj) if inj.active() && inj.device_fault(0) => {
                 degraded.push(DegradeStep::HeteroToCpuOnly.code().to_string());
-                fw.cpu_baseline(&kernel)
+                (fw.cpu_baseline(&kernel).map(|s| (params, s)), 1)
             }
-            _ => fw.estimate(&kernel, params),
-        }
-        .map_err(|e| e.to_string())?;
+            _ if a.devices >= 2 && class.raw_pattern.is_canonical() => {
+                let platform = fleet_multi_platform(a.devices);
+                let priced = split_plan(&kernel, a.params, a.devices).and_then(|(plan, params)| {
+                    hetero_sim::multi::run_multi(&kernel, &plan, &platform, false)
+                        .map(|r| (params, r.total_s))
+                });
+                (priced, a.devices)
+            }
+            _ => (fw.estimate(&kernel, params).map(|s| (params, s)), 1),
+        };
+        let (params, hetero_s) = priced.map_err(|e| e.to_string())?;
         let bit_parallel = a.tier == Some(ExecTier::BitParallel);
         let gridless = self
             .gridless
@@ -1080,7 +1068,7 @@ impl<K: Kernel> Problem<K> {
                 stream: hook.as_ref(),
                 ..SolveSpec::default()
             };
-            let s = engine.run(&kernel, &spec).map_err(|e| e.to_string())?;
+            let s = a.engine.run(&kernel, &spec).map_err(|e| e.to_string())?;
             degraded.extend(s.degraded.iter().map(|d| d.code().to_string()));
             let mode = if rolls {
                 MemoryMode::Rolling
@@ -1102,104 +1090,7 @@ impl<K: Kernel> Problem<K> {
                 answer,
             },
             degraded,
-            devices: 1,
-        })
-    }
-
-    /// A `devices`-way cross-device [`MultiPlan`] column-band split
-    /// (§VII made concrete): even band boundaries, the parameters
-    /// re-legalized per band (a `t_switch` tuned on the whole grid can
-    /// be illegal for a narrow band), functional execution with
-    /// per-device grids, and the reassembled table's answer. With
-    /// `emit`, one frame per device band follows the reassembly: the
-    /// split is by *columns*, so a frame's `wave_lo..=wave_hi` is the
-    /// band's column range, `rows_completed` only reaches `rows` on the
-    /// final band (a row seals at its last column), and `score` is the
-    /// bottom cell of the band's last column.
-    ///
-    /// [`MultiPlan`]: lddp_core::multi::MultiPlan
-    fn split(
-        &self,
-        kernel: &K,
-        a: &SolveArgs<'_>,
-        raw: lddp_core::pattern::Pattern,
-        emit: Option<&(dyn Fn(BandEvent) -> bool + Sync)>,
-    ) -> Result<ServedSolve, String> {
-        let platform = fleet_multi_platform(a.devices);
-        let dims = kernel.dims();
-        let params = a.params.clamped_for(raw, dims);
-        let boundaries = crate::fleet::split_bands(dims.cols, a.devices);
-        // The plan carries one t_switch: take the strictest of the
-        // per-band clamps (each band against its own rows × width).
-        let t_switch =
-            crate::fleet::per_band_params(params, raw, dims.rows, &boundaries, dims.cols)
-                .iter()
-                .map(|p| p.t_switch)
-                .chain(std::iter::once(params.t_switch))
-                .min()
-                .unwrap_or(0);
-        let plan = lddp_core::multi::MultiPlan::new(
-            raw,
-            kernel.contributing_set(),
-            dims,
-            t_switch,
-            boundaries.clone(),
-        )
-        .map_err(|e| e.to_string())?;
-        let report = hetero_sim::multi::run_multi(kernel, &plan, &platform, true)
-            .map_err(|e| e.to_string())?;
-        let grid = report.grid.expect("functional multi run returns a grid");
-        if let Some(emit) = emit {
-            let cells_total = (dims.rows * dims.cols) as u64;
-            let mut lo = 0usize;
-            let mut cells_done = 0u64;
-            for (band, hi) in boundaries
-                .iter()
-                .copied()
-                .chain(std::iter::once(dims.cols))
-                .enumerate()
-            {
-                if hi <= lo {
-                    // More devices than columns: an empty band seals
-                    // nothing, so it has no frame.
-                    continue;
-                }
-                cells_done += (dims.rows * (hi - lo)) as u64;
-                let frame = BandEvent {
-                    band,
-                    bands: a.devices,
-                    wave_lo: lo,
-                    wave_hi: hi - 1,
-                    rows_completed: if hi == dims.cols { dims.rows } else { 0 },
-                    rows: dims.rows,
-                    cells_done,
-                    cells_total,
-                    score: (self.band_score)(&grid.get(dims.rows - 1, hi - 1)),
-                    best: None,
-                };
-                lo = hi;
-                if !emit(frame) {
-                    break;
-                }
-            }
-        }
-        Ok(ServedSolve {
-            summary: RunSummary {
-                problem: self.name.to_string(),
-                instance: format!(
-                    "{} x {} split {}-way on {}",
-                    a.n, a.n, a.devices, platform.name
-                ),
-                patterns: format!("{raw} → {} column bands", a.devices),
-                params: ScheduleParams::new(t_switch, params.t_share),
-                tier: ExecTier::Scalar,
-                memory_mode: MemoryMode::Full,
-                table_bytes: rolling::full_table_bytes(kernel),
-                hetero_ms: report.total_s * 1e3,
-                answer: self.render(kernel, &grid),
-            },
-            degraded: Vec::new(),
-            devices: a.devices,
+            devices,
         })
     }
 }
@@ -1475,9 +1366,8 @@ pub struct SolveArgs<'a> {
     /// Memory mode; `Rolling` applies to problems whose answer a
     /// rolling solve yields, and the rest solve full-table.
     pub memory: MemoryMode,
-    /// The pool to solve on. `None` only for split-only requests, which
-    /// fail when no split applies.
-    pub engine: Option<&'a ParallelEngine>,
+    /// The pool to solve on.
+    pub engine: &'a ParallelEngine,
     /// Receives the sealed bands of a streamed solve, in order, from
     /// inside the solve; it may block (backpressure), and returning
     /// `false` stops emission while the solve completes. A problem with
@@ -1487,10 +1377,11 @@ pub struct SolveArgs<'a> {
     /// request for a device fault that degrades the cost model to the
     /// CPU-only baseline. An injected request never streams.
     pub injector: Option<&'a dyn FaultInjector>,
-    /// Devices to split the table across as a cross-device `MultiPlan`
-    /// when the problem's pattern allows a direct column split; a
-    /// problem executed through an adapter solves whole on `engine`.
-    /// 1 solves on `engine`.
+    /// Devices to price the request on: with 2 or more, and a problem
+    /// whose raw pattern allows a direct column split, the virtual time
+    /// is the multi-device model's price of a `devices`-way `MultiPlan`
+    /// split ([`split_plan`]); otherwise the request is priced whole.
+    /// `engine` answers either way.
     pub devices: usize,
 }
 
@@ -1502,34 +1393,35 @@ pub struct ServedSolve {
     /// Wire codes of the degradation rungs taken, in order (e.g.
     /// `"bulk_to_scalar"`); empty when the configured path served it.
     pub degraded: Vec<String>,
-    /// Devices the table spanned.
+    /// Devices the request was priced on.
     pub devices: usize,
 }
 
 /// The served solve — the one path every served request takes. It
-/// builds the instance once and picks its execution:
+/// builds the instance once and answers it with:
 ///
-/// 1. a cross-device `MultiPlan` split when `devices ≥ 2` and the
-///    problem's pattern allows one, streaming one frame per device band;
-/// 2. the gridless bit-parallel kernel when the tier is
+/// 1. the gridless bit-parallel kernel when the tier is
 ///    [`ExecTier::BitParallel`] and the problem has one (never under
 ///    injection or for streams);
-/// 3. otherwise one [`ParallelEngine::run`] on `engine`: rolling when
+/// 2. otherwise one [`ParallelEngine::run`] on `engine`: rolling when
 ///    the memory mode asks for it or a stream wants bands (problems
 ///    whose answer a rolling solve yields), full-table otherwise, walking
 ///    the degradation ladder when injected.
 ///
-/// The reported virtual time is the framework's cost-model estimate for
-/// the legalized parameters, so timings stay comparable with the traced
-/// solve path. Answer strings are byte-identical across every path.
+/// The reported virtual time is the cost model's price: the framework's
+/// estimate for the legalized parameters, or, when `devices ≥ 2` and
+/// the problem's pattern allows a direct column split, the multi-device
+/// model's price of that split. Answer strings are byte-identical
+/// across every path.
 pub fn solve_served(args: &SolveArgs<'_>) -> Result<ServedSolve, String> {
     problem(args.problem)?.serve(args)
 }
 
-/// Solves one instance as a `devices`-way cross-device `MultiPlan`
-/// column-band split. Problems whose raw pattern needs a kernel adapter
-/// have no direct band split and return `Err` — callers fall back to a
-/// pooled solve.
+/// Solves one instance priced as a `devices`-way cross-device
+/// `MultiPlan` column-band split, answered on a one-worker engine,
+/// which computes inline and starts no pool. A problem whose raw
+/// pattern needs a kernel adapter has no direct band split and is
+/// priced whole.
 pub fn run_solve_multi(
     problem_name: &str,
     n: usize,
@@ -1543,12 +1435,37 @@ pub fn run_solve_multi(
         params,
         tier: None,
         memory: MemoryMode::Full,
-        engine: None,
+        engine: &ParallelEngine::new(1),
         emit: None,
         injector: None,
         devices,
     })
     .map(|s| s.summary)
+}
+
+/// The served `devices`-way column-band split of `kernel`'s table
+/// (§VII): even band boundaries, `params` legalized for the whole grid
+/// under the raw pattern, and the strictest per-band `t_switch` (one
+/// tuned on the whole grid can be illegal for a narrow band). Returns
+/// the plan and the parameters it carries; the raw pattern must be
+/// canonical.
+pub fn split_plan<K: Kernel>(
+    kernel: &K,
+    params: ScheduleParams,
+    devices: usize,
+) -> lddp_core::Result<(lddp_core::multi::MultiPlan, ScheduleParams)> {
+    let (set, dims) = (kernel.contributing_set(), kernel.dims());
+    let raw = classify(set).ok_or(lddp_core::Error::EmptyContributingSet)?;
+    let params = params.clamped_for(raw, dims);
+    let boundaries = crate::fleet::split_bands(dims.cols, devices);
+    let t_switch = crate::fleet::per_band_params(params, raw, dims.rows, &boundaries, dims.cols)
+        .iter()
+        .map(|p| p.t_switch)
+        .chain(std::iter::once(params.t_switch))
+        .min()
+        .unwrap_or(0);
+    let plan = lddp_core::multi::MultiPlan::new(raw, set, dims, t_switch, boundaries)?;
+    Ok((plan, ScheduleParams::new(t_switch, params.t_share)))
 }
 
 /// The §IV cost model's virtual-time estimate for one instance on one
@@ -2329,7 +2246,7 @@ pub fn run_bench_rolling(n: usize, out_path: Option<&str>) -> Result<String, Str
             params: ScheduleParams::default(),
             tier: None,
             memory: MemoryMode::Rolling,
-            engine: Some(&engine),
+            engine: &engine,
             emit: None,
             injector: None,
             devices: 1,
@@ -2613,7 +2530,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     params,
                     tier: None,
                     memory: MemoryMode::Rolling,
-                    engine: Some(&engine),
+                    engine: &engine,
                     emit: None,
                     injector: None,
                     devices: 1,
@@ -3243,7 +3160,7 @@ mod tests {
             params: ScheduleParams::new(4, 16),
             tier,
             memory: MemoryMode::Full,
-            engine: Some(engine),
+            engine,
             emit: None,
             injector: None,
             devices: 1,
@@ -3309,8 +3226,10 @@ mod tests {
                 "levenshtein",
                 "lcs",
                 "dtw",
+                "maxsquare",
                 "needleman-wunsch",
-                "smith-waterman"
+                "smith-waterman",
+                "weighted-edit"
             ]
         );
     }

@@ -4,10 +4,10 @@
 //! through the [`TunerCache`]) and placed by the
 //! [`Dispatcher`](lddp_fleet::Dispatcher) on the pool with the earliest
 //! predicted completion — backlog plus estimate, not raw speed. Large
-//! grids are additionally routed through a cross-device
-//! [`MultiPlan`](lddp_core::multi::MultiPlan) column-band split, so one
-//! table spans several simulated devices and reassembles
-//! oracle-identically.
+//! grids are priced as a cross-device
+//! [`MultiPlan`](lddp_core::multi::MultiPlan) column-band split on the
+//! multi-device model, and answered, like every request, by the placed
+//! pool's engine.
 //!
 //! Like [`FrameworkBackend`](crate::serve_backend::FrameworkBackend),
 //! this lives in the umbrella crate because it needs both the problem
@@ -17,7 +17,6 @@
 use crate::cli;
 use crate::serve_backend::{backend_solve, serve, tuned, validate_request};
 use lddp_chaos::FaultInjector;
-use lddp_core::kernel::{ExecTier, MemoryMode};
 use lddp_core::tuner_cache::{TunedConfig, TunerCache};
 use lddp_fleet::{default_fleet, Fleet};
 use lddp_serve::{BackendSolve, BandFrame, BatchPlan, PoolHealth, SolveBackend, SolveRequest};
@@ -26,13 +25,13 @@ use lddp_trace::TraceSink;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Grid side at or above which a fleet-placed solve is attempted as a
-/// cross-device MultiPlan band split instead of running whole on the
-/// placed pool. Below this, the split's boundary copies cost more than
-/// the bands save.
+/// Grid side at or above which a fleet-placed solve is priced as a
+/// cross-device MultiPlan band split instead of on the placed pool's
+/// platform alone. Below this, the split's boundary copies cost more
+/// than the bands save.
 pub const FLEET_MULTI_N: usize = 512;
 
-/// Devices a cross-device split spans: the CPU plus a K20- and a
+/// Devices a cross-device split is priced on: the CPU plus a K20- and a
 /// GT650M-class accelerator (see `cli::fleet_multi_platform`).
 pub const FLEET_SPLIT_DEVICES: usize = 3;
 
@@ -147,11 +146,9 @@ impl FleetBackend {
     }
 
     /// Executes one request on its placed pool, bracketed by the pool's
-    /// backlog. Large grids are split across devices — except under
-    /// fault injection, so chaos campaigns exercise the pools'
-    /// degradation ladder, and in rolling mode, which keeps no grid to
-    /// band-split. A stream (`emit`) gets one frame per device band of a
-    /// split, or the placed pool's rolling bands.
+    /// backlog. Large grids are priced as a cross-device split; the
+    /// pool's engine answers every request, and a stream (`emit`) gets
+    /// its rolling bands.
     fn solve_via(
         &self,
         req: &SolveRequest,
@@ -166,10 +163,7 @@ impl FleetBackend {
         let predicted = plan.predicted_s.unwrap_or(0.0);
         let config = plan.config;
         let pool = self.fleet.pool(idx);
-        let rolling = config.memory_mode == MemoryMode::Rolling
-            && config.tier != ExecTier::BitParallel
-            && cli::rolling_supported(&req.problem);
-        let devices = if req.n >= FLEET_MULTI_N && self.injector.is_none() && !rolling {
+        let devices = if req.n >= FLEET_MULTI_N {
             FLEET_SPLIT_DEVICES
         } else {
             1
@@ -181,7 +175,7 @@ impl FleetBackend {
             params: config.params,
             tier: Some(config.tier),
             memory: config.memory_mode,
-            engine: Some(&pool.engine),
+            engine: &pool.engine,
             emit: None,
             injector: self.injector.as_deref(),
             devices,
@@ -337,6 +331,7 @@ impl SolveBackend for FleetBackend {
 mod tests {
     use super::*;
     use lddp_chaos::{FaultPlan, FaultPlanConfig};
+    use lddp_core::kernel::ExecTier;
     use lddp_trace::NullSink;
 
     #[test]
@@ -408,8 +403,10 @@ mod tests {
         let served = b.solve_placed(&req, &plan, &NullSink).unwrap();
         assert_eq!(served.devices, FLEET_SPLIT_DEVICES);
         assert_eq!(b.fleet().metrics().splits(), 1);
+        // The placed pool's engine answered: lcs runs bit-parallel.
+        assert_eq!(served.tier, ExecTier::BitParallel);
         let oracle = cli::run_solve_seq("lcs", FLEET_MULTI_N).unwrap();
-        assert_eq!(served.answer, oracle, "cross-device reassembly");
+        assert_eq!(served.answer, oracle);
     }
 
     #[test]
@@ -434,6 +431,15 @@ mod tests {
         assert_eq!(b.fleet().metrics().degraded(idx), 1);
         let oracle = cli::run_solve_seq("lcs", 48).unwrap();
         assert_eq!(served.answer, oracle, "degraded solve stays correct");
+        // A large grid is priced as a split until its device fault
+        // fires; then it is priced CPU-only, on one device.
+        let req = SolveRequest::new("lcs", FLEET_MULTI_N);
+        let plan = b.plan(&req, &NullSink).unwrap();
+        let served = b.solve_placed(&req, &plan, &NullSink).unwrap();
+        assert_eq!(served.devices, 1);
+        assert_eq!(served.degraded, ["hetero_to_cpu_only"]);
+        let oracle = cli::run_solve_seq("lcs", FLEET_MULTI_N).unwrap();
+        assert_eq!(served.answer, oracle);
     }
 
     #[test]

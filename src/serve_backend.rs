@@ -251,7 +251,7 @@ impl FrameworkBackend {
             params: config.params,
             tier: Some(config.tier),
             memory: config.memory_mode,
-            engine: Some(&self.engine),
+            engine: &self.engine,
             emit: None,
             injector: self.injector.as_deref(),
             devices: 1,
@@ -457,6 +457,8 @@ mod tests {
             "dtw",
             "needleman-wunsch",
             "smith-waterman",
+            "weighted-edit",
+            "maxsquare",
         ] {
             let req = SolveRequest::new(problem, 48);
             let config = TunedConfig::new(ScheduleParams::new(4, 16), ExecTier::Bulk)

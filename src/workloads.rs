@@ -10,12 +10,6 @@ pub fn random_seq(len: usize, alphabet: u8, seed: u64) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(0..alphabet)).collect()
 }
 
-/// Random grayscale image.
-pub fn random_image(rows: usize, cols: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..rows * cols).map(|_| rng.gen()).collect()
-}
-
 /// A radial gradient image (deterministic, structured).
 pub fn radial_gradient(rows: usize, cols: usize) -> Vec<u8> {
     let mut image = Vec::with_capacity(rows * cols);
@@ -37,7 +31,6 @@ mod tests {
     #[test]
     fn generators_are_deterministic() {
         assert_eq!(random_seq(32, 4, 9), random_seq(32, 4, 9));
-        assert_eq!(random_image(4, 4, 1), random_image(4, 4, 1));
         assert_ne!(random_seq(32, 4, 9), random_seq(32, 4, 10));
     }
 

@@ -1,13 +1,15 @@
 //! End-to-end acceptance for the heterogeneous serving fleet: a real
 //! [`FleetBackend`] behind [`lddp_serve::Server`], driven by the load
-//! generator over a mixed-size request stream. Checks the ISSUE's
-//! acceptance bar directly: ≥500 oracle-checked requests with zero
-//! mismatches, at least two fleet platforms receiving batches, at
-//! least one cross-device MultiPlan split, and the `lddp_fleet_*`
-//! families (including the predicted-vs-actual completion histogram)
-//! present in the `/metrics` exposition.
+//! generator over a mixed-size request stream: ≥500 oracle-checked
+//! requests with zero mismatches, at least two fleet platforms receiving
+//! batches, at least one request priced as a cross-device MultiPlan
+//! split, and the `lddp_fleet_*` families (including the
+//! predicted-vs-actual completion histogram) present in the `/metrics`
+//! exposition.
 
 use lddp::fleet_backend::{FleetBackend, FLEET_MULTI_N};
+use lddp::hetero_sim::multi::{run_multi, MultiPlatform};
+use lddp_core::kernel::Kernel;
 use lddp_core::schedule::ScheduleParams;
 use lddp_serve::loadgen::{self, LoadgenConfig};
 use lddp_serve::{ServeConfig, Server, SolveRequest};
@@ -75,7 +77,7 @@ fn fleet_serves_500_mixed_requests_oracle_checked() {
     let total_placed: usize = report.fleet_placements.iter().map(|(_, c)| c).sum();
     assert_eq!(total_placed, 500, "every response names its platform");
 
-    // At least one large grid went through the cross-device split.
+    // At least one large grid was priced as a cross-device split.
     assert!(
         report.multiplan_splits >= 1,
         "no cross-device MultiPlan split in a run with n={FLEET_MULTI_N} requests"
@@ -140,10 +142,25 @@ fn placement_stream_is_deterministic_with_one_worker() {
     assert_eq!(run(), run(), "same stream, same placements");
 }
 
-/// Cross-device MultiPlan band splits reassemble oracle-identically
-/// across problems with distinct canonical patterns.
+/// The served 3-way split plan, run through the §VII executor with one
+/// grid per simulated device, reassembles the sequential oracle's table
+/// cell for cell for five problems; the served split of each answers
+/// with the oracle's string.
 #[test]
 fn cross_device_splits_reassemble_for_five_problems() {
+    use lddp::problems::{
+        DtwKernel, LcsKernel, LevenshteinKernel, NeedlemanWunschKernel, SmithWatermanKernel,
+    };
+    use lddp::workloads::random_seq;
+
+    let n = 48;
+    let seq = |seed| random_seq(n, 4, seed);
+    reassembles(&LcsKernel::new(seq(1), seq(2)), |c| *c);
+    reassembles(&LevenshteinKernel::new(seq(3), seq(4)), |c| *c);
+    reassembles(&NeedlemanWunschKernel::new(seq(5), seq(6)), |c| *c);
+    reassembles(&SmithWatermanKernel::new(seq(7), seq(8)), |c| *c);
+    reassembles(&DtwKernel::random_walk(n, n, 9), |c| c.to_bits());
+
     let params = ScheduleParams::new(4, 8);
     for problem in [
         "lcs",
@@ -152,16 +169,21 @@ fn cross_device_splits_reassemble_for_five_problems() {
         "smith-waterman",
         "dtw",
     ] {
-        let multi = lddp::cli::run_solve_multi(problem, 48, params, 3).unwrap();
-        let oracle = lddp::cli::run_solve_seq(problem, 48).unwrap();
+        let multi = lddp::cli::run_solve_multi(problem, n, params, 3).unwrap();
+        let oracle = lddp::cli::run_solve_seq(problem, n).unwrap();
         assert_eq!(multi.answer, oracle, "{problem} 3-way split");
-        // Device counts survive into the summary line.
-        assert!(
-            multi.patterns.contains("column bands"),
-            "{}",
-            multi.patterns
-        );
     }
+}
+
+/// Runs `kernel` under the served 3-way plan functionally and compares
+/// the reassembled grid with the row-major oracle through `key`.
+fn reassembles<K: Kernel, T: PartialEq + std::fmt::Debug>(kernel: &K, key: fn(&K::Cell) -> T) {
+    let (plan, _) = lddp::cli::split_plan(kernel, ScheduleParams::new(4, 8), 3).unwrap();
+    let report = run_multi(kernel, &plan, &MultiPlatform::high_plus_phi(), true).unwrap();
+    let grid = report.grid.expect("a functional run returns the grid");
+    let oracle = lddp_core::seq::solve_row_major(kernel).unwrap();
+    let keys = |cells: Vec<K::Cell>| cells.iter().map(key).collect::<Vec<_>>();
+    assert_eq!(keys(grid.to_row_major()), keys(oracle.to_row_major()));
 }
 
 /// `/healthz` surfaces per-platform pool readiness for the fleet.

@@ -3,8 +3,9 @@
 //! monotone progress, the final answer must be bit-identical to the
 //! non-streamed path and the sequential oracle, a slow reader must
 //! backpressure the solve rather than buffer unboundedly, rejections
-//! must come back as plain (non-chunked) responses, and the fleet's
-//! cross-device MultiPlan split must stream one frame per device band.
+//! must come back as plain (non-chunked) responses, and a fleet request
+//! priced as a cross-device split must stream the engine's wave bands
+//! like any other.
 
 use lddp::fleet_backend::{FleetBackend, FLEET_SPLIT_DEVICES};
 use lddp::serve_backend::FrameworkBackend;
@@ -64,6 +65,8 @@ fn streamed_answers_are_bit_identical_across_all_wave_problems() {
             "dtw",
             "needleman-wunsch",
             "smith-waterman",
+            "weighted-edit",
+            "maxsquare",
         ] {
             let oracle = lddp::cli::run_solve_seq(problem, n).unwrap();
             let plain = client.solve(SolveRequest::new(problem, n)).unwrap();
@@ -218,33 +221,32 @@ fn stream_rejections_are_plain_responses() {
     });
 }
 
-/// The fleet's cross-device MultiPlan leg: a large full-table-pinned
-/// solve streams one frame per device band and still reassembles the
-/// oracle answer across all devices.
+/// A fleet request priced as a cross-device split is answered by the
+/// placed pool's engine, so its stream carries the engine's live wave
+/// bands off the rolling ring, like every other stream.
 #[test]
-fn fleet_multiplan_streams_one_frame_per_device_band() {
+fn fleet_split_streams_live_wave_bands() {
     let n = 512;
     let oracle = lddp::cli::run_solve_seq("lcs", n).unwrap();
     let backend = FleetBackend::new();
     let server = Server::new(config(2), &backend, &NullSink);
     server.run(None, |client| {
-        let mut req = SolveRequest::new("lcs", n);
-        // Pin the full-table mode so the router takes the MultiPlan
-        // split (rolling-mode solves stream wave bands instead).
-        req.memory_mode = Some(lddp_core::kernel::MemoryMode::Full);
         let mut frames: Vec<BandFrame> = Vec::new();
         let resp = client
-            .solve_stream(req, &mut |f| frames.push(f.clone()))
+            .solve_stream(SolveRequest::new("lcs", n), &mut |f| frames.push(f.clone()))
             .unwrap();
         assert_eq!(resp.answer, oracle);
         assert_eq!(resp.devices, FLEET_SPLIT_DEVICES);
-        assert_eq!(
-            frames.len(),
-            FLEET_SPLIT_DEVICES,
-            "one frame per device band"
+        assert!(
+            frames.len() > FLEET_SPLIT_DEVICES,
+            "wave bands, not one frame per device: {}",
+            frames.len()
         );
+        for pair in frames.windows(2) {
+            assert!(pair[1].cells_done > pair[0].cells_done, "progress stalled");
+        }
         let last = frames.last().unwrap();
-        assert_eq!(last.rows_completed, last.rows);
         assert_eq!(last.cells_done, last.cells_total);
+        assert_eq!(last.rows_completed, last.rows);
     });
 }
