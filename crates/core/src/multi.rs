@@ -188,71 +188,92 @@ impl MultiPlan {
             v[0] = 0..len;
             return v;
         }
-        // Count cells per band by walking boundaries through the wave's
-        // column range; positions are ordered by column, so each band is
-        // a contiguous position range.
-        let mut counts = vec![0usize; k];
-        for (i, j) in wavefront::wave_cells(self.pattern, self.dims, w) {
-            let _ = i;
-            counts[self.band_of(j)] += 1;
-        }
-        let mut out = Vec::with_capacity(k);
+        // Device `d` owns the columns in `boundaries[d-1]..boundaries[d]`,
+        // and a canonical wave never steps left, so each band is the
+        // positions between two partition points.
         let mut start = 0;
-        for c in counts {
-            out.push(start..start + c);
-            start += c;
+        let mut out = Vec::with_capacity(k);
+        for &b in &self.boundaries {
+            let end = self.first_position_at_column(w, len, b);
+            out.push(start..end);
+            start = end;
         }
-        debug_assert_eq!(start, len);
+        out.push(start..len);
         out
+    }
+
+    /// The first position of wave `w` (of `len` cells) whose column is
+    /// at least `col`, or `len`: a binary search, since canonical
+    /// order never decreases in the column.
+    fn first_position_at_column(&self, w: usize, len: usize, col: usize) -> usize {
+        let (mut lo, mut hi) = (0, len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if wavefront::cell_at(self.pattern, self.dims, w, mid).1 < col {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Boundary transfers required before computing wave `w`: every
     /// dependency of a wave-`w` cell owned by a different device,
-    /// grouped by (producer, consumer). Deduplicated.
+    /// grouped by (producer, consumer) in the order the wave's cells
+    /// first need them. Deduplicated.
     pub fn transfers(&self, w: usize) -> Vec<MultiTransfer> {
-        type PairBuckets = Vec<((DeviceId, DeviceId), Vec<(usize, usize)>)>;
+        let len = self.pattern.wave_len(self.dims.rows, self.dims.cols, w);
         let delta = max_wave_delta(self.pattern, self.set);
         let phase = self.phase_of(w);
         let near_edge = (w.saturating_sub(delta)..w).any(|p| self.phase_of(p) != phase);
-        let mut pairs: PairBuckets = Vec::new();
-        let mut push = |from: DeviceId, to: DeviceId, cell: (usize, usize)| {
-            if let Some(entry) = pairs.iter_mut().find(|(k, _)| *k == (from, to)) {
-                entry.1.push(cell);
-            } else {
-                pairs.push(((from, to), vec![cell]));
+        // Every dependency reaches at most one column, so away from a
+        // phase edge only cells within one column of a boundary can
+        // import, and a CPU-only wave reads only CPU-only waves: the CPU
+        // produced everything it needs.
+        let mut windows: Vec<Range<usize>> = Vec::new();
+        if near_edge {
+            windows.push(0..len);
+        } else if phase == PhaseKind::CpuOnly {
+            return Vec::new();
+        } else {
+            // Ascending boundaries give ascending windows; merging the
+            // overlaps visits each position once, in canonical order.
+            for &b in &self.boundaries {
+                let lo = self.first_position_at_column(w, len, b.saturating_sub(1));
+                let hi = self.first_position_at_column(w, len, b + 2);
+                match windows.last_mut() {
+                    Some(last) if lo <= last.end => last.end = last.end.max(hi),
+                    _ => windows.push(lo..hi),
+                }
             }
-        };
-        // Steady-state shared waves: only cells within one column of a
-        // band boundary can import. Near phase edges (or in CPU-only
-        // waves near edges), scan everything.
-        let scan_all = near_edge || phase == PhaseKind::CpuOnly;
-        for (i, j) in wavefront::wave_cells(self.pattern, self.dims, w) {
-            if !scan_all && !self.near_boundary(j) {
-                continue;
-            }
-            let reader = self.owner(i, j);
+        }
+        let mut out: Vec<MultiTransfer> = Vec::new();
+        for pos in windows.into_iter().flatten() {
+            let (i, j) = wavefront::cell_at(self.pattern, self.dims, w, pos);
+            let to = self.owner(i, j);
             for dep in self.set.iter() {
-                if let Some((si, sj)) = dep.source(i, j, self.dims.rows, self.dims.cols) {
-                    let producer = self.owner(si, sj);
-                    if producer != reader {
-                        push(producer, reader, (si, sj));
+                if let Some(src) = dep.source(i, j, self.dims.rows, self.dims.cols) {
+                    let from = self.owner(src.0, src.1);
+                    if from == to {
+                        continue;
+                    }
+                    match out.iter_mut().find(|t| (t.from, t.to) == (from, to)) {
+                        Some(t) => t.cells.push(src),
+                        None => out.push(MultiTransfer {
+                            from,
+                            to,
+                            cells: vec![src],
+                        }),
                     }
                 }
             }
         }
-        pairs
-            .into_iter()
-            .map(|((from, to), mut cells)| {
-                cells.sort_unstable();
-                cells.dedup();
-                MultiTransfer { from, to, cells }
-            })
-            .collect()
-    }
-
-    /// Is column `j` within one column of a band boundary?
-    fn near_boundary(&self, j: usize) -> bool {
-        self.boundaries.iter().any(|&b| j + 1 >= b && j <= b + 1)
+        for t in &mut out {
+            t.cells.sort_unstable();
+            t.cells.dedup();
+        }
+        out
     }
 
     /// Cells per device over the whole plan.

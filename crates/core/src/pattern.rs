@@ -113,6 +113,24 @@ impl Pattern {
         }
     }
 
+    /// Cells in the widest wave of an `rows × cols` table: the most
+    /// workers a wave can keep busy. Zero for an empty table.
+    pub fn widest_wave(self, rows: usize, cols: usize) -> usize {
+        if rows == 0 || cols == 0 {
+            return 0;
+        }
+        match self {
+            Pattern::AntiDiagonal => rows.min(cols),
+            Pattern::Horizontal => cols,
+            Pattern::Vertical => rows,
+            // Shell 0: the whole first row and first column.
+            Pattern::InvertedL | Pattern::MirroredInvertedL => rows + cols - 1,
+            // A wave's column steps by two, so it holds at most every
+            // other column.
+            Pattern::KnightMove => rows.min(cols.div_ceil(2)),
+        }
+    }
+
     /// The degree-of-parallelism profile: `wave_len` for every wave, in
     /// order. This is the "parallelism profile" the paper categorizes by.
     pub fn parallelism_profile(self, rows: usize, cols: usize) -> Vec<usize> {
@@ -310,6 +328,18 @@ mod tests {
         for p in Pattern::ALL {
             assert_eq!(p.num_waves(0, 5), 0);
             assert_eq!(p.num_waves(5, 0), 0);
+        }
+    }
+
+    #[test]
+    fn widest_wave_is_the_profile_maximum() {
+        for p in Pattern::ALL {
+            for r in 0..12 {
+                for c in 0..12 {
+                    let scan = p.parallelism_profile(r, c).into_iter().max();
+                    assert_eq!(p.widest_wave(r, c), scan.unwrap_or(0), "{p} on {r}x{c}");
+                }
+            }
         }
     }
 

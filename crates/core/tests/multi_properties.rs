@@ -16,7 +16,7 @@
 
 use lddp_core::cell::RepCell::{Ne, Nw, N, W};
 use lddp_core::cell::{ContributingSet, RepCell};
-use lddp_core::multi::MultiPlan;
+use lddp_core::multi::{MultiPlan, MultiTransfer};
 use lddp_core::pattern::Pattern;
 use lddp_core::schedule::max_t_switch;
 use lddp_core::wavefront::{self, Dims};
@@ -185,6 +185,92 @@ fn transfers_cross_owner_boundaries_exactly() {
                                 "{pattern} wave {w}: dependency ({i},{j}) <- {src:?} \
                                  crosses d{producer}->d{reader} but is not transferred"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The cell walk `MultiPlan` used to price a wave with, kept as the
+/// reference for its closed forms: every cell of the wave counted into
+/// its owner's band.
+fn walked_assignment(plan: &MultiPlan, w: usize) -> Vec<std::ops::Range<usize>> {
+    let mut counts = vec![0usize; plan.devices()];
+    for (i, j) in wavefront::wave_cells(plan.pattern(), plan.dims(), w) {
+        counts[plan.owner(i, j)] += 1;
+    }
+    let mut start = 0;
+    counts
+        .into_iter()
+        .map(|c| {
+            start += c;
+            start - c..start
+        })
+        .collect()
+}
+
+/// The reference transfers: every dependency of every cell of the wave,
+/// in canonical order, grouped by (producer, consumer) as first met.
+fn walked_transfers(plan: &MultiPlan, w: usize) -> Vec<MultiTransfer> {
+    let dims = plan.dims();
+    let mut out: Vec<MultiTransfer> = Vec::new();
+    for (i, j) in wavefront::wave_cells(plan.pattern(), dims, w) {
+        let to = plan.owner(i, j);
+        for dep in plan.set().iter() {
+            if let Some(src) = dep.source(i, j, dims.rows, dims.cols) {
+                let from = plan.owner(src.0, src.1);
+                if from == to {
+                    continue;
+                }
+                match out.iter_mut().find(|t| (t.from, t.to) == (from, to)) {
+                    Some(t) => t.cells.push(src),
+                    None => out.push(MultiTransfer {
+                        from,
+                        to,
+                        cells: vec![src],
+                    }),
+                }
+            }
+        }
+    }
+    for t in &mut out {
+        t.cells.sort_unstable();
+        t.cells.dedup();
+    }
+    out
+}
+
+#[test]
+fn closed_forms_match_the_cell_walk() {
+    for (pattern, s) in cases() {
+        for rows in 1..14 {
+            for cols in 1..14 {
+                let dims = Dims::new(rows, cols);
+                let boundaries = [
+                    vec![],
+                    vec![0],
+                    vec![cols],
+                    vec![0, cols],
+                    vec![cols / 2, cols / 2],
+                    vec![1, cols - 1],
+                    vec![cols / 3, 2 * cols / 3],
+                    vec![1, 2, 3],
+                ];
+                for mut b in boundaries {
+                    // Within the columns, non-decreasing: a legal split.
+                    b.iter_mut().for_each(|x| *x = (*x).min(cols));
+                    b.sort_unstable();
+                    for t_switch in switches(pattern, dims) {
+                        let plan = MultiPlan::new(pattern, s, dims, t_switch, b.clone())
+                            .unwrap_or_else(|e| panic!("{pattern} {s} {dims:?} {b:?}: {e}"));
+                        for w in 0..plan.num_waves() {
+                            let label = format!(
+                                "{pattern} {s} {dims:?} {b:?} t_switch={t_switch} wave {w}"
+                            );
+                            assert_eq!(plan.assignment(w), walked_assignment(&plan, w), "{label}");
+                            assert_eq!(plan.transfers(w), walked_transfers(&plan, w), "{label}");
                         }
                     }
                 }

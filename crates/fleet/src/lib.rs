@@ -56,9 +56,11 @@ pub struct PoolStatus {
 /// One fleet member's execution half: its spec plus the host engine
 /// that runs batches placed on it.
 pub struct PlatformPool {
-    /// The member's name, modelled platform and pool width.
+    /// The member's name and modelled platform.
     pub spec: FleetPlatform,
-    /// Host thread engine for wall-clock solves placed here.
+    /// Host thread engine for wall-clock solves placed here, as wide as
+    /// the host: a wider pool on fewer cores spins its barrier against
+    /// itself.
     pub engine: ParallelEngine,
 }
 
@@ -80,7 +82,7 @@ impl Fleet {
         let pools = specs
             .into_iter()
             .map(|spec| PlatformPool {
-                engine: ParallelEngine::new(spec.threads),
+                engine: ParallelEngine::host(),
                 spec,
             })
             .collect::<Vec<_>>();
@@ -163,7 +165,7 @@ impl Fleet {
                     "{{\"name\":\"{}\",\"threads\":{},\"placements\":{},\"solves\":{},\
                      \"degraded\":{},\"backlog_s\":{:.6},\"dead_workers\":{}}}",
                     p.spec.name,
-                    p.spec.threads,
+                    p.engine.threads(),
                     self.metrics.placements(i),
                     self.metrics.solves(i),
                     self.metrics.degraded(i),
@@ -213,6 +215,8 @@ mod tests {
         assert!(json.contains("\"placements\":1"), "{json}");
         assert!(json.contains("\"multiplan_splits\":1"), "{json}");
         assert!(json.contains("\"backlog_s\":0.100000"), "{json}");
+        let threads = format!("\"threads\":{}", ParallelEngine::host().threads());
+        assert_eq!(json.matches(&threads).count(), 3, "{json}");
     }
 
     #[test]

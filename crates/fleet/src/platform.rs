@@ -1,17 +1,16 @@
 //! Fleet membership: named platform presets with their own host worker
 //! pools.
 //!
-//! A fleet member pairs a modelled [`Platform`] (the §IV cost-model
-//! triple the dispatcher scores against) with the width of the host
-//! thread pool that executes placed batches. The three defaults mirror
-//! the serving story the paper's evaluation implies: the two published
-//! testbeds plus a CPU-only box that exists because real fleets are
-//! never uniformly accelerated.
+//! A fleet member names a modelled [`Platform`] (the §IV cost-model
+//! triple the dispatcher scores against); the host pool that executes
+//! placed batches is sized from the host, not from the model. The three
+//! defaults mirror the serving story the paper's evaluation implies:
+//! the two published testbeds plus a CPU-only box that exists because
+//! real fleets are never uniformly accelerated.
 
 use hetero_sim::platform::{cpu_only, hetero_high, hetero_low, Platform};
 
-/// One member of the serving fleet: a modelled platform plus the host
-/// pool width used for wall-clock solves placed on it.
+/// One member of the serving fleet: a named modelled platform.
 #[derive(Debug, Clone)]
 pub struct FleetPlatform {
     /// Stable lower-case name used in request routing, metric labels
@@ -20,28 +19,15 @@ pub struct FleetPlatform {
     /// The modelled CPU + GPU + link triple the dispatcher costs
     /// batches against.
     pub platform: Platform,
-    /// Host worker-pool width for batches placed here.
-    pub threads: usize,
 }
 
 impl FleetPlatform {
-    /// A member named `name` over `platform`, with the pool width
-    /// defaulting to the modelled CPU's physical cores capped at 4
-    /// (the host is simulated; wider pools only add barrier traffic).
+    /// A member named `name` over `platform`.
     pub fn new(name: impl Into<String>, platform: Platform) -> FleetPlatform {
-        let threads = platform.cpu.physical_cores.clamp(1, 4);
         FleetPlatform {
             name: name.into(),
             platform,
-            threads,
         }
-    }
-
-    /// Overrides the host pool width.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> FleetPlatform {
-        self.threads = threads.max(1);
-        self
     }
 }
 
@@ -51,7 +37,7 @@ pub fn default_fleet() -> Vec<FleetPlatform> {
     vec![
         FleetPlatform::new("hetero-high", hetero_high()),
         FleetPlatform::new("hetero-low", hetero_low()),
-        FleetPlatform::new("cpu-only", cpu_only()).with_threads(2),
+        FleetPlatform::new("cpu-only", cpu_only()),
     ]
 }
 
@@ -65,17 +51,8 @@ mod tests {
         assert_eq!(fleet.len(), 3);
         let names: Vec<&str> = fleet.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["hetero-high", "hetero-low", "cpu-only"]);
-        for p in &fleet {
-            assert!(p.threads >= 1);
-        }
         // The members model genuinely different hardware.
         assert_ne!(fleet[0].platform.gpu.smx, fleet[1].platform.gpu.smx);
         assert_ne!(fleet[1].platform.gpu.smx, fleet[2].platform.gpu.smx);
-    }
-
-    #[test]
-    fn threads_never_drop_to_zero() {
-        let p = FleetPlatform::new("x", hetero_high()).with_threads(0);
-        assert_eq!(p.threads, 1);
     }
 }

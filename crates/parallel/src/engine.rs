@@ -869,15 +869,11 @@ impl ParallelEngine {
     ) -> Result<Capture<K::Cell>> {
         let (kernel, pattern, dims, exec) = (run.kernel, run.pattern, run.dims, run.exec);
         let num_waves = pattern.num_waves(dims.rows, dims.cols);
-        let widest = (0..num_waves)
-            .map(|w| pattern.wave_len(dims.rows, dims.cols, w))
-            .max()
-            .unwrap_or(1);
         let threads = run
             .threads
             .unwrap_or(self.threads)
             .min(self.threads)
-            .min(widest)
+            .min(pattern.widest_wave(dims.rows, dims.cols))
             .max(1);
         // One worker cannot win on the pool: dispatching to it would
         // pay job hand-off, a spin barrier per wave and a context switch

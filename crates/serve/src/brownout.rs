@@ -15,7 +15,11 @@
 //! | 0     | normal service |
 //! | 1     | shed new batch-class admissions (`503 brownout_shed`) |
 //! | 2     | cap batch concurrency to one worker |
-//! | 3     | force rolling memory mode onto batch solves |
+//!
+//! A ladder configured with a `max_level` above 2 climbs further, but
+//! its higher levels act as level 2: forcing the rolling memory mode
+//! would save nothing, since every problem whose answer a rolling
+//! solve yields already rolls.
 //!
 //! Interactive traffic is never shed by the ladder at any level — the
 //! queue's class budgets and the breaker remain its only admission
@@ -52,7 +56,7 @@ impl Default for BrownoutConfig {
             low_watermark: 0.25,
             engage_after: 3,
             disengage_after: 5,
-            max_level: 3,
+            max_level: 2,
         }
     }
 }

@@ -67,7 +67,8 @@ pub struct SolveRequest {
     pub deadline_ms: Option<u64>,
     /// Memory-mode pin: `Some(Rolling)` requests the score-only
     /// wave-band path, `Some(Full)` pins the materialized table,
-    /// `None` accepts the tuner's budget-based choice.
+    /// `None` takes the backend's default (the ring wherever it yields
+    /// the answer).
     pub memory_mode: Option<MemoryMode>,
     /// Service class; defaults to [`Priority::Interactive`].
     pub priority: Priority,

@@ -77,7 +77,7 @@ pub use stream::BandFrame;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lddp_core::kernel::{ExecTier, MemoryMode};
+    use lddp_core::kernel::ExecTier;
     use lddp_core::schedule::ScheduleParams;
     use lddp_core::tuner_cache::TunedConfig;
     use lddp_trace::{NullSink, TraceSink};
@@ -87,8 +87,7 @@ mod tests {
     /// Deterministic fake backend: answers `"<problem>:<n>"`, counts
     /// tune calls, and can be slowed down, made to fail, made to
     /// panic, or made to report a degraded solve. For QoS tests it can
-    /// also report a fixed §IV cost estimate and rolling support, and
-    /// it counts tune probes that arrived pinned to rolling memory.
+    /// also report a fixed §IV cost estimate.
     struct MockBackend {
         tunes: AtomicUsize,
         solves: AtomicUsize,
@@ -97,8 +96,6 @@ mod tests {
         panic_problem: Option<&'static str>,
         degrade_problem: Option<&'static str>,
         estimate_ms: Option<f64>,
-        rolling_ok: bool,
-        rolling_probes: AtomicUsize,
     }
 
     impl MockBackend {
@@ -111,8 +108,6 @@ mod tests {
                 panic_problem: None,
                 degrade_problem: None,
                 estimate_ms: None,
-                rolling_ok: false,
-                rolling_probes: AtomicUsize::new(0),
             }
         }
     }
@@ -128,12 +123,9 @@ mod tests {
 
         fn tune(
             &self,
-            probe: &SolveRequest,
+            _probe: &SolveRequest,
             _sink: &dyn TraceSink,
         ) -> Result<(TunedConfig, bool), String> {
-            if probe.memory_mode == Some(MemoryMode::Rolling) {
-                self.rolling_probes.fetch_add(1, Ordering::SeqCst);
-            }
             let prior = self.tunes.fetch_add(1, Ordering::SeqCst);
             let config = TunedConfig::new(ScheduleParams::new(2, 16), ExecTier::Simd);
             Ok((config, prior > 0))
@@ -141,10 +133,6 @@ mod tests {
 
         fn estimate_ms(&self, _req: &SolveRequest) -> Option<f64> {
             self.estimate_ms
-        }
-
-        fn supports_rolling(&self, _req: &SolveRequest) -> bool {
-            self.rolling_ok
         }
 
         fn solve(
@@ -713,65 +701,6 @@ mod tests {
         assert_eq!(snap.class_accepted[1], 1);
         assert_eq!(snap.class_shed[1], 1);
         assert_eq!(snap.class_shed[0], 0, "interactive is never brownout-shed");
-    }
-
-    #[test]
-    fn brownout_level_three_forces_rolling_on_batch_solves() {
-        struct StallOnce(AtomicUsize);
-        impl lddp_chaos::FaultInjector for StallOnce {
-            fn active(&self) -> bool {
-                true
-            }
-            fn queue_stall(&self) -> Option<Duration> {
-                if self.0.fetch_add(1, Ordering::SeqCst) == 0 {
-                    Some(Duration::from_millis(80))
-                } else {
-                    None
-                }
-            }
-        }
-        let mut backend = MockBackend::new();
-        backend.rolling_ok = true;
-        let config = ServeConfig {
-            workers: 1,
-            max_batch: 1,
-            queue_capacity: 8,
-            batch_queue_capacity: Some(8),
-            brownout: BrownoutConfig {
-                high_watermark: 0.05,
-                low_watermark: 0.01,
-                engage_after: 1,
-                disengage_after: 100,
-                max_level: 3,
-            },
-            ..ServeConfig::default()
-        };
-        let injector = StallOnce(AtomicUsize::new(0));
-        let server = Server::with_injector(config, &backend, &NullSink, &injector);
-        server.run(None, |client| {
-            // The batch job is admitted at level 0 and picked up
-            // immediately — where the injected stall parks the worker.
-            let mut batch_req = SolveRequest::new("lcs", 64);
-            batch_req.priority = Priority::Batch;
-            let batch_rx = client.submit(batch_req).unwrap();
-            // While it sits, interactive pushes climb the ladder to
-            // level 3 (every observation engages).
-            let rxs: Vec<_> = (0..3)
-                .map(|_| client.submit(SolveRequest::new("lcs", 64)).unwrap())
-                .collect();
-            batch_rx.recv().unwrap().unwrap();
-            for rx in rxs {
-                rx.recv().unwrap().unwrap();
-            }
-        });
-        // Exactly the batch batch was pinned to rolling; the
-        // interactive batches tuned unpinned even at level 3.
-        assert_eq!(backend.rolling_probes.load(Ordering::SeqCst), 1);
-        let metrics = server.metrics_text();
-        assert!(
-            metrics.contains("lddp_serve_brownout_forced_rolling_total 1"),
-            "{metrics}"
-        );
     }
 
     #[test]

@@ -291,8 +291,8 @@ pub trait SolveBackend: Sync {
     }
 
     /// Whether `req`'s problem supports the rolling (wave-band) memory
-    /// mode — consulted before the brownout ladder forces rolling onto
-    /// batch-class solves. `false` (the default) opts out.
+    /// mode, for callers that route on it; the server does not consult
+    /// it. `false` (the default) opts out.
     fn supports_rolling(&self, _req: &SolveRequest) -> bool {
         false
     }
@@ -845,26 +845,6 @@ impl<'a> Server<'a> {
         self.stats.batched_jobs.add(batch_size as u64);
         self.stats.batch_size.observe(batch_size as f64);
 
-        // Brownout level ≥ 3: force the rolling (wave-band) memory
-        // mode onto batch-class solves that support it — smaller
-        // tables, lower peak memory — by pinning the mode on the tune
-        // probe. Interactive batches and explicit pins are untouched.
-        let mut probe = live[0].0.req.clone();
-        if self.brownout_level() >= 3
-            && probe.priority == Priority::Batch
-            && probe.memory_mode.is_none()
-            && self.backend.supports_rolling(&probe)
-        {
-            probe.memory_mode = Some(MemoryMode::Rolling);
-            self.live
-                .counter(
-                    "lddp_serve_brownout_forced_rolling_total",
-                    &[],
-                    "Batch-class batches forced to rolling memory by the brownout ladder.",
-                )
-                .inc();
-        }
-
         // One tune per batch — the cached §V-A artifact. A panicking
         // tuner is isolated exactly like a panicking solve: the batch
         // gets clean 500s and the worker thread survives.
@@ -872,7 +852,7 @@ impl<'a> Server<'a> {
         // Assembly cost charged to every rider: queue pickup to tune
         // start (grouping, queue-wait accounting, deadline shedding).
         let batch_wait = tune_start.duration_since(picked_up);
-        let tuned = catch_unwind(AssertUnwindSafe(|| self.backend.plan(&probe, sink)));
+        let tuned = catch_unwind(AssertUnwindSafe(|| self.backend.plan(&live[0].0.req, sink)));
         let tune_wait = tune_start.elapsed();
         let plan = match tuned {
             Ok(Ok(x)) => x,
@@ -1337,8 +1317,7 @@ impl<'a> Server<'a> {
             .gauge(
                 "lddp_serve_brownout_level",
                 &[],
-                "Brownout-ladder level: 0 normal, 1 shed batch, 2 cap batch \
-                 concurrency, 3 force rolling memory on batch solves.",
+                "Brownout-ladder level: 0 normal, 1 shed batch, 2 cap batch concurrency.",
             )
             .set(self.brownout_level() as f64);
         for class in [Priority::Interactive, Priority::Batch] {

@@ -74,7 +74,7 @@ pub enum Command {
         params: Option<ScheduleParams>,
         /// Emit a machine-readable JSON summary instead of text.
         json: bool,
-        /// Memory-mode pin (`None` = the tuner's budget-based choice).
+        /// Memory-mode pin (`None` = the full-table heterogeneous run).
         memory: Option<MemoryMode>,
     },
     /// Tune a named problem instance.
@@ -680,9 +680,10 @@ pub fn usage() -> String {
          Set LDDP_FORCE_TIER=scalar|bulk|simd|bitparallel to cap the\n\
          execution tier of every engine in the process.\n\
          `solve --memory rolling` keeps only the live wavefronts\n\
-         (O(n+m) bytes instead of the full table); without the flag the\n\
-         tuner picks the mode from the platform's table-memory budget\n\
-         (see DESIGN.md, \"Memory tiers\"). `bench --rolling`\n\
+         (O(n+m) bytes instead of the full table), as `serve` does for\n\
+         every problem whose answer they yield unless a request pins\n\
+         `memory_mode: full` (see DESIGN.md, \"Memory tiers\"); without\n\
+         the flag `solve` prints the full-table report. `bench --rolling`\n\
          measures that tier's peak working set and throughput.\n\
          `chaos` runs a seeded fault-injection campaign across the engine\n\
          ladder, the hetero executor, and the serving stack, verifying\n\
@@ -1034,22 +1035,27 @@ impl<K: Kernel> Problem<K> {
             _ => (fw.estimate(&kernel, params).map(|s| (params, s)), 1),
         };
         let (params, hetero_s) = priced.map_err(|e| e.to_string())?;
-        let bit_parallel = a.tier == Some(ExecTier::BitParallel);
-        let gridless = self
-            .gridless
-            .filter(|_| bit_parallel && a.injector.is_none() && emit.is_none());
+        let gridless = self.gridless.filter(|_| {
+            a.tier == Some(ExecTier::BitParallel) && a.injector.is_none() && emit.is_none()
+        });
         // A stream rolls whenever the problem can: a full-table solve
         // only produces its answer at the very end.
-        let rolls = self.rolls(&kernel)
-            && (emit.is_some() || (a.memory == MemoryMode::Rolling && !bit_parallel));
+        let rolls = self.rolls(&kernel) && (emit.is_some() || a.memory == MemoryMode::Rolling);
         let (answer, tier, memory_mode, table_bytes) = if let Some(gridless) = gridless {
             let (cell, bytes) = gridless(&kernel);
             let answer = match &self.answer {
                 Answer::Corner(f) => f(&cell),
                 _ => unreachable!("gridless answers are corners"),
             };
-            (answer, ExecTier::BitParallel, MemoryMode::Full, bytes)
+            // One bit-vector row, whatever the pin: no table is built.
+            (answer, ExecTier::BitParallel, MemoryMode::Rolling, bytes)
         } else {
+            let tier = a
+                .engine
+                .select_tier(&kernel)
+                .min(a.tier.unwrap_or(ExecTier::BitParallel));
+            let d = kernel.dims();
+            let widest = class.raw_pattern.canonical().widest_wave(d.rows, d.cols);
             let hook = emit.filter(|_| rolls).map(|emit| StreamHook {
                 bands: crate::serve_backend::STREAM_BANDS,
                 score_of: self.band_score,
@@ -1063,6 +1069,7 @@ impl<K: Kernel> Problem<K> {
                 } else {
                     Memory::Full
                 },
+                threads: served_workers(tier, widest),
                 tier: a.tier,
                 injector: a.injector,
                 stream: hook.as_ref(),
@@ -1406,7 +1413,8 @@ pub struct ServedSolve {
 /// 2. otherwise one [`ParallelEngine::run`] on `engine`: rolling when
 ///    the memory mode asks for it or a stream wants bands (problems
 ///    whose answer a rolling solve yields), full-table otherwise, walking
-///    the degradation ladder when injected.
+///    the degradation ladder when injected, on the workers
+///    [`served_workers`] gives it.
 ///
 /// The reported virtual time is the cost model's price: the framework's
 /// estimate for the legalized parameters, or, when `devices ≥ 2` and
@@ -1417,11 +1425,34 @@ pub fn solve_served(args: &SolveArgs<'_>) -> Result<ServedSolve, String> {
     problem(args.problem)?.serve(args)
 }
 
+/// Cells of a SIMD-tier run's widest wave that pay for one engine
+/// worker. Rolling levenshtein, needleman-wunsch and dtw on a 2-vCPU
+/// AVX2 host, two workers' time over one: 3.05 at 1024², 2.07 at
+/// 2048², 1.31 at 4096², 1.15 at 5120², 0.84 at 6144², 0.82 at 8192²
+/// (a repeat read 3.06, 1.79, 1.45, 1.09, 1.05 and 0.91 at the same
+/// sizes). Below the crossover, which host noise moves between widest
+/// waves of 5120 and 8192 cells, the per-wave barrier costs more than
+/// the second worker saves, so a second worker starts at 6144 cells:
+/// 3072 per worker.
+const SIMD_CELLS_PER_WORKER: usize = 3072;
+
+/// Engine workers for a served run on `tier` whose widest wave holds
+/// `widest` cells: one per [`SIMD_CELLS_PER_WORKER`] cells, at least
+/// one, for the SIMD tier. Scalar cells carry enough work that a second
+/// worker wins from 1024² up (at 2048², one worker against two:
+/// dithering 256 against 193 ms, fig9 47 against 27 ms), so scalar
+/// runs, and bulk runs with them, keep the engine's width (`None`). One
+/// uninjected worker computes inline on the calling thread: no pool
+/// hand-off, no run lock, no barrier per wave.
+fn served_workers(tier: ExecTier, widest: usize) -> Option<usize> {
+    (tier == ExecTier::Simd).then(|| (widest / SIMD_CELLS_PER_WORKER).max(1))
+}
+
 /// Solves one instance priced as a `devices`-way cross-device
-/// `MultiPlan` column-band split, answered on a one-worker engine,
-/// which computes inline and starts no pool. A problem whose raw
-/// pattern needs a kernel adapter has no direct band split and is
-/// priced whole.
+/// `MultiPlan` column-band split, answered in the served memory mode on
+/// a one-worker engine, which computes inline and starts no pool. A
+/// problem whose raw pattern needs a kernel adapter has no direct band
+/// split and is priced whole.
 pub fn run_solve_multi(
     problem_name: &str,
     n: usize,
@@ -1434,7 +1465,7 @@ pub fn run_solve_multi(
         platform: "high",
         params,
         tier: None,
-        memory: MemoryMode::Full,
+        memory: choose_memory_mode(problem_name),
         engine: &ParallelEngine::new(1),
         emit: None,
         injector: None,
@@ -1553,34 +1584,21 @@ pub fn rolling_supported(problem_name: &str) -> bool {
     problem(problem_name).is_ok_and(|p| p.rolls())
 }
 
-/// DP-table memory budget of a platform preset, in bytes — the knob the
-/// tuner's memory-mode axis compares the full-table footprint against.
-/// Hetero-Low models a 1 GiB-card laptop, so it gets the tight budget.
-pub fn platform_table_budget(platform_name: &str) -> usize {
-    match platform_name {
-        "low" => 128 << 20,
-        _ => 512 << 20,
-    }
-}
-
-/// `(full_table_bytes, rolling_bytes)` of the named instance — the two
-/// points of the memory model the tuner chooses between.
+/// `(full_table_bytes, rolling_bytes)` of the named instance.
 pub fn table_footprint(problem_name: &str, n: usize) -> Result<(usize, usize), String> {
     Ok(problem(problem_name)?.footprint(n))
 }
 
-/// The tuner's memory-mode axis: rolling iff the problem supports it
-/// and the full table would breach the platform's memory budget.
-/// Rolling trades the materialized grid for a three-band ring, so it
-/// only wins when the full table does not fit — the model prefers full
-/// tables (traceback stays available) whenever they are affordable.
-pub fn choose_memory_mode(problem_name: &str, n: usize, platform_name: &str) -> MemoryMode {
-    if !rolling_supported(problem_name) {
-        return MemoryMode::Full;
-    }
-    match table_footprint(problem_name, n) {
-        Ok((full, _)) if full > platform_table_budget(platform_name) => MemoryMode::Rolling,
-        _ => MemoryMode::Full,
+/// The served memory mode of the named problem: the three-band ring
+/// whenever a rolling solve yields the answer, the full table
+/// otherwise. The ring is the fast path as well as the small one — its
+/// three bands stay in cache while the wave-major table streams through
+/// memory on every wave — so it is not a tuned choice.
+pub fn choose_memory_mode(problem_name: &str) -> MemoryMode {
+    if rolling_supported(problem_name) {
+        MemoryMode::Rolling
+    } else {
+        MemoryMode::Full
     }
 }
 
@@ -1597,8 +1615,7 @@ pub fn tune_config(
 ) -> Result<TunedConfig, String> {
     let params = tune_params(problem_name, n, platform_name)?;
     let tier = select_tier(problem_name, n, engine)?;
-    let memory = choose_memory_mode(problem_name, n, platform_name);
-    Ok(TunedConfig::new(params, tier).with_memory_mode(memory))
+    Ok(TunedConfig::new(params, tier).with_memory_mode(choose_memory_mode(problem_name)))
 }
 
 /// Renders a [`SolveOutput`] as one machine-readable JSON object.
@@ -2507,11 +2524,9 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             json,
             memory,
         } => {
-            // Explicit --memory pins the mode; otherwise the tuner's
-            // budget model decides (rolling only when the full table
-            // would not fit the platform's table-memory budget).
-            let mode = memory.unwrap_or_else(|| choose_memory_mode(&problem, n, &platform));
-            if mode == MemoryMode::Rolling {
+            // `--memory rolling` answers on the served ring; otherwise
+            // this is the paper's heterogeneous full-table run.
+            if memory == Some(MemoryMode::Rolling) {
                 if !rolling_supported(&problem) {
                     return Err(format!(
                         "problem '{problem}' has no rolling-mode solve \
@@ -3184,6 +3199,50 @@ mod tests {
         let lev = served("levenshtein", Some(ExecTier::BitParallel), &engine);
         assert_ne!(lev.tier, ExecTier::BitParallel);
         assert!(lev.answer.contains("edit distance"));
+    }
+
+    #[test]
+    fn a_second_simd_worker_starts_at_a_6144_cell_wave() {
+        assert_eq!(served_workers(ExecTier::Simd, 1), Some(1));
+        assert_eq!(served_workers(ExecTier::Simd, 6143), Some(1));
+        assert_eq!(served_workers(ExecTier::Simd, 6144), Some(2));
+        assert_eq!(served_workers(ExecTier::Simd, 8193), Some(2));
+        for tier in [ExecTier::Scalar, ExecTier::Bulk] {
+            assert_eq!(served_workers(tier, 8193), None, "{tier:?}");
+        }
+    }
+
+    /// A narrow SIMD solve computes inline on the caller; a scalar one
+    /// takes the engine's width.
+    #[test]
+    fn served_solves_start_the_pool_only_for_wide_or_scalar_work() {
+        let solve = |problem: &str, engine: &ParallelEngine| {
+            let config = tune_config(problem, 512, "high", engine).unwrap();
+            solve_served(&SolveArgs {
+                problem,
+                n: 512,
+                platform: "high",
+                params: config.params,
+                tier: Some(config.tier),
+                memory: config.memory_mode,
+                engine,
+                emit: None,
+                injector: None,
+                devices: 1,
+            })
+            .unwrap()
+            .summary
+        };
+        let engine = ParallelEngine::new(2);
+        if lddp_core::kernel::simd_available() {
+            let lev = solve("levenshtein", &engine);
+            assert_eq!(lev.tier, ExecTier::Simd);
+            assert_eq!(lev.answer, run_solve_seq("levenshtein", 512).unwrap());
+            assert!(!engine.pool_started(), "one SIMD worker computes inline");
+        }
+        let dith = solve("dithering", &engine);
+        assert_eq!(dith.tier, ExecTier::Scalar);
+        assert!(engine.pool_started(), "scalar runs keep the engine's width");
     }
 
     #[test]

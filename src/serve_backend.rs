@@ -105,9 +105,10 @@ pub(crate) fn validate_request(
 /// key_platform)`, with tuner-cache misses counted in `live`. Pinned
 /// parameters skip tuning (never a cache hit) but take the same tier
 /// rule as a tuned request — requests pin schedule parameters, not
-/// execution machinery. A per-request memory-mode pin overrides the
-/// tuner's budget choice without touching the cached artifact (the
-/// batch key keeps pinned and unpinned requests apart).
+/// execution machinery. The memory mode is the problem's
+/// ([`cli::choose_memory_mode`]) on every lookup, whatever a cache
+/// entry restored from an older file says, unless the request pins one
+/// (the batch key keeps pinned and unpinned requests apart).
 pub(crate) fn tuned(
     cache: &TunerCache,
     live: Option<&LiveRegistry>,
@@ -118,14 +119,10 @@ pub(crate) fn tuned(
 ) -> Result<(TunedConfig, bool), String> {
     let (problem, n) = (probe.problem.as_str(), probe.n);
     let (config, hit) = match probe.params {
-        Some(params) => {
-            let tier = cli::select_tier(problem, n, engine)?;
-            let memory = cli::choose_memory_mode(problem, n, platform);
-            (
-                TunedConfig::new(params, tier).with_memory_mode(memory),
-                false,
-            )
-        }
+        Some(params) => (
+            TunedConfig::new(params, cli::select_tier(problem, n, engine)?),
+            false,
+        ),
         None => {
             let key = TuneKey::new(problem, Dims::new(n, n), key_platform);
             cache.get_or_tune(&key, || {
@@ -141,12 +138,10 @@ pub(crate) fn tuned(
             })?
         }
     };
-    Ok((
-        probe
-            .memory_mode
-            .map_or(config, |m| config.with_memory_mode(m)),
-        hit,
-    ))
+    let memory = probe
+        .memory_mode
+        .unwrap_or_else(|| cli::choose_memory_mode(problem));
+    Ok((config.with_memory_mode(memory), hit))
 }
 
 /// The reply half of a served solve.
@@ -448,6 +443,8 @@ mod tests {
         assert!(b.validate(&wave).is_ok());
     }
 
+    /// Pinned to rolling, and unpinned through the tuner: every problem
+    /// whose answer a rolling solve yields is served off the ring.
     #[test]
     fn rolling_mode_serves_the_oracle_answer_with_band_sized_tables() {
         let b = FrameworkBackend::new();
@@ -461,19 +458,56 @@ mod tests {
             "maxsquare",
         ] {
             let req = SolveRequest::new(problem, 48);
-            let config = TunedConfig::new(ScheduleParams::new(4, 16), ExecTier::Bulk)
+            let pinned = TunedConfig::new(ScheduleParams::new(4, 16), ExecTier::Bulk)
                 .with_memory_mode(MemoryMode::Rolling);
-            let served = b.solve(&req, config, &NullSink).unwrap();
-            assert_eq!(served.memory_mode, MemoryMode::Rolling, "{problem}");
-            // Three band buffers of ≤ 49 cells each, not a 49×49 grid.
-            assert!(
-                served.table_bytes <= 3 * 49 * 12,
-                "{problem}: {} bytes",
-                served.table_bytes
-            );
+            let (tuned, _) = b.tune(&req, &NullSink).unwrap();
             let oracle = crate::cli::run_solve_seq(problem, 48).unwrap();
-            assert_eq!(served.answer, oracle, "{problem}");
+            let (full, ring) = crate::cli::table_footprint(problem, 48).unwrap();
+            for config in [pinned, tuned] {
+                let served = b.solve(&req, config, &NullSink).unwrap();
+                assert_eq!(served.memory_mode, MemoryMode::Rolling, "{problem}");
+                // Three band buffers of ≤ 49 cells each, not a 49×49
+                // grid; tuned lcs runs the gridless bit-parallel kernel,
+                // one bit-vector row and its match table.
+                let bound = if served.tier == ExecTier::BitParallel {
+                    full / 4
+                } else {
+                    ring
+                };
+                assert!(
+                    served.table_bytes <= bound,
+                    "{problem}: {} bytes",
+                    served.table_bytes
+                );
+                assert_eq!(served.answer, oracle, "{problem}");
+            }
         }
+    }
+
+    /// A cache file written while the memory mode was a tuned result
+    /// holds `"full"` for wave problems; a warm-started server still
+    /// rolls them.
+    #[test]
+    fn restored_full_entries_still_serve_off_the_ring() {
+        let b = FrameworkBackend::new();
+        let doc = r#"{"version":2,"entries":[{"problem":"levenshtein","rows_bucket":128,
+            "cols_bucket":128,"platform":"high","t_switch":4,"t_share":16,"tier":"simd",
+            "memory_mode":"full"}]}"#;
+        assert_eq!(b.cache().load_json(doc), Ok(1));
+        let req = SolveRequest::new("levenshtein", 100);
+        let (config, hit) = b.tune(&req, &NullSink).unwrap();
+        assert!(hit, "the restored entry answers the lookup");
+        let served = b.solve(&req, config, &NullSink).unwrap();
+        assert_eq!(served.memory_mode, MemoryMode::Rolling);
+        assert!(
+            served.table_bytes <= 3 * 101 * 4,
+            "{} bytes",
+            served.table_bytes
+        );
+        assert_eq!(
+            served.answer,
+            crate::cli::run_solve_seq("levenshtein", 100).unwrap()
+        );
     }
 
     #[test]
