@@ -1,24 +1,24 @@
 //! A deliberately tiny HTTP/1.1 subset over `std::net` — just enough
 //! for the solve API and its load generator: persistent connections
 //! (`Connection: keep-alive`, the HTTP/1.1 default), `Content-Length`
-//! request bodies, ASCII headers, JSON payloads. Responses may also be
-//! `Transfer-Encoding: chunked` — the streaming solve path emits one
-//! JSON frame per chunk ([`write_chunked_head`] / [`write_chunk`] /
-//! [`finish_chunked`] on the server, [`HttpConnection::request_stream`]
-//! on the client).
+//! request bodies (a `Transfer-Encoding` or two different lengths are
+//! refused), ASCII headers, JSON payloads. The server reads each
+//! connection through one buffer kept across its requests. Responses
+//! may also be `Transfer-Encoding: chunked` — the streaming solve path
+//! emits one JSON frame per chunk ([`write_chunked_head`] /
+//! [`write_chunk`] / [`finish_chunked`] on the server,
+//! [`HttpConnection::request_stream`] on the client).
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cap on accepted request bodies (1 MiB) — a crude protection against
 /// a client streaming an unbounded body at the server.
 const MAX_BODY: usize = 1 << 20;
 
-/// Error value for a connection that closed (or went idle past its
-/// timeout) *between* requests — a normal end of a keep-alive session,
-/// not a protocol error.
-pub(crate) const CLEAN_CLOSE: &str = "connection closed between requests";
+/// Cap on a request or response head (start line plus headers).
+const MAX_HEAD: usize = 16 * 1024;
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,10 +47,133 @@ impl HttpRequest {
     }
 }
 
-/// Reads one HTTP request off `stream` (which should carry a read
-/// timeout).
-pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
-    let head = read_until_blank_line(stream)?;
+/// Why [`RequestReader::read_request`] returned no request. Only
+/// [`ReadError::Malformed`] is worth an answer (a 400); the others end
+/// the connection without one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ReadError {
+    /// The peer closed or reset the connection between requests.
+    Closed,
+    /// No byte of a next request arrived within the idle timeout.
+    Idle,
+    /// A request began but did not arrive whole within its deadline.
+    Deadline,
+    /// The request cannot be parsed or framed; the text says why. The
+    /// connection is off its request boundary and must close.
+    Malformed(String),
+}
+
+/// The read side of one server connection. Its buffer lives as long as
+/// the connection: bytes of a pipelined next request that arrive with
+/// this one carry over to the next call, and a request costs one `read`
+/// per segment instead of one per byte.
+pub(crate) struct RequestReader<'s> {
+    reader: BufReader<&'s TcpStream>,
+}
+
+impl<'s> RequestReader<'s> {
+    /// A reader over `stream`. It sets the socket's read timeout itself,
+    /// before each read that can block.
+    pub(crate) fn new(stream: &'s TcpStream) -> RequestReader<'s> {
+        RequestReader {
+            reader: BufReader::new(stream),
+        }
+    }
+
+    /// Reads the next request. The connection may sit idle for `idle`
+    /// before the request's first byte; from that byte on, the whole
+    /// request, head and body, must arrive within `whole`.
+    pub(crate) fn read_request(
+        &mut self,
+        idle: Duration,
+        whole: Duration,
+    ) -> Result<HttpRequest, ReadError> {
+        match self.fill(idle) {
+            Ok([]) => return Err(ReadError::Closed),
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => return Err(ReadError::Idle),
+            Err(_) => return Err(ReadError::Closed),
+        }
+        let deadline = Instant::now() + whole;
+        let head = self.read_head(deadline)?;
+        let (mut req, content_length) = parse_head(&head).map_err(ReadError::Malformed)?;
+        let mut body = Vec::with_capacity(content_length);
+        while body.len() < content_length {
+            let buf = self.fill_by(deadline)?;
+            let take = buf.len().min(content_length - body.len());
+            body.extend_from_slice(&buf[..take]);
+            self.reader.consume(take);
+        }
+        req.body = String::from_utf8(body)
+            .map_err(|_| ReadError::Malformed("body is not UTF-8".into()))?;
+        Ok(req)
+    }
+
+    /// The buffered bytes, reading more first when none are left; the
+    /// read blocks for at most `wait`. An empty slice means the peer
+    /// closed its side.
+    fn fill(&mut self, wait: Duration) -> std::io::Result<&[u8]> {
+        if self.reader.buffer().is_empty() {
+            if wait.is_zero() {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            self.reader.get_ref().set_read_timeout(Some(wait))?;
+        }
+        loop {
+            match self.reader.fill_buf() {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+                Ok(_) => return Ok(self.reader.buffer()),
+            }
+        }
+    }
+
+    /// [`RequestReader::fill`] inside a request that must be whole by
+    /// `deadline`.
+    fn fill_by(&mut self, deadline: Instant) -> Result<&[u8], ReadError> {
+        match self.fill(deadline.saturating_duration_since(Instant::now())) {
+            Ok([]) => Err(ReadError::Malformed("connection closed mid-request".into())),
+            Ok(buf) => Ok(buf),
+            Err(e) if is_timeout(&e) => Err(ReadError::Deadline),
+            Err(e) => Err(ReadError::Malformed(format!("reading request: {e}"))),
+        }
+    }
+
+    /// Reads through the blank line that ends a request head and
+    /// returns the head without it, leaving any bytes after it buffered.
+    fn read_head(&mut self, deadline: Instant) -> Result<Vec<u8>, ReadError> {
+        let mut head = Vec::with_capacity(256);
+        loop {
+            let buf = self.fill_by(deadline)?;
+            let (had, got) = (head.len(), buf.len());
+            head.extend_from_slice(buf);
+            // The terminator may straddle two reads.
+            let from = had.saturating_sub(3);
+            if let Some(at) = head[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+                let end = from + at + 4;
+                self.reader.consume(end - had);
+                head.truncate(end - 4);
+                return Ok(head);
+            }
+            self.reader.consume(got);
+            if head.len() > MAX_HEAD {
+                return Err(ReadError::Malformed("request head too large".into()));
+            }
+        }
+    }
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// Parses a request head (request line and headers) into a request
+/// without its body, and the body length its framing declares. Only
+/// `Content-Length` framing is read, so a head that declares anything
+/// else is refused: its body would otherwise be parsed as the next
+/// request.
+fn parse_head(head: &[u8]) -> Result<(HttpRequest, usize), String> {
+    let head = std::str::from_utf8(head).map_err(|_| "request head is not UTF-8")?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or("empty request")?;
     let mut parts = request_line.split_whitespace();
@@ -63,17 +186,24 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
     // Persistence is the HTTP/1.1 default; HTTP/1.0 must opt in.
     let version = parts.next().unwrap_or("HTTP/1.1");
     let mut keep_alive = !version.eq_ignore_ascii_case("HTTP/1.0");
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
+            let (name, value) = (name.trim(), value.trim());
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad content-length: {e}"))?;
+                let len = match value.parse::<usize>() {
+                    Ok(len) if value.bytes().all(|b| b.is_ascii_digit()) => len,
+                    _ => return Err(format!("bad content-length {value:?}")),
+                };
+                if content_length.is_some_and(|prev| prev != len) {
+                    return Err("conflicting content-length headers".into());
+                }
+                content_length = Some(len);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(format!(
+                    "transfer-encoding {value:?} is not supported; send the body with a content-length"
+                ));
             } else if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
                 if value.eq_ignore_ascii_case("close") {
                     keep_alive = false;
                 } else if value.eq_ignore_ascii_case("keep-alive") {
@@ -82,52 +212,38 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(format!("body of {content_length} bytes exceeds the cap"));
     }
-    let mut body = vec![0u8; content_length];
-    stream
-        .read_exact(&mut body)
-        .map_err(|e| format!("reading body: {e}"))?;
-    Ok(HttpRequest {
+    let req = HttpRequest {
         method,
         path,
         query,
-        body: String::from_utf8(body).map_err(|_| "body is not UTF-8")?,
+        body: String::new(),
         keep_alive,
-    })
+    };
+    Ok((req, content_length))
 }
 
-/// Reads bytes one at a time until the `\r\n\r\n` header terminator.
-/// (Byte-at-a-time keeps the body untouched for `read_exact`; request
-/// heads are tiny, so this costs nothing that matters here.)
+/// Reads bytes one at a time until the `\r\n\r\n` header terminator
+/// (the client side: byte-at-a-time keeps the body untouched for
+/// `read_exact`).
 fn read_until_blank_line(stream: &mut TcpStream) -> Result<String, String> {
     let mut head = Vec::with_capacity(256);
     let mut byte = [0u8; 1];
     while !head.ends_with(b"\r\n\r\n") {
-        if head.len() > 16 * 1024 {
-            return Err("request head too large".into());
+        if head.len() > MAX_HEAD {
+            return Err("response head too large".into());
         }
         match stream.read(&mut byte) {
-            Ok(0) if head.is_empty() => return Err(CLEAN_CLOSE.into()),
-            Ok(0) => return Err("connection closed mid-request".into()),
+            Ok(0) => return Err("connection closed mid-response".into()),
             Ok(_) => head.push(byte[0]),
-            Err(e)
-                if head.is_empty()
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-            {
-                // An idle keep-alive connection hitting the read timeout
-                // is a normal hang-up, not a malformed request.
-                return Err(CLEAN_CLOSE.into());
-            }
-            Err(e) => return Err(format!("reading request: {e}")),
+            Err(e) => return Err(format!("reading response: {e}")),
         }
     }
     head.truncate(head.len() - 4);
-    String::from_utf8(head).map_err(|_| "request head is not UTF-8".into())
+    String::from_utf8(head).map_err(|_| "response head is not UTF-8".into())
 }
 
 /// Standard reason phrase of the statuses this API emits.
@@ -149,7 +265,7 @@ pub fn status_text(code: u16) -> &'static str {
 /// advertised connection disposition; the caller owns actually keeping
 /// the socket open (or not) to match.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -161,7 +277,7 @@ pub fn write_response(
 /// used by 503 rejections from an open circuit breaker to tell clients
 /// when a retry has a chance of succeeding.
 pub fn write_response_ex(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -191,7 +307,7 @@ pub struct ResponseOptions {
 /// The fully general response writer: status, body, connection
 /// disposition, plus whatever [`ResponseOptions`] carries.
 pub fn write_response_opts(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -227,7 +343,7 @@ pub fn write_response_opts(
 /// finishes with [`finish_chunked`]; the connection stays usable for
 /// the next request afterwards when `keep_alive` holds.
 pub fn write_chunked_head(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     keep_alive: bool,
     opts: &ResponseOptions,
@@ -256,7 +372,7 @@ pub fn write_chunked_head(
 /// immediately — each flush is what turns a band into a wire-visible
 /// event rather than a buffered byte. Empty payloads are skipped: a
 /// zero-length chunk would terminate the stream early.
-pub fn write_chunk(stream: &mut TcpStream, data: &str) -> std::io::Result<()> {
+pub fn write_chunk(stream: &mut impl Write, data: &str) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
@@ -272,7 +388,7 @@ pub fn write_chunk(stream: &mut TcpStream, data: &str) -> std::io::Result<()> {
 
 /// Terminates a chunked response (`0\r\n\r\n`, no trailers) and
 /// flushes, leaving the connection aligned on a request boundary.
-pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
+pub fn finish_chunked(stream: &mut impl Write) -> std::io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }
@@ -600,14 +716,19 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    const T: Duration = Duration::from_secs(5);
+
+    fn read_one(conn: &TcpStream) -> Result<HttpRequest, ReadError> {
+        RequestReader::new(conn).read_request(T, T)
+    }
+
     #[test]
     fn request_round_trips_over_loopback() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            let req = read_request(&mut conn).unwrap();
+            let req = read_one(&conn).unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/solve");
             assert_eq!(req.body, r#"{"problem":"lcs"}"#);
@@ -633,7 +754,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            let req = read_request(&mut conn).unwrap();
+            let req = read_one(&conn).unwrap();
             assert_eq!(req.method, "GET");
             assert_eq!(req.path, "/healthz");
             assert!(req.body.is_empty());
@@ -650,15 +771,14 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
             for i in 0..3 {
-                let req = read_request(&mut conn).unwrap();
+                let req = read_one(&conn).unwrap();
                 assert_eq!(req.method, "POST");
                 assert!(req.keep_alive, "pooled client keeps the connection");
                 write_response(&mut conn, 200, &format!("{{\"i\":{i}}}"), true).unwrap();
             }
             // The client hanging up afterwards is a clean close.
-            assert_eq!(read_request(&mut conn).unwrap_err(), CLEAN_CLOSE);
+            assert_eq!(read_one(&conn).unwrap_err(), ReadError::Closed);
         });
         let mut conn = HttpConnection::connect(&addr, Duration::from_secs(5)).unwrap();
         for i in 0..3 {
@@ -676,7 +796,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            let req = read_request(&mut conn).unwrap();
+            let req = read_one(&conn).unwrap();
             assert!(!req.keep_alive);
             write_response(&mut conn, 200, "{}", false).unwrap();
         });
@@ -692,7 +812,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             write_response_ex(&mut conn, 503, "{}", false, Some(7)).unwrap();
         });
         let mut stream = TcpStream::connect(&addr).unwrap();
@@ -712,10 +832,9 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             write_response_ex(&mut conn, 429, "{}", true, Some(3)).unwrap();
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             write_response(&mut conn, 200, "{}", true).unwrap();
         });
         let mut conn = HttpConnection::connect(&addr, Duration::from_secs(5)).unwrap();
@@ -736,7 +855,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            let req = read_request(&mut conn).unwrap();
+            let req = read_one(&conn).unwrap();
             assert_eq!(req.path, "/debug/trace");
             assert_eq!(req.query, "last_ms=500&full=");
             assert_eq!(req.param("last_ms"), Some("500"));
@@ -762,7 +881,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             let opts = ResponseOptions {
                 content_type: Some("text/plain; version=0.0.4"),
                 retry_after_s: None,
@@ -788,8 +907,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            let req = read_request(&mut conn).unwrap();
+            let req = read_one(&conn).unwrap();
             assert_eq!(req.param("stream"), Some("1"));
             let opts = ResponseOptions {
                 extra_headers: vec![("X-LDDP-Trace-Id", "abc123".to_string())],
@@ -835,8 +953,7 @@ mod tests {
             let wire = bad.to_string();
             let server = std::thread::spawn(move || {
                 let (mut conn, _) = listener.accept().unwrap();
-                conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
-                let _ = read_request(&mut conn).unwrap();
+                read_one(&conn).unwrap();
                 conn.write_all(
                     b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
                 )
@@ -859,8 +976,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             conn.write_all(
                 b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             )
@@ -890,8 +1006,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             conn.write_all(
                 b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n",
             )
@@ -923,9 +1038,8 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
             // First exchange: a chunked stream.
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             write_chunked_head(&mut conn, 200, true, &ResponseOptions::default()).unwrap();
             write_chunk(&mut conn, r#"{"band":0}"#).unwrap();
             write_chunk(&mut conn, r#"{"frame":"done"}"#).unwrap();
@@ -933,7 +1047,7 @@ mod tests {
             // Second exchange on the same socket: a plain response. If
             // the client left stray bytes unread, this request never
             // parses.
-            let req = read_request(&mut conn).unwrap();
+            let req = read_one(&conn).unwrap();
             assert_eq!(req.path, "/healthz");
             write_response(&mut conn, 200, r#"{"ok":true}"#, true).unwrap();
         });
@@ -959,8 +1073,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            let _ = read_request(&mut conn).unwrap();
+            read_one(&conn).unwrap();
             write_response_ex(&mut conn, 429, r#"{"error":"queue_full"}"#, true, Some(2)).unwrap();
         });
         let mut conn = HttpConnection::connect(&addr, Duration::from_secs(5)).unwrap();
@@ -978,6 +1091,147 @@ mod tests {
         assert_eq!(outcome.retry_after_s, Some(2));
         assert!(!called, "no chunks on a plain response");
         server.join().unwrap();
+    }
+
+    /// Writes `wire` from a client socket that then half-closes, and
+    /// reads requests off the server side until one read fails.
+    fn read_all(wire: &[u8]) -> (Vec<HttpRequest>, ReadError) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        client.write_all(wire).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reader = RequestReader::new(&conn);
+        let mut got = Vec::new();
+        loop {
+            match reader.read_request(T, T) {
+                Ok(req) => got.push(req),
+                Err(e) => return (got, e),
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_request_bodies_are_refused() {
+        let (got, err) = read_all(
+            b"POST /solve HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+              17\r\n{\"problem\":\"lcs\",\"n\":8}\r\n0\r\n\r\n",
+        );
+        assert!(
+            got.is_empty(),
+            "the chunked body must not parse as a request"
+        );
+        assert!(
+            matches!(&err, ReadError::Malformed(m) if m.contains("transfer-encoding")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn conflicting_or_malformed_content_lengths_are_refused() {
+        let (got, err) = read_all(
+            b"POST /solve HTTP/1.1\r\nContent-Length: 24\r\nContent-Length: 5\r\n\r\n\
+              {\"problem\":\"lcs\",\"n\":8}",
+        );
+        assert!(got.is_empty());
+        assert_eq!(
+            err,
+            ReadError::Malformed("conflicting content-length headers".into())
+        );
+        for bad in ["+5", "5 5", "-1", "", "0x5"] {
+            let wire = format!("POST /solve HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nhello");
+            let (got, err) = read_all(wire.as_bytes());
+            assert!(got.is_empty(), "{bad:?}");
+            assert!(matches!(err, ReadError::Malformed(_)), "{bad:?}: {err:?}");
+        }
+        // A repeated identical length frames the body the same way.
+        let (got, err) =
+            read_all(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].body, "abc");
+        assert_eq!(err, ReadError::Closed);
+    }
+
+    #[test]
+    fn pipelined_requests_carry_over_in_the_buffer() {
+        let (got, err) = read_all(
+            b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /b?x=1 HTTP/1.1\r\n\r\n\
+              GET /c HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        let paths: Vec<&str> = got.iter().map(|r| r.path.as_str()).collect();
+        assert_eq!(paths, ["/a", "/b", "/c"]);
+        assert_eq!(got[0].body, "hi");
+        assert_eq!(got[1].param("x"), Some("1"));
+        assert!(got[1].keep_alive && !got[2].keep_alive);
+        assert_eq!(err, ReadError::Closed);
+    }
+
+    #[test]
+    fn a_head_terminator_split_across_reads_is_found() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_nodelay(true).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let writer = std::thread::spawn(move || {
+            client
+                .write_all(b"GET /a HTTP/1.1\r\nHost: x\r\n\r")
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(30));
+            client.write_all(b"\nGET /b HTTP/1.1\r\n\r\n").unwrap();
+            client
+        });
+        let mut reader = RequestReader::new(&conn);
+        assert_eq!(reader.read_request(T, T).unwrap().path, "/a");
+        assert_eq!(reader.read_request(T, T).unwrap().path, "/b");
+        drop(writer.join().unwrap());
+        assert_eq!(reader.read_request(T, T).unwrap_err(), ReadError::Closed);
+    }
+
+    #[test]
+    fn a_request_trickling_in_is_cut_at_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_nodelay(true).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let trickle = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                // Each byte lands well inside the idle timeout, so only a
+                // deadline on the whole request can end this.
+                for b in b"GET /slow HTTP/1.1\r\nHost: x\r\nX-Pad: ".iter().cycle() {
+                    if stop.load(std::sync::atomic::Ordering::SeqCst)
+                        || client.write_all(&[*b]).is_err()
+                    {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            })
+        };
+        let t = Instant::now();
+        let err = RequestReader::new(&conn)
+            .read_request(Duration::from_secs(5), Duration::from_millis(200))
+            .unwrap_err();
+        let took = t.elapsed();
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        trickle.join().unwrap();
+        assert_eq!(err, ReadError::Deadline);
+        assert!(
+            took >= Duration::from_millis(150) && took < Duration::from_secs(3),
+            "{took:?}"
+        );
+    }
+
+    #[test]
+    fn a_silent_connection_ends_at_the_idle_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let err = RequestReader::new(&conn)
+            .read_request(Duration::from_millis(50), T)
+            .unwrap_err();
+        assert_eq!(err, ReadError::Idle);
     }
 
     #[test]

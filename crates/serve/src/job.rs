@@ -314,6 +314,12 @@ pub enum RejectReason {
         /// header).
         retry_after_s: u64,
     },
+    /// Every connection thread of the HTTP front end is busy; the
+    /// connection is answered at accept, before its request is read.
+    ConnectionsFull {
+        /// The most connections the server serves at once.
+        limit: usize,
+    },
 }
 
 impl RejectReason {
@@ -328,6 +334,7 @@ impl RejectReason {
             RejectReason::DeadlineInfeasible { .. } => "deadline_infeasible",
             RejectReason::TenantQuota { .. } => "tenant_quota",
             RejectReason::BrownoutShed { .. } => "brownout_shed",
+            RejectReason::ConnectionsFull { .. } => "connections_full",
         }
     }
 
@@ -362,6 +369,9 @@ impl RejectReason {
             } => format!(
                 "brownout level {level}: batch-class admissions shed; retry after {retry_after_s} s"
             ),
+            RejectReason::ConnectionsFull { limit } => {
+                format!("all {limit} connection slots busy; retry later")
+            }
         }
     }
 
@@ -376,19 +386,21 @@ impl RejectReason {
             RejectReason::DeadlineInfeasible { .. } => 504,
             RejectReason::TenantQuota { .. } => 429,
             RejectReason::BrownoutShed { .. } => 503,
+            RejectReason::ConnectionsFull { .. } => 503,
         }
     }
 
     /// The `Retry-After` value (seconds) this rejection should carry,
     /// when it has one. Backpressure rejections (`queue_full`,
-    /// `tenant_quota`, `brownout_shed`, `breaker_open`) all carry one
+    /// `tenant_quota`, `brownout_shed`, `breaker_open`,
+    /// `connections_full`) all carry one
     /// so well-behaved clients pace themselves instead of hammering.
     pub fn retry_after_s(&self) -> Option<u64> {
         match self {
             RejectReason::BreakerOpen { retry_after_s }
             | RejectReason::TenantQuota { retry_after_s, .. }
             | RejectReason::BrownoutShed { retry_after_s, .. } => Some(*retry_after_s),
-            RejectReason::QueueFull { .. } => Some(1),
+            RejectReason::QueueFull { .. } | RejectReason::ConnectionsFull { .. } => Some(1),
             _ => None,
         }
     }
@@ -844,6 +856,11 @@ mod tests {
                 "brownout_shed",
                 503,
             ),
+            (
+                RejectReason::ConnectionsFull { limit: 6 },
+                "connections_full",
+                503,
+            ),
         ];
         for (r, code, status) in cases {
             assert_eq!(r.code(), code);
@@ -860,6 +877,10 @@ mod tests {
         // Every backpressure rejection carries a Retry-After hint.
         assert_eq!(
             RejectReason::QueueFull { capacity: 8 }.retry_after_s(),
+            Some(1)
+        );
+        assert_eq!(
+            RejectReason::ConnectionsFull { limit: 6 }.retry_after_s(),
             Some(1)
         );
         assert_eq!(

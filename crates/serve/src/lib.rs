@@ -53,10 +53,13 @@
 //! `lddp` crate (and by mocks in tests). Front ends: a hand-rolled
 //! HTTP/1.1 endpoint (`POST /solve`, `GET /healthz`, `GET /stats`,
 //! `GET /metrics`, `GET /debug/trace`, `POST /shutdown`) over
-//! `std::net`, and the in-process [`Client`]. [`loadgen`] drives
-//! either through the same engine.
+//! `std::net` — one blocking acceptor and at most
+//! `queue_capacity + workers` reused connection threads, past which a
+//! connection is answered `503 connections_full` — and the in-process
+//! [`Client`]. [`loadgen`] drives either through the same engine.
 
 pub mod brownout;
+mod door;
 pub mod http;
 pub mod job;
 pub mod loadgen;
@@ -578,6 +581,79 @@ mod tests {
             assert!(body.contains("draining"), "{body}");
         });
         // run() returning proves the drain joined every thread.
+    }
+
+    #[test]
+    fn drain_closes_an_idle_keep_alive_connection_at_once() {
+        let backend = MockBackend::new();
+        let server = Server::new(ServeConfig::default(), &backend, &NullSink);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut held = None;
+        let body_end = server.run(Some(listener), |_client| {
+            let mut conn = http::HttpConnection::connect(&addr, Duration::from_secs(30)).unwrap();
+            let (status, _) = conn.request("GET", "/healthz", None).unwrap();
+            assert_eq!(status, 200);
+            // The connection now waits for a next request, and stays
+            // open on the client side past the body.
+            held = Some(conn);
+            std::time::Instant::now()
+        });
+        let took = body_end.elapsed();
+        assert!(took < Duration::from_secs(1), "drain took {took:?}");
+        let metrics = server.metrics_text();
+        assert!(
+            metrics.contains("lddp_serve_connections_closed_total{reason=\"drain\"} 1"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("lddp_serve_connections_open 0"),
+            "{metrics}"
+        );
+        let mut conn = held.unwrap();
+        assert!(
+            conn.request("GET", "/healthz", None).is_err(),
+            "the drained connection is closed"
+        );
+    }
+
+    #[test]
+    fn run_with_a_listener_nobody_dialed_returns_at_once() {
+        let backend = MockBackend::new();
+        let server = Server::new(ServeConfig::default(), &backend, &NullSink);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let t = std::time::Instant::now();
+        server.run(Some(listener), |_client| ());
+        // The acceptor blocks in accept(); only the shutdown's own
+        // connection can have woken it.
+        assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+    }
+
+    #[test]
+    fn a_request_in_flight_at_drain_is_still_answered() {
+        let mut backend = MockBackend::new();
+        backend.solve_delay = Duration::from_millis(200);
+        let server = Server::new(ServeConfig::default(), &backend, &NullSink);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (status, body) = server.run(Some(listener), |client| {
+            std::thread::scope(|s| {
+                let asked = s.spawn(|| {
+                    let mut conn =
+                        http::HttpConnection::connect(&addr, Duration::from_secs(30)).unwrap();
+                    conn.request("POST", "/solve", Some(r#"{"problem":"lcs","n":64}"#))
+                        .unwrap()
+                });
+                // Drain once the request is read and admitted.
+                while client.snapshot().accepted == 0 {
+                    std::thread::yield_now();
+                }
+                client.shutdown();
+                asked.join().unwrap()
+            })
+        });
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"answer\":\"lcs:64\""), "{body}");
     }
 
     #[test]

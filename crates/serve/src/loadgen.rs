@@ -431,8 +431,9 @@ pub fn metrics_delta(before: &[(String, f64)], after: &[(String, f64)]) -> Vec<(
         .collect()
 }
 
-const REJECT_CODES: [&str; 8] = [
+const REJECT_CODES: [&str; 9] = [
     "queue_full",
+    "connections_full",
     "shutting_down",
     "deadline_exceeded",
     "deadline_infeasible",
@@ -444,12 +445,14 @@ const REJECT_CODES: [&str; 8] = [
 
 /// Outcomes worth retrying: transient by construction (a retry may see
 /// a healed pool, a closed breaker, a refilled quota bucket, a
-/// disengaged brownout, or an intact connection). `invalid`,
-/// `deadline_exceeded`, and `deadline_infeasible` are deliberately
-/// absent — they would fail again for the same reason.
-const RETRYABLE_CODES: [&str; 8] = [
+/// disengaged brownout, a free connection slot, or an intact
+/// connection). `invalid`, `deadline_exceeded`, and
+/// `deadline_infeasible` are deliberately absent — they would fail
+/// again for the same reason.
+const RETRYABLE_CODES: [&str; 9] = [
     "transport",
     "queue_full",
+    "connections_full",
     "breaker_open",
     "tenant_quota",
     "brownout_shed",

@@ -50,7 +50,8 @@
 //! ```
 
 use crate::brownout::{Brownout, BrownoutConfig};
-use crate::http::{self, ResponseOptions};
+use crate::door::{Admit, Conn, Door};
+use crate::http::{self, ReadError, ResponseOptions};
 use crate::job::{Priority, RejectReason, ServeError, SolveRequest, SolveResponse};
 use crate::queue::{Job, JobQueue};
 use crate::stats::{ServeStats, StatsSnapshot};
@@ -62,13 +63,28 @@ use lddp_core::tuner_cache::TunedConfig;
 use lddp_trace::live::LiveRegistry;
 use lddp_trace::{catalog, chrome, tracks, Span, TraceSink};
 use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// How long a connection may sit idle before a request (the first, or
+/// the next one on a kept-alive connection) until the server closes it.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a request may take to arrive whole, head and body, from its
+/// first byte. It bounds a slow sender, whose every byte would reset a
+/// per-read timeout.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Per-call write timeout on a connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long the acceptor sleeps after a failed `accept` (out of file
+/// descriptors, say) before it tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Sizing knobs of one server.
 #[derive(Debug, Clone)]
@@ -76,6 +92,8 @@ pub struct ServeConfig {
     /// Worker threads executing batches.
     pub workers: usize,
     /// Admission-queue capacity (requests beyond it are rejected).
+    /// With `workers`, it also bounds the HTTP front end: at most
+    /// `queue_capacity + workers` connections are served at once.
     pub queue_capacity: usize,
     /// Most jobs one batch may carry.
     pub max_batch: usize,
@@ -334,6 +352,11 @@ pub struct Server<'a> {
     brownout_level: AtomicU8,
     /// Per-tenant admission token buckets (lazily created).
     tenants: Mutex<HashMap<String, TenantBucket>>,
+    /// The HTTP front end's bounded set of connection threads.
+    door: Door,
+    /// Where a connection wakes the acceptor out of its blocking
+    /// `accept` at shutdown; set while [`Server::run`] has a listener.
+    wake: Mutex<Option<SocketAddr>>,
     shutdown: Mutex<bool>,
     shutdown_cv: Condvar,
 }
@@ -366,6 +389,7 @@ impl<'a> Server<'a> {
         });
         let live = Arc::new(LiveRegistry::new());
         let brownout = Brownout::new(config.brownout);
+        let door = Door::new(config.queue_capacity.saturating_add(config.workers.max(1)));
         Server {
             config,
             backend,
@@ -383,6 +407,8 @@ impl<'a> Server<'a> {
             brownout: Mutex::new(brownout),
             brownout_level: AtomicU8::new(0),
             tenants: Mutex::new(HashMap::new()),
+            door,
+            wake: Mutex::new(None),
             shutdown: Mutex::new(false),
             shutdown_cv: Condvar::new(),
         }
@@ -440,10 +466,17 @@ impl<'a> Server<'a> {
                 s.spawn(move || self.worker_loop(idx));
             }
             if let Some(listener) = &listener {
-                listener
-                    .set_nonblocking(true)
-                    .expect("listener supports nonblocking accept");
-                s.spawn(move || self.http_loop(s, listener));
+                let mut addr = listener
+                    .local_addr()
+                    .expect("a bound listener has a local address");
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr.ip() {
+                        IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                *self.wake.lock().unwrap() = Some(addr);
+                s.spawn(move || self.accept_loop(s, listener));
             }
             let client = Client { server: self };
             // A panicking body (a failed assertion in a test closure)
@@ -458,11 +491,19 @@ impl<'a> Server<'a> {
         })
     }
 
-    /// Stops admission and wakes everything; idempotent.
+    /// Stops admission and wakes everything; idempotent. Connections
+    /// waiting for a next request close; requests already read are
+    /// still answered.
     pub fn initiate_shutdown(&self) {
         self.queue.close();
         *self.shutdown.lock().unwrap() = true;
         self.shutdown_cv.notify_all();
+        self.door.drain();
+        // The acceptor blocks in `accept`: one connection of our own
+        // wakes it to see the flag.
+        if let Some(addr) = self.wake.lock().unwrap().take() {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     fn is_shutdown(&self) -> bool {
@@ -1057,44 +1098,102 @@ impl<'a> Server<'a> {
 
     // ---- HTTP front end --------------------------------------------
 
-    fn http_loop<'scope>(
+    /// The acceptor: a blocking `accept` that hands each connection to
+    /// the door, starts a connection thread when the door asks for one,
+    /// and refuses the rest. [`Server::initiate_shutdown`] wakes it.
+    fn accept_loop<'scope>(
         &'scope self,
         scope: &'scope thread::Scope<'scope, '_>,
         listener: &TcpListener,
     ) {
         loop {
+            let accepted = listener.accept();
             if self.is_shutdown() {
                 return;
             }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    scope.spawn(move || self.handle_conn(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(5)),
+            match accepted {
+                Ok((stream, _peer)) => match self.door.admit(stream) {
+                    Admit::Handed => {}
+                    Admit::Spawn(conn) => {
+                        scope.spawn(move || self.conn_thread(conn));
+                    }
+                    Admit::Refuse(stream) => self.refuse(stream),
+                },
+                Err(_) => thread::sleep(ACCEPT_BACKOFF),
             }
         }
     }
 
-    fn handle_conn(&self, mut stream: TcpStream) {
-        stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-        stream.set_write_timeout(Some(Duration::from_secs(10))).ok();
+    /// Answers a connection past the door's bound with 503 and
+    /// `Retry-After`, then closes it. It reads nothing and never waits
+    /// on the client: the reply is written non-blocking, into the empty
+    /// send buffer of a fresh socket.
+    fn refuse(&self, mut stream: TcpStream) {
+        self.stats.connections_refused.inc();
+        let err = ServeError::Rejected(RejectReason::ConnectionsFull {
+            limit: self.door.limit(),
+        });
+        let opts = ResponseOptions {
+            retry_after_s: err.retry_after_s(),
+            ..ResponseOptions::default()
+        };
+        if stream.set_nonblocking(true).is_ok() {
+            let _ = http::write_response_opts(
+                &mut stream,
+                err.http_status(),
+                &err.to_json(),
+                false,
+                &opts,
+            );
+        }
+    }
+
+    /// A connection thread: serves the connection it was started for,
+    /// then each one the door hands it, until the door drains.
+    fn conn_thread(&self, mut conn: Conn) {
+        loop {
+            self.handle_conn(&conn.stream);
+            match self.door.next(conn) {
+                Some(next) => conn = next,
+                None => return,
+            }
+        }
+    }
+
+    fn handle_conn(&self, stream: &TcpStream) {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
         // Band frames are small and latency is the product: without
         // nodelay, Nagle holds each flushed frame for the client's
         // delayed ACK and a live stream degrades into ~40 ms beats.
         stream.set_nodelay(true).ok();
+        let mut reader = http::RequestReader::new(stream);
+        let mut out = stream;
         // Keep-alive loop: serve requests off this connection until the
-        // client closes it, asks for `Connection: close`, the request is
-        // malformed, or the server starts draining.
+        // client closes it, asks for `Connection: close`, idles past the
+        // timeout, sends a malformed or late request, or the server
+        // starts draining.
         loop {
-            let req = match http::read_request(&mut stream) {
+            let req = match reader.read_request(IDLE_TIMEOUT, REQUEST_DEADLINE) {
                 Ok(r) => r,
-                Err(msg) if msg == http::CLEAN_CLOSE => return,
-                Err(msg) => {
+                Err(ReadError::Malformed(msg)) => {
                     let body = ServeError::Rejected(RejectReason::Invalid(msg)).to_json();
-                    let _ = http::write_response(&mut stream, 400, &body, false);
+                    let _ = http::write_response(&mut out, 400, &body, false);
+                    return;
+                }
+                Err(ReadError::Idle) => {
+                    self.stats.connections_closed_idle.inc();
+                    return;
+                }
+                Err(ReadError::Deadline) => {
+                    self.stats.connections_closed_deadline.inc();
+                    return;
+                }
+                Err(ReadError::Closed) => {
+                    // A drain shuts the read side of every connection,
+                    // which is what ends a wait for a next request.
+                    if self.is_shutdown() {
+                        self.stats.connections_closed_drain.inc();
+                    }
                     return;
                 }
             };
@@ -1112,22 +1211,24 @@ impl<'a> Server<'a> {
                     thread::sleep(delay);
                 }
             }
-            // /shutdown drains the server; don't hold its connection open.
-            let keep = req.keep_alive && req.path != "/shutdown" && !self.is_shutdown();
             // `POST /solve?stream=1` answers over chunked encoding with
             // one frame per band; everything else is a plain response.
-            if req.method == "POST"
+            let kept = if req.method == "POST"
                 && req.path == "/solve"
                 && matches!(req.param("stream"), Some("1" | "true"))
             {
-                if !self.stream_solve(&mut stream, &req, keep) {
-                    return;
+                self.stream_solve(&mut out, &req, req.keep_alive && !self.is_shutdown())
+            } else {
+                let (status, body, opts) = self.route(&req);
+                // A draining server (`POST /shutdown` included) holds
+                // no connection open past its answer.
+                let keep = req.keep_alive && !self.is_shutdown();
+                http::write_response_opts(&mut out, status, &body, keep, &opts).is_ok() && keep
+            };
+            if !kept {
+                if req.keep_alive && self.is_shutdown() {
+                    self.stats.connections_closed_drain.inc();
                 }
-                continue;
-            }
-            let (status, body, opts) = self.route(&req);
-            let wrote = http::write_response_opts(&mut stream, status, &body, keep, &opts);
-            if wrote.is_err() || !keep {
                 return;
             }
         }
@@ -1140,8 +1241,8 @@ impl<'a> Server<'a> {
     /// the trace id header, one [`BandFrame`] chunk per band, and a
     /// terminal done/error frame. Returns whether the connection is
     /// still aligned and keepable.
-    fn stream_solve(&self, sock: &mut TcpStream, req: &http::HttpRequest, keep: bool) -> bool {
-        let reject = |sock: &mut TcpStream, e: ServeError| {
+    fn stream_solve(&self, sock: &mut &TcpStream, req: &http::HttpRequest, keep: bool) -> bool {
+        let reject = |sock: &mut &TcpStream, e: ServeError| {
             let opts = ResponseOptions {
                 retry_after_s: e.retry_after_s(),
                 ..ResponseOptions::default()
@@ -1271,8 +1372,8 @@ impl<'a> Server<'a> {
     }
 
     /// The `GET /metrics` body: sets the scrape-time gauges (queue
-    /// depth, in-flight, drain and breaker state), then renders the
-    /// whole registry as Prometheus text exposition.
+    /// depth, in-flight, open connections, drain and breaker state),
+    /// then renders the whole registry as Prometheus text exposition.
     pub fn metrics_text(&self) -> String {
         self.live
             .gauge(
@@ -1288,6 +1389,13 @@ impl<'a> Server<'a> {
                 "Jobs popped from the queue and not yet answered.",
             )
             .set(self.in_flight.load(Ordering::Relaxed) as f64);
+        self.live
+            .gauge(
+                "lddp_serve_connections_open",
+                &[],
+                "HTTP connections admitted and not yet closed.",
+            )
+            .set(self.door.open_count() as f64);
         self.live
             .gauge(
                 "lddp_serve_draining",

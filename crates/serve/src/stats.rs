@@ -76,6 +76,15 @@ pub struct ServeStats {
     /// Times a streamed solve's band emission blocked because the
     /// consumer's bounded channel was full (backpressure engaged).
     pub(crate) stream_stalls: Arc<Counter>,
+    /// Connections answered 503 at accept: every connection thread busy.
+    pub(crate) connections_refused: Arc<Counter>,
+    /// Connections closed after idling past the idle timeout.
+    pub(crate) connections_closed_idle: Arc<Counter>,
+    /// Connections closed because a request was not whole by its
+    /// deadline.
+    pub(crate) connections_closed_deadline: Arc<Counter>,
+    /// Kept-alive connections closed because the server was draining.
+    pub(crate) connections_closed_drain: Arc<Counter>,
     /// Time to first streamed band, admission to emission, seconds.
     pub(crate) stream_ttfb_s: Arc<HistogramSketch>,
     /// Jobs per executed batch.
@@ -144,6 +153,14 @@ impl ServeStats {
                 "End-to-end latency by service class, seconds.",
             )
         };
+        let closed = |reason: &str| {
+            registry.counter(
+                "lddp_serve_connections_closed_total",
+                &[("reason", reason)],
+                "HTTP connections the server closed, by reason: idle past the idle timeout, \
+                 request not whole by its deadline, or draining.",
+            )
+        };
         let brownout = |direction: &str| {
             registry.counter(
                 "lddp_serve_brownout_transitions_total",
@@ -210,6 +227,14 @@ impl ServeStats {
                 "Band emissions that blocked on a full stream channel \
                  (slow consumer backpressure).",
             ),
+            connections_refused: registry.counter(
+                "lddp_serve_connections_refused_total",
+                &[],
+                "HTTP connections answered 503 at accept because every connection thread was busy.",
+            ),
+            connections_closed_idle: closed("idle"),
+            connections_closed_deadline: closed("deadline"),
+            connections_closed_drain: closed("drain"),
             stream_ttfb_s: registry.histogram(
                 "lddp_serve_stream_ttfb_seconds",
                 &[],
