@@ -8,7 +8,6 @@
 //! layout is also provided (it is already wave-major for the Horizontal
 //! pattern, and is what a naive port would use for the others).
 
-use crate::cell::ContributingSet;
 use crate::pattern::Pattern;
 use crate::wavefront::{self, Dims};
 use std::ops::Range;
@@ -162,28 +161,6 @@ impl Layout {
             }
             _ => None,
         }
-    }
-
-    /// The interior/border decomposition of wave `w`: canonical-position
-    /// ranges (relative to the wave's start) whose cells have *every*
-    /// direction of `set` in bounds, so a bulk
-    /// [`WaveKernel`](crate::kernel::WaveKernel) may compute them with
-    /// no boundary branches. At most two ranges (the arms of an
-    /// inverted-L shell), sorted and disjoint; positions outside them
-    /// are border cells for the scalar path. Empty when this layout does
-    /// not store `pattern`'s waves contiguously (same condition as
-    /// [`Layout::wave_range`]) — slicing neighbours out of the backing
-    /// array is only sound on a coalesced layout.
-    pub fn interior_runs(
-        &self,
-        pattern: Pattern,
-        set: ContributingSet,
-        w: usize,
-    ) -> Vec<Range<usize>> {
-        if !self.kind.is_coalesced_for(pattern) {
-            return Vec::new();
-        }
-        wavefront::interior_runs(pattern, self.dims, set, w)
     }
 }
 
@@ -364,64 +341,6 @@ mod tests {
             LayoutKind::preferred_for(Pattern::Horizontal),
             LayoutKind::RowMajor
         );
-    }
-
-    #[test]
-    fn interior_runs_require_a_coalesced_layout() {
-        use crate::cell::{ContributingSet, RepCell};
-        let set = ContributingSet::new(&[RepCell::Nw]);
-        let wave_major = Layout::new(
-            LayoutKind::WaveMajor(Pattern::AntiDiagonal),
-            Dims::new(4, 4),
-        );
-        assert!(!wave_major
-            .interior_runs(Pattern::AntiDiagonal, set, 2)
-            .is_empty());
-        assert!(wave_major
-            .interior_runs(Pattern::KnightMove, set, 2)
-            .is_empty());
-        let row_major = Layout::new(LayoutKind::RowMajor, Dims::new(4, 4));
-        assert!(!row_major
-            .interior_runs(Pattern::Horizontal, set, 1)
-            .is_empty());
-        assert!(row_major
-            .interior_runs(Pattern::AntiDiagonal, set, 2)
-            .is_empty());
-    }
-
-    /// The property the bulk execution path relies on: inside an
-    /// interior run, the neighbours in one direction of consecutive
-    /// cells occupy consecutive backing-array slots of one earlier
-    /// wave — so they can be handed to a kernel as a plain slice.
-    #[test]
-    fn interior_run_neighbours_are_contiguous_in_the_backing_array() {
-        use crate::cell::ContributingSet;
-        use crate::pattern::classify;
-        for set in ContributingSet::table_one_rows() {
-            let pattern = classify(set).unwrap();
-            for (r, c) in SHAPES {
-                let dims = Dims::new(r, c);
-                let layout = Layout::new(LayoutKind::preferred_for(pattern), dims);
-                for w in 0..pattern.num_waves(r, c) {
-                    for run in layout.interior_runs(pattern, set, w) {
-                        let (i0, j0) = crate::wavefront::cell_at(pattern, dims, w, run.start);
-                        for dep in set.iter() {
-                            let (bi, bj) = dep.source(i0, j0, r, c).unwrap();
-                            let base = layout.index(bi, bj);
-                            for (off, pos) in run.clone().enumerate() {
-                                let (i, j) = crate::wavefront::cell_at(pattern, dims, w, pos);
-                                let (si, sj) = dep.source(i, j, r, c).unwrap();
-                                assert_eq!(
-                                    layout.index(si, sj),
-                                    base + off,
-                                    "{pattern} {set} {r}x{c} wave {w} pos {pos} dep {dep}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

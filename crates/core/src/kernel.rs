@@ -85,20 +85,19 @@ impl fmt::Display for ExecTier {
 /// | mode      | working set                | output                     |
 /// |-----------|----------------------------|----------------------------|
 /// | `Full`    | the whole `O(n·m)` table   | every cell (traceback-ready)|
-/// | `Rolling` | the live wavefronts, `O(n+m)` | scores / captured bands |
+/// | `Rolling` | the last `k` waves, `O(n+m)` | folds / captured bands |
 ///
 /// `Rolling` is score-only at the engine level; tracebacks in rolling
 /// mode go through the Hirschberg-style divide and conquer built on top
-/// of it (`lddp-problems::hirschberg`). The tuner picks the mode from a
-/// memory model (full-table bytes vs the platform budget), and the
-/// serving path accepts it as a per-request override.
+/// of it (`lddp-problems::hirschberg`). Served solves roll unless a
+/// request pins `Full`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MemoryMode {
     /// Materialize the full table (traceback available from the grid).
     #[default]
     Full,
-    /// Keep only the live wavefronts; answers come from captured
-    /// corners/rows/maxima (see `rolling`).
+    /// Keep only the last `k` waves; answers come from folds over the
+    /// sealed waves (see `rolling`).
     Rolling,
 }
 

@@ -66,6 +66,7 @@ impl Pattern {
 
     /// Number of wavefront iterations needed to fill an `rows × cols`
     /// table under this pattern.
+    #[inline]
     pub fn num_waves(self, rows: usize, cols: usize) -> usize {
         if rows == 0 || cols == 0 {
             return 0;
@@ -81,6 +82,7 @@ impl Pattern {
 
     /// Number of cells processed in wave `w` (0-based) of an
     /// `rows × cols` table. Waves outside `0..num_waves` have zero cells.
+    #[inline]
     pub fn wave_len(self, rows: usize, cols: usize, w: usize) -> usize {
         if rows == 0 || cols == 0 || w >= self.num_waves(rows, cols) {
             return 0;
@@ -115,6 +117,7 @@ impl Pattern {
 
     /// Cells in the widest wave of an `rows × cols` table: the most
     /// workers a wave can keep busy. Zero for an empty table.
+    #[inline]
     pub fn widest_wave(self, rows: usize, cols: usize) -> usize {
         if rows == 0 || cols == 0 {
             return 0;

@@ -1,43 +1,59 @@
-//! Rolling wave-band execution: exact anti-diagonal solves with an
-//! `O(rows + cols)` working set.
+//! The wave store: one wave-major table that serves both memory modes
+//! of every canonical pattern, and the folds that read answers off it.
 //!
-//! Every grid-producing engine materializes the full `O(n·m)` table,
-//! which caps grid size at RAM long before it caps it at compute. For
-//! the anti-diagonal pattern the dependency structure is shallow: wave
-//! `w` reads only waves `w-1` (W, N) and `w-2` (NW), so a ring of three
-//! band buffers — each `min(rows, cols)` cells — is a complete working
-//! set. This module walks the wave schedule over that ring and hands
-//! each sealed wave to a visitor, from which the public helpers capture
-//! exactly what answer-level callers need:
+//! §IV-B stores "all the cells marked with the same number … together":
+//! wave `w` of the execution pattern occupies one contiguous stretch of
+//! a backing array, in the pattern's canonical within-wave order. A
+//! [`WaveStore`] keeps that table either whole (wave `w` at its
+//! wave-major offset) or modulo `k = max_wave_delta(pattern, set) + 1`
+//! waves (wave `w` in slot `w mod k` of `k` slots the widest wave's
+//! length): the bounded window of previous waves every dependency
+//! reaches. The ring holds three waves for `{W, NW, N}`, two for the
+//! Horizontal sets and four for Knight-Move `{W, NW, N, NE}`, so every
+//! problem solves in `O(rows + cols)` bytes.
 //!
-//! * [`solve_corner`] — the bottom-right cell (LCS length, edit
-//!   distance, global alignment score, DTW distance);
-//! * [`solve_row`] — one full grid row (the Hirschberg midpoint split);
-//! * [`solve_best`] — an arg-best fold over every cell (Smith–Waterman
-//!   local maxima).
+//! A wave is one straight segment of cells (two for an inverted-L
+//! shell: its column arm and its row arm). The neighbours of a
+//! segment's cells in one direction lie on a parallel stretch of an
+//! earlier wave, at one constant position shift
+//! ([`wavefront`](crate::wavefront)), so a stretch of a wave is computed
+//! from one slice per dependency wave:
 //!
-//! The band layout deliberately matches [`WaveKernel::compute_run`]'s
-//! run orientation — position `p` within a wave is cell
-//! `(w - j_lo - p, j_lo + p)`, i.e. increasing `j`, decreasing `i` — so
-//! interior runs are handed to the *same* bulk/SIMD bodies the
-//! full-table engine uses, as plain slices into the ring. Within one
-//! wave at most the first and last cells touch the table border; the
-//! rest is a single contiguous interior run. Results are therefore
-//! bit-identical to the full-table engines by construction (the same
-//! `compute`/`compute_run` code computes every cell), which the
-//! property tests and the cross-engine consistency matrix pin down.
+//! * border cells go through [`Kernel::compute`], each neighbour read
+//!   at position `p + shift` of its wave; a neighbour off the table
+//!   falls outside its wave, so the slice bound is the table bound;
+//! * interior runs (every neighbour on the table) go through the
+//!   kernel's [`RunBody`], the dependency runs handed over as plain
+//!   slices — the same bulk and SIMD bodies in both memory modes.
 //!
-//! Patterns other than anti-diagonal are rejected with
-//! [`Error::PlanMismatch`]; the caller falls back to a full-table
-//! solve. The multi-threaded rolling path lives in `lddp-parallel`; it
-//! computes its waves through the same [`Ring`].
+//! The full table and the ring run the same code on the same positions,
+//! so they agree bit for bit, which the property tests and the engine
+//! matrix pin down. On top of the store:
+//!
+//! * [`solve_waves`] walks the ring on one thread and hands each sealed
+//!   wave to a visitor; [`solve_corner`], [`solve_row`] and
+//!   [`solve_best`] capture what answer-level callers need;
+//! * a [`Fold`] reads a problem's answer off sealed waves as they seal —
+//!   the corner, the best score, the last row's minimum, a count — so no
+//!   answer needs the whole table;
+//! * [`BandSchedule`] cuts a pattern's waves into equal-cell bands for
+//!   streaming.
+//!
+//! A set whose classification is not canonical (the Vertical and
+//! mirrored inverted-L rows of Table I) is rejected with
+//! [`Error::PlanMismatch`]; the framework runs those through a kernel
+//! adapter. The multi-threaded engine in `lddp-parallel` computes its
+//! waves through the same store.
 
 use crate::cell::{ContributingSet, RepCell};
 use crate::error::{Error, Result};
-use crate::kernel::{ExecTier, Kernel};
-use crate::kernel::{MemoryMode, Neighbors, RunBody};
+use crate::grid::{Grid, LayoutKind};
+use crate::kernel::{ExecTier, Kernel, MemoryMode, Neighbors, RunBody};
 use crate::pattern::{classify, Pattern};
-use crate::wavefront::Dims;
+use crate::schedule::{max_wave_delta, wave_delta};
+use crate::wavefront::{
+    cell_at, dep_shift, position_in_wave, row_positions, wave_of, wave_segments, Dims,
+};
 use std::ops::Range;
 
 /// What a rolling solve used and touched, for telemetry and tuning.
@@ -45,10 +61,10 @@ use std::ops::Range;
 pub struct RollingStats {
     /// Tier the interior runs executed on (never `BitParallel`).
     pub tier: ExecTier,
-    /// Number of waves walked (`rows + cols - 1`, 0 for empty tables).
+    /// Number of waves walked (0 for empty tables).
     pub waves: usize,
-    /// Peak working-set bytes: the three ring bands. This is the number
-    /// the `lddp_engine_table_bytes` gauge reports in rolling mode.
+    /// Peak working-set bytes: the ring's slots. This is the number the
+    /// `lddp_engine_table_bytes` gauge reports in rolling mode.
     pub peak_bytes: usize,
 }
 
@@ -58,139 +74,276 @@ pub fn full_table_bytes<K: Kernel + ?Sized>(kernel: &K) -> usize {
     kernel.dims().len() * std::mem::size_of::<K::Cell>()
 }
 
-/// Bytes the rolling ring will allocate for `kernel`'s grid.
+/// Bytes the rolling ring will allocate for `kernel`'s grid: `k` slots
+/// of the widest wave (0 when the set has no canonical execution).
 pub fn rolling_bytes<K: Kernel + ?Sized>(kernel: &K) -> usize {
-    let d = kernel.dims();
-    3 * d.rows.min(d.cols) * std::mem::size_of::<K::Cell>()
+    let (set, dims) = (kernel.contributing_set(), kernel.dims());
+    pattern_of(kernel).map_or(0, |p| {
+        WaveStore::new(MemoryMode::Rolling, p, set, dims).len() * std::mem::size_of::<K::Cell>()
+    })
 }
 
-/// Is `kernel` eligible for rolling execution? True exactly when its
-/// contributing set schedules as a pure anti-diagonal wavefront with
-/// dependencies no deeper than two waves back (`W`, `NW`, `N`).
-pub fn supports_rolling<K: Kernel + ?Sized>(kernel: &K) -> bool {
+/// The pattern a one-thread rolling solve executes `kernel` under: its
+/// set's classification, which must be canonical.
+fn pattern_of<K: Kernel + ?Sized>(kernel: &K) -> Result<Pattern> {
     let set = kernel.contributing_set();
-    classify(set).map(Pattern::canonical) == Some(Pattern::AntiDiagonal)
-        && !set.contains(RepCell::Ne)
+    match classify(set) {
+        None => Err(Error::EmptyContributingSet),
+        Some(p) if p.is_canonical() => Ok(p),
+        Some(p) => Err(Error::PlanMismatch {
+            expected: "a canonical pattern (rolling wave-band mode)".into(),
+            found: format!("{set} ({p})"),
+        }),
+    }
 }
 
-/// The ring of three wave bands a rolling solve cycles through. Wave
-/// `w` of the anti-diagonal schedule lives in slot `w % 3` — a band of
-/// `min(rows, cols)` cells — at its position in the wave, column
-/// `j_lo(w) + p` at `p`. Waves `w - 1` and `w - 2`, every dependency a
-/// `{W, NW, N}` set reaches, stay resident while wave `w` is computed,
-/// and each dependency direction of a run of wave `w` is a contiguous
-/// stretch of their slots.
-#[derive(Debug, Clone, Copy)]
-pub struct Ring {
-    rows: usize,
-    cols: usize,
-    band: usize,
-    has_w: bool,
-    has_nw: bool,
-    has_n: bool,
+/// Where a run keeps the waves of its table, and how it computes a
+/// stretch of one wave there. Wave `w` lives at [`WaveStore::base`]: its
+/// wave-major offset in a full table, slot `w mod k` in a ring.
+#[derive(Debug, Clone)]
+pub struct WaveStore {
+    pattern: Pattern,
+    dims: Dims,
+    /// The set's directions with the wave distance of their neighbours,
+    /// nearest first: `dirs[..n_dirs]`.
+    dirs: [(RepCell, usize); 4],
+    n_dirs: usize,
+    bases: Bases,
 }
 
-impl Ring {
-    /// The ring of a `dims` table under contributing set `set`.
-    pub fn new(dims: Dims, set: ContributingSet) -> Ring {
-        Ring {
-            rows: dims.rows,
-            cols: dims.cols,
-            band: dims.rows.min(dims.cols),
-            has_w: set.contains(RepCell::W),
-            has_nw: set.contains(RepCell::Nw),
-            has_n: set.contains(RepCell::N),
+#[derive(Debug, Clone)]
+enum Bases {
+    /// The whole table: wave `w` starts at `offsets[w]`.
+    Full(Vec<usize>),
+    /// `slots` slots of `slot_len` cells: wave `w` in slot `w % slots`.
+    Ring { slots: usize, slot_len: usize },
+}
+
+impl WaveStore {
+    /// The store of a `dims` table executed under `pattern` with
+    /// contributing set `set` (which `pattern` must admit), kept whole or
+    /// as a ring.
+    pub fn new(memory: MemoryMode, pattern: Pattern, set: ContributingSet, dims: Dims) -> Self {
+        let mut dirs = [(RepCell::W, 0); 4];
+        let mut n_dirs = 0;
+        for dep in set.iter() {
+            dirs[n_dirs] = (dep, wave_delta(pattern, dep));
+            n_dirs += 1;
+        }
+        dirs[..n_dirs].sort_by_key(|&(_, delta)| delta);
+        let Dims { rows, cols } = dims;
+        let bases = match memory {
+            MemoryMode::Full => Bases::Full(
+                std::iter::once(0)
+                    .chain((0..pattern.num_waves(rows, cols)).scan(0, |acc, w| {
+                        *acc += pattern.wave_len(rows, cols, w);
+                        Some(*acc)
+                    }))
+                    .collect(),
+            ),
+            MemoryMode::Rolling => Bases::Ring {
+                slots: max_wave_delta(pattern, set) + 1,
+                slot_len: pattern.widest_wave(rows, cols),
+            },
+        };
+        WaveStore {
+            pattern,
+            dims,
+            dirs,
+            n_dirs,
+            bases,
         }
     }
 
-    /// Cells per slot.
-    pub fn band(&self) -> usize {
-        self.band
+    /// Cells of the backing array: the table, or the ring's slots.
+    pub fn len(&self) -> usize {
+        match &self.bases {
+            Bases::Full(_) => self.dims.len(),
+            Bases::Ring { slots, slot_len } => slots * slot_len,
+        }
     }
 
-    /// The columns of wave `w`: `j_lo(w)..=j_hi(w)`.
-    pub fn wave_cols(&self, w: usize) -> Range<usize> {
-        w.saturating_sub(self.rows - 1)..(self.cols - 1).min(w) + 1
+    /// True when the backing array holds no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Computes columns `cols` of wave `w` into `out` (`out[k]` is
-    /// column `cols.start + k`), reading wave `w - 1` from its slot
-    /// `prev1` and wave `w - 2` from `prev2`. Interior columns (every
-    /// dependency in bounds: `i ≥ 1` and `j ≥ 1`) form one run that
-    /// goes through `body`; the rest — all of them without a body — go
-    /// through [`Kernel::compute`] one by one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_wave<K: Kernel + ?Sized>(
+    /// Waves of the schedule.
+    pub fn num_waves(&self) -> usize {
+        self.pattern.num_waves(self.dims.rows, self.dims.cols)
+    }
+
+    /// Cells on wave `w`.
+    #[inline]
+    pub fn wave_len(&self, w: usize) -> usize {
+        self.pattern.wave_len(self.dims.rows, self.dims.cols, w)
+    }
+
+    /// Backing index of wave `w`'s first cell; its cells follow it
+    /// contiguously, in canonical order.
+    #[inline]
+    pub fn base(&self, w: usize) -> usize {
+        match &self.bases {
+            Bases::Full(offsets) => offsets[w],
+            Bases::Ring { slots, slot_len } => ring_slot(w, *slots) * slot_len,
+        }
+    }
+
+    /// Computes positions `range` of wave `w` into `out` (`out[k]` is
+    /// position `range.start + k`). `sealed(r)` lends the cells at
+    /// backing range `r`; the store asks only for the whole ranges of
+    /// the earlier waves `w` reads, never for `w`'s own. With `body`,
+    /// interior cells go through it as runs; every other cell goes
+    /// through [`Kernel::compute`]. `body` must walk the pattern's
+    /// waves: it is the kernel's, and the pattern the kernel's own.
+    pub fn compute<'c, K: Kernel + ?Sized>(
         &self,
         kernel: &K,
         body: Option<RunBody<'_, K::Cell>>,
         w: usize,
-        cols: Range<usize>,
+        range: Range<usize>,
         out: &mut [K::Cell],
-        prev1: &[K::Cell],
-        prev2: &[K::Cell],
-    ) {
-        let lo = cols.start;
-        let j_lo1 = self.wave_cols(w.saturating_sub(1)).start;
-        let j_lo2 = self.wave_cols(w.saturating_sub(2)).start;
-        let cell = |j: usize| {
-            let i = w - j;
-            let mut nb = Neighbors::empty();
-            if j > 0 {
-                // (i, j-1) sits on wave w-1; (i-1, j-1) on wave w-2.
-                if self.has_w {
-                    nb.w = Some(prev1[j - 1 - j_lo1]);
+        sealed: impl Fn(Range<usize>) -> &'c [K::Cell],
+    ) where
+        K::Cell: 'c,
+    {
+        debug_assert_eq!(out.len(), range.len());
+        // One dispatch per stretch: each arm inlines the wave geometry
+        // with its pattern a constant.
+        macro_rules! each_pattern {
+            ($($p:ident),*) => {
+                match self.pattern {
+                    $(Pattern::$p => {
+                        self.compute_as(Pattern::$p, kernel, body, w, range, out, sealed)
+                    })*
                 }
-                if self.has_nw && i > 0 {
-                    nb.nw = Some(prev2[j - 1 - j_lo2]);
-                }
-            }
-            if self.has_n && i > 0 {
-                nb.n = Some(prev1[j - j_lo1]);
-            }
-            kernel.compute(i, j, &nb)
-        };
-        let Some(body) = body else {
-            for j in cols {
-                out[j - lo] = cell(j);
-            }
-            return;
-        };
-        let ji_lo = lo.max(1).min(cols.end);
-        let ji_hi = ((self.cols - 1).min(w.saturating_sub(1)) + 1).clamp(ji_lo, cols.end);
-        for j in (lo..ji_lo).chain(ji_hi..cols.end) {
-            out[j - lo] = cell(j);
+            };
         }
-        if ji_lo < ji_hi {
-            let count = ji_hi - ji_lo;
-            let empty: &[K::Cell] = &[];
-            let w_run = if self.has_w {
-                &prev1[ji_lo - 1 - j_lo1..][..count]
-            } else {
-                empty
+        each_pattern!(
+            AntiDiagonal,
+            Horizontal,
+            InvertedL,
+            KnightMove,
+            Vertical,
+            MirroredInvertedL
+        )
+    }
+
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn compute_as<'c, K: Kernel + ?Sized>(
+        &self,
+        pattern: Pattern,
+        kernel: &K,
+        body: Option<RunBody<'_, K::Cell>>,
+        w: usize,
+        range: Range<usize>,
+        out: &mut [K::Cell],
+        sealed: impl Fn(Range<usize>) -> &'c [K::Cell],
+    ) where
+        K::Cell: 'c,
+    {
+        let Dims { rows, cols } = self.dims;
+        let dirs = &self.dirs[..self.n_dirs];
+        // Each direction's dependency wave, whole, fetched once per wave
+        // distance. A ring's slots are found from wave `w`'s own: a
+        // dependency `delta` waves back sits `delta` slots back.
+        let slot = match self.bases {
+            Bases::Ring { slots, .. } => ring_slot(w, slots),
+            Bases::Full(_) => 0,
+        };
+        let mut deps: [&[K::Cell]; 4] = [&[]; 4];
+        let mut fetched: (usize, &[K::Cell]) = (0, &[]);
+        for &(dep, delta) in dirs.iter().filter(|&&(_, delta)| delta <= w) {
+            if fetched.0 != delta {
+                let base = match &self.bases {
+                    Bases::Full(offsets) => offsets[w - delta],
+                    Bases::Ring { slots, slot_len } => {
+                        let back = if slot >= delta { slot } else { slot + slots };
+                        (back - delta) * slot_len
+                    }
+                };
+                fetched = (
+                    delta,
+                    sealed(base..base + pattern.wave_len(rows, cols, w - delta)),
+                );
+            }
+            deps[dep as usize] = fetched.1;
+        }
+        let segs = wave_segments(pattern, self.dims, w);
+        for seg in [segs[0], segs[1]] {
+            let Some(seg) = seg else { continue };
+            let (lo, hi) = (range.start.max(seg.pos0), range.end.min(seg.pos0 + seg.len));
+            if lo >= hi {
+                continue;
+            }
+            // The interior: positions whose every neighbour index falls
+            // inside its dependency wave.
+            let mut shift = [0isize; 4];
+            let (mut in_lo, mut in_hi) = (lo as isize, hi as isize);
+            for &(dep, delta) in dirs {
+                let d = dep as usize;
+                if delta <= w {
+                    shift[d] = dep_shift(pattern, self.dims, w - delta, &seg, dep);
+                }
+                in_lo = in_lo.max(-shift[d]);
+                in_hi = in_hi.min(deps[d].len() as isize - shift[d]);
+            }
+            let cell_of = |p: usize| {
+                let q = (p - seg.pos0) as i64;
+                (
+                    (seg.i0 + seg.di * q) as usize,
+                    (seg.j0 + seg.dj * q) as usize,
+                )
             };
-            let nw_run = if self.has_nw {
-                &prev2[ji_lo - 1 - j_lo2..][..count]
-            } else {
-                empty
+            let (in_lo, in_hi) = match body {
+                Some(_) if in_lo < in_hi => (in_lo as usize, in_hi as usize),
+                _ => (hi, hi),
             };
-            let n_run = if self.has_n {
-                &prev1[ji_lo - j_lo1..][..count]
-            } else {
-                empty
-            };
-            let out = &mut out[ji_lo - lo..ji_hi - lo];
-            body.compute_run(w - ji_lo, ji_lo, out, w_run, nw_run, n_run, empty);
+            for p in (lo..in_lo).chain(in_hi..hi) {
+                let at = |d: usize| deps[d].get(p.wrapping_add_signed(shift[d])).copied();
+                let nb = Neighbors {
+                    w: at(0),
+                    nw: at(1),
+                    n: at(2),
+                    ne: at(3),
+                };
+                let (i, j) = cell_of(p);
+                out[p - range.start] = kernel.compute(i, j, &nb);
+            }
+            if let Some(body) = body.filter(|_| in_lo < in_hi) {
+                // Directions outside the set have empty waves, so their
+                // runs come out empty.
+                let run = |d: usize| {
+                    let start = in_lo.wrapping_add_signed(shift[d]);
+                    deps[d]
+                        .get(start..start + in_hi - in_lo)
+                        .unwrap_or_default()
+                };
+                let (i, j) = cell_of(in_lo);
+                let out = &mut out[in_lo - range.start..in_hi - range.start];
+                body.compute_run(i, j, out, run(0), run(1), run(2), run(3));
+            }
         }
     }
 }
 
-/// Walks the anti-diagonal wave schedule over a ring of three band
-/// buffers, calling `visit(w, j_lo, cells)` once per sealed wave.
-///
-/// `cells[p]` is cell `(w - j_lo - p, j_lo + p)` where
-/// `j_lo = max(0, w - rows + 1)` — increasing column order, matching
-/// [`crate::kernel::WaveKernel::compute_run`].
+/// The ring slot of wave `w`: `w mod slots`. Rings hold 2 to 4 slots,
+/// and constant divisors keep it a multiply or a mask, not a division.
+#[inline]
+fn ring_slot(w: usize, slots: usize) -> usize {
+    match slots {
+        2 => w % 2,
+        3 => w % 3,
+        4 => w % 4,
+        s => w % s,
+    }
+}
+
+/// Walks `kernel`'s wave schedule over the ring on one thread, calling
+/// `visit(w, cells)` once per sealed wave; `cells[p]` is the cell at
+/// canonical position `p` of wave `w` under the set's classification
+/// ([`crate::wavefront::cell_at`]).
 ///
 /// `requested` pins the execution tier as in the full-table engine
 /// (downgrading past unavailable rungs); `None` auto-selects.
@@ -201,48 +354,52 @@ pub fn solve_waves<K, F>(
 ) -> Result<RollingStats>
 where
     K: Kernel + ?Sized,
-    F: FnMut(usize, usize, &[K::Cell]),
+    F: FnMut(usize, &[K::Cell]),
 {
-    let dims = kernel.dims();
-    let set = kernel.contributing_set();
-    if set.is_empty() {
-        return Err(Error::EmptyContributingSet);
-    }
-    if !supports_rolling(kernel) {
-        return Err(Error::PlanMismatch {
-            expected: "anti-diagonal contributing set (rolling wave-band mode)".into(),
-            found: format!("{set:?}"),
-        });
-    }
+    let pattern = pattern_of(kernel)?;
     let (tier, body) = RunBody::resolve(kernel, requested);
-    if dims.is_empty() {
-        return Ok(RollingStats {
-            tier,
-            waves: 0,
-            peak_bytes: 0,
-        });
-    }
-    let ring = Ring::new(dims, set);
-    let num_waves = dims.rows + dims.cols - 1;
-    let mut bufs: [Vec<K::Cell>; 3] = std::array::from_fn(|_| vec![K::Cell::default(); ring.band]);
-    for w in 0..num_waves {
-        let cols = ring.wave_cols(w);
-        let len = cols.len();
-        let [b0, b1, b2] = &mut bufs;
-        let (cur, prev1, prev2) = match w % 3 {
-            0 => (&mut b0[..], &b2[..], &b1[..]),
-            1 => (&mut b1[..], &b0[..], &b2[..]),
-            _ => (&mut b2[..], &b1[..], &b0[..]),
+    let store = WaveStore::new(
+        MemoryMode::Rolling,
+        pattern,
+        kernel.contributing_set(),
+        kernel.dims(),
+    );
+    let mut ring = vec![K::Cell::default(); store.len()];
+    for w in 0..store.num_waves() {
+        let (base, len) = (store.base(w), store.wave_len(w));
+        // Every dependency wave sits in another slot than wave `w`.
+        let (before, rest) = ring.split_at_mut(base);
+        let (out, after) = rest.split_at_mut(len);
+        let sealed = |r: Range<usize>| -> &[K::Cell] {
+            if r.end <= base {
+                &before[r]
+            } else {
+                &after[r.start - base - len..r.end - base - len]
+            }
         };
-        let j_lo = cols.start;
-        ring.compute_wave(kernel, body, w, cols, &mut cur[..len], prev1, prev2);
-        visit(w, j_lo, &cur[..len]);
+        store.compute(kernel, body, w, 0..len, out, sealed);
+        visit(w, out);
     }
     Ok(RollingStats {
         tier,
-        waves: num_waves,
-        peak_bytes: 3 * ring.band * std::mem::size_of::<K::Cell>(),
+        waves: store.num_waves(),
+        peak_bytes: store.len() * std::mem::size_of::<K::Cell>(),
     })
+}
+
+/// Solves in rolling mode and folds the sealed waves with `fold`.
+pub fn solve_fold<K: Kernel + ?Sized>(
+    kernel: &K,
+    requested: Option<ExecTier>,
+    fold: Fold<K::Cell>,
+) -> Result<(Folded<K::Cell>, RollingStats)> {
+    let pattern = pattern_of(kernel)?;
+    let dims = kernel.dims();
+    let mut folded = Folded::default();
+    let stats = solve_waves(kernel, requested, |w, cells| {
+        folded.visit(fold, pattern, dims, w, cells)
+    })?;
+    Ok((folded, stats))
 }
 
 /// Solves in rolling mode and returns the bottom-right cell — the
@@ -252,15 +409,7 @@ pub fn solve_corner<K: Kernel + ?Sized>(
     kernel: &K,
     requested: Option<ExecTier>,
 ) -> Result<(Option<K::Cell>, RollingStats)> {
-    let dims = kernel.dims();
-    let mut corner = None;
-    let last = (dims.rows + dims.cols).saturating_sub(2);
-    let stats = solve_waves(kernel, requested, |w, _j_lo, cells| {
-        if w == last {
-            corner = cells.last().copied();
-        }
-    })?;
-    Ok((corner, stats))
+    solve_fold(kernel, requested, Fold::Corner).map(|(f, stats)| (f.corner, stats))
 }
 
 /// Solves in rolling mode and captures grid row `row` (all `cols`
@@ -276,14 +425,11 @@ pub fn solve_row<K: Kernel + ?Sized>(
         "solve_row: row {row} out of range for {} rows",
         dims.rows
     );
+    let pattern = pattern_of(kernel)?;
     let mut out = vec![K::Cell::default(); dims.cols];
-    let stats = solve_waves(kernel, requested, |w, j_lo, cells| {
-        // Row `row` contributes cell (row, w - row) to wave w.
-        if w >= row {
-            let j = w - row;
-            if j < dims.cols {
-                out[j] = cells[j - j_lo];
-            }
+    let stats = solve_waves(kernel, requested, |w, cells| {
+        for p in row_positions(pattern, dims, w, row) {
+            out[cell_at(pattern, dims, w, p).1] = cells[p];
         }
     })?;
     Ok((out, stats))
@@ -294,24 +440,108 @@ pub fn solve_row<K: Kernel + ?Sized>(
 pub type BestCell<C> = Option<(usize, usize, C)>;
 
 /// Solves in rolling mode and returns the arg-best cell under `score`,
-/// with ties resolved to the earliest cell in wave order (increasing
-/// wave, then increasing column) — the Smith–Waterman endpoint scan.
+/// with ties resolved to the earliest cell in wave order — the
+/// Smith–Waterman endpoint scan.
 pub fn solve_best<K: Kernel + ?Sized>(
     kernel: &K,
     requested: Option<ExecTier>,
-    score: impl Fn(&K::Cell) -> i64,
+    score: fn(&K::Cell) -> i64,
 ) -> Result<(BestCell<K::Cell>, RollingStats)> {
-    let mut best: Option<(i64, usize, usize, K::Cell)> = None;
-    let stats = solve_waves(kernel, requested, |w, j_lo, cells| {
-        for (p, c) in cells.iter().enumerate() {
-            let s = score(c);
-            if best.is_none_or(|(bs, ..)| s > bs) {
-                let j = j_lo + p;
-                best = Some((s, w - j, j, *c));
-            }
+    solve_fold(kernel, requested, Fold::Max(score)).map(|(f, stats)| (f.best, stats))
+}
+
+/// How a problem's answer is read off its table: one fold over its
+/// cells. A run applies it to each wave as the wave's barrier seals it,
+/// in either memory mode; a finished grid replays it wave by wave
+/// ([`Folded::of_grid`]).
+#[derive(Clone, Copy, Default)]
+pub enum Fold<C> {
+    /// The bottom-right cell, which every fold captures too.
+    #[default]
+    Corner,
+    /// The highest score over every cell.
+    Max(fn(&C) -> i64),
+    /// The lowest score over the last row.
+    LastRowMin(fn(&C) -> i64),
+    /// How many cells the predicate holds for.
+    Count(fn(&C) -> bool),
+}
+
+/// A fold over the waves sealed so far: its running state, and once
+/// every wave has sealed, its result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Folded<C> {
+    /// The bottom-right cell, once its wave has sealed.
+    pub corner: Option<C>,
+    /// `(i, j, cell)` a score fold settled on: the earliest cell in wave
+    /// order holding the highest score (`Max`) or the last row's lowest
+    /// (`LastRowMin`).
+    pub best: Option<(usize, usize, C)>,
+    /// The fold's number: the settled score, or the count; 0 before any
+    /// cell scores and for `Corner`.
+    pub value: i64,
+    /// Cells folded so far.
+    pub cells: u64,
+}
+
+impl<C> Default for Folded<C> {
+    fn default() -> Self {
+        Folded {
+            corner: None,
+            best: None,
+            value: 0,
+            cells: 0,
         }
-    })?;
-    Ok((best.map(|(_, i, j, c)| (i, j, c)), stats))
+    }
+}
+
+impl<C: Copy> Folded<C> {
+    /// Folds wave `w` of `pattern` over a `dims` table, sealed with
+    /// `cells[p]` at canonical position `p`.
+    pub fn visit(&mut self, fold: Fold<C>, pattern: Pattern, dims: Dims, w: usize, cells: &[C]) {
+        self.cells += cells.len() as u64;
+        let (last_row, last_col) = (dims.rows - 1, dims.cols - 1);
+        if w == wave_of(pattern, dims, last_row, last_col) {
+            self.corner = Some(cells[position_in_wave(pattern, dims, last_row, last_col)]);
+        }
+        let mut settle = |p: usize, s: i64, better: fn(i64, i64) -> bool| {
+            if self.best.is_none() || better(s, self.value) {
+                let (i, j) = cell_at(pattern, dims, w, p);
+                self.best = Some((i, j, cells[p]));
+                self.value = s;
+            }
+        };
+        match fold {
+            Fold::Corner => {}
+            Fold::Max(score) => {
+                for (p, c) in cells.iter().enumerate() {
+                    settle(p, score(c), |s, v| s > v);
+                }
+            }
+            Fold::LastRowMin(score) => {
+                for p in row_positions(pattern, dims, w, last_row) {
+                    settle(p, score(&cells[p]), |s, v| s < v);
+                }
+            }
+            Fold::Count(pred) => self.value += cells.iter().filter(|c| pred(c)).count() as i64,
+        }
+    }
+
+    /// `fold` over a finished grid, replaying the waves its layout
+    /// stores contiguously: rows for a row-major grid.
+    pub fn of_grid(fold: Fold<C>, grid: &Grid<C>) -> Folded<C> {
+        let pattern = match grid.layout().kind() {
+            LayoutKind::RowMajor => Pattern::Horizontal,
+            LayoutKind::WaveMajor(p) => p,
+        };
+        let dims = grid.dims();
+        let mut folded = Folded::default();
+        for w in 0..pattern.num_waves(dims.rows, dims.cols) {
+            let range = grid.layout().wave_range(pattern, w).expect("a stored wave");
+            folded.visit(fold, pattern, dims, w, &grid.as_slice()[range]);
+        }
+        folded
+    }
 }
 
 /// One completed slice of the wave schedule, as emitted by a streaming
@@ -319,12 +549,12 @@ pub fn solve_best<K: Kernel + ?Sized>(
 /// crate's `POST /solve?stream=1`).
 ///
 /// Bands are slices of the *wave* schedule, not literal row bands: on a
-/// square grid, row 0 only seals at wave `cols - 1` — halfway through
-/// the schedule — so equal-row bands would hold the first frame back
-/// for ~50% of the solve. Equal-cell wave bands instead put the first
-/// frame `~cells_total / bands` cells in, and each event reports the
-/// `rows_completed` watermark (grid rows fully sealed so far) for
-/// callers that think in rows.
+/// square anti-diagonal grid, row 0 only seals at wave `cols - 1` —
+/// halfway through the schedule — so equal-row bands would hold the
+/// first frame back for ~50% of the solve. Equal-cell wave bands instead
+/// put the first frame `~cells_total / bands` cells in, and each event
+/// reports the `rows_completed` watermark (grid rows fully sealed so
+/// far) for callers that think in rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandEvent {
     /// 0-based index of this band.
@@ -336,8 +566,8 @@ pub struct BandEvent {
     /// Last wave of the band (inclusive); the band is sealed once this
     /// wave's barrier passes.
     pub wave_hi: usize,
-    /// Grid rows fully computed after `wave_hi` (row `r` seals at wave
-    /// `r + cols - 1`).
+    /// Grid rows fully computed after `wave_hi` (row `r` seals with its
+    /// last wave, `r + cols - 1` on an anti-diagonal schedule).
     pub rows_completed: usize,
     /// Total grid rows.
     pub rows: usize,
@@ -346,50 +576,45 @@ pub struct BandEvent {
     /// Total cells in the grid.
     pub cells_total: u64,
     /// Running frontier score: the value of the last cell of `wave_hi`
-    /// (the cell walking down the rightmost column toward the corner),
-    /// projected to `f64` by the caller's score function.
+    /// (on an anti-diagonal schedule, the cell walking down the rightmost
+    /// column toward the corner), projected to `f64` by the caller's
+    /// score function.
     pub score: f64,
-    /// Running arg-best score, when the solve tracks one (the
-    /// Smith–Waterman endpoint fold); `None` otherwise.
+    /// The running score of the answer's fold, once it has settled on a
+    /// cell (the best score of a `Max` fold, the last row's minimum of a
+    /// `LastRowMin` fold); `None` otherwise.
     pub best: Option<f64>,
 }
 
-/// An equal-cell split of the anti-diagonal wave schedule into at most
-/// `bands` contiguous slices — the emission plan of a streaming rolling
-/// solve. Waves are never split across bands, so a band boundary is
-/// always a sealed barrier the emitter can publish behind.
+/// An equal-cell split of a pattern's wave schedule into at most
+/// `bands` contiguous slices — the emission plan of a streaming solve.
+/// Waves are never split across bands, so a band boundary is always a
+/// sealed barrier the emitter can publish behind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandSchedule {
     /// Last wave (inclusive) of each band, strictly increasing; the
     /// final entry is the last wave of the schedule.
     ends: Vec<usize>,
-    rows: usize,
-    cols: usize,
+    pattern: Pattern,
+    dims: Dims,
     cells_total: u64,
 }
 
 impl BandSchedule {
-    /// Splits the `rows + cols - 1` waves of a `rows × cols` grid into
-    /// at most `bands` slices of near-equal cell count. Requests are
+    /// Splits the waves of a `rows × cols` grid under `pattern` into at
+    /// most `bands` slices of near-equal cell count. Requests are
     /// clamped: at least one band, never more bands than waves. Empty
     /// grids get an empty schedule.
-    pub fn new(rows: usize, cols: usize, bands: usize) -> BandSchedule {
-        if rows == 0 || cols == 0 {
-            return BandSchedule {
-                ends: Vec::new(),
-                rows,
-                cols,
-                cells_total: 0,
-            };
-        }
-        let num_waves = rows + cols - 1;
-        let bands = bands.clamp(1, num_waves) as u64;
-        let cells_total = (rows * cols) as u64;
-        let mut ends = Vec::with_capacity(bands as usize);
+    pub fn new(pattern: Pattern, rows: usize, cols: usize, bands: usize) -> BandSchedule {
+        let dims = Dims::new(rows, cols);
+        let num_waves = pattern.num_waves(rows, cols);
+        let cells_total = dims.len() as u64;
+        let mut ends = Vec::with_capacity(bands.clamp(1, num_waves.max(1)));
+        let bands = bands.clamp(1, num_waves.max(1)) as u64;
         let mut cum = 0u64;
         let mut k = 1u64;
         for w in 0..num_waves {
-            cum += Self::wave_len_of(rows, cols, w) as u64;
+            cum += pattern.wave_len(rows, cols, w) as u64;
             // Close band k-1 at the first wave reaching its share of
             // the cell budget; a wave crossing several thresholds
             // closes one band and skips the rest.
@@ -400,11 +625,11 @@ impl BandSchedule {
                 }
             }
         }
-        debug_assert_eq!(ends.last().copied(), Some(num_waves - 1));
+        debug_assert_eq!(ends.last().copied(), num_waves.checked_sub(1));
         BandSchedule {
             ends,
-            rows,
-            cols,
+            pattern,
+            dims,
             cells_total,
         }
     }
@@ -426,17 +651,25 @@ impl BandSchedule {
 
     /// Cells on wave `w` of the schedule.
     pub fn wave_len(&self, w: usize) -> usize {
-        Self::wave_len_of(self.rows, self.cols, w)
+        self.pattern.wave_len(self.dims.rows, self.dims.cols, w)
     }
 
-    fn wave_len_of(rows: usize, cols: usize, w: usize) -> usize {
-        (cols - 1).min(w) - w.saturating_sub(rows - 1) + 1
-    }
-
-    /// Grid rows fully sealed once wave `w` has completed: row `r`
-    /// computes its last cell `(r, cols - 1)` on wave `r + cols - 1`.
+    /// Grid rows fully sealed once wave `w` has completed. Row `r` seals
+    /// with the later wave of its two end cells (a row's waves never
+    /// fall and rise again along it), and rows seal in order.
     pub fn rows_completed(&self, w: usize) -> usize {
-        (w + 2).saturating_sub(self.cols).min(self.rows)
+        let (p, d) = (self.pattern, self.dims);
+        let sealed = |r: usize| wave_of(p, d, r, 0).max(wave_of(p, d, r, d.cols - 1)) <= w;
+        let (mut lo, mut hi) = (0, d.rows);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if sealed(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Builds the [`BandEvent`] for band `band` sealing at wave `w`
@@ -461,7 +694,7 @@ impl BandSchedule {
             wave_lo,
             wave_hi: w,
             rows_completed: self.rows_completed(w),
-            rows: self.rows,
+            rows: self.dims.rows,
             cells_done,
             cells_total: self.cells_total,
             score,
@@ -488,10 +721,8 @@ pub fn describe(mode: MemoryMode, bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::ContributingSet;
     use crate::kernel::ClosureKernel;
     use crate::seq::solve_row_major;
-    use crate::wavefront::Dims;
 
     /// LCS-shaped closure kernel over deterministic pseudo-sequences.
     fn lcs_like(
@@ -537,18 +768,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_wave_cell_matches_the_oracle() {
-        let k = lcs_like(11, 17);
-        let grid = solve_row_major(&k).unwrap();
-        let stats = solve_waves(&k, None, |w, j_lo, cells| {
-            for (p, c) in cells.iter().enumerate() {
-                let (i, j) = (w - j_lo - p, j_lo + p);
-                assert_eq!(*c, grid.get(i, j), "cell ({i}, {j}) wave {w}");
+    /// A kernel mixing every declared neighbour into its cell, so a
+    /// neighbour read from the wrong place changes the table.
+    fn mix(
+        rows: usize,
+        cols: usize,
+        set: ContributingSet,
+    ) -> ClosureKernel<u64, impl Fn(usize, usize, &Neighbors<u64>) -> u64 + Sync> {
+        ClosureKernel::new(Dims::new(rows, cols), set, |i, j, nb: &Neighbors<u64>| {
+            let mut acc = (i as u64) << 20 | (j as u64 + 7);
+            for c in RepCell::ALL {
+                if let Some(v) = nb.get(c) {
+                    acc = acc.wrapping_mul(1099511628211).wrapping_add(*v);
+                }
             }
+            acc
         })
-        .unwrap();
-        assert_eq!(stats.waves, 27);
+    }
+
+    #[test]
+    fn every_wave_cell_matches_the_oracle_for_every_canonical_set() {
+        for set in ContributingSet::table_one_rows() {
+            let pattern = classify(set).unwrap();
+            for (rows, cols) in [(1, 1), (1, 9), (9, 1), (11, 17), (17, 11), (6, 6)] {
+                let k = mix(rows, cols, set);
+                let grid = solve_row_major(&k).unwrap();
+                let mut seen = 0;
+                let got = solve_waves(&k, None, |w, cells| {
+                    for (p, c) in cells.iter().enumerate() {
+                        let (i, j) = cell_at(pattern, k.dims(), w, p);
+                        assert_eq!(*c, grid.get(i, j), "{set} {rows}x{cols} ({i}, {j})");
+                        seen += 1;
+                    }
+                });
+                if !pattern.is_canonical() {
+                    assert!(matches!(got, Err(Error::PlanMismatch { .. })), "{set}");
+                    continue;
+                }
+                let stats = got.unwrap();
+                assert_eq!(seen, rows * cols, "{set} {rows}x{cols}");
+                assert_eq!(stats.waves, pattern.num_waves(rows, cols));
+                let ring = WaveStore::new(MemoryMode::Rolling, pattern, set, k.dims());
+                assert_eq!(stats.peak_bytes, ring.len() * 8);
+            }
+        }
+    }
+
+    /// The full table's bases are the wave-major layout's, so a grid
+    /// built in the pattern's preferred layout is the full store.
+    #[test]
+    fn full_store_bases_are_the_preferred_layout() {
+        for set in ContributingSet::table_one_rows() {
+            let pattern = classify(set).unwrap();
+            let dims = Dims::new(7, 5);
+            let store = WaveStore::new(MemoryMode::Full, pattern, set, dims);
+            let layout = crate::grid::Layout::new(LayoutKind::preferred_for(pattern), dims);
+            assert_eq!(store.len(), dims.len());
+            for w in 0..store.num_waves() {
+                let range = layout.wave_range(pattern, w).unwrap();
+                assert_eq!(store.base(w)..store.base(w) + store.wave_len(w), range);
+            }
+        }
+    }
+
+    #[test]
+    fn folds_over_the_ring_match_folds_over_the_oracle() {
+        let folds: [Fold<u64>; 4] = [
+            Fold::Corner,
+            Fold::Max(|c| (*c % 1000) as i64),
+            Fold::LastRowMin(|c| (*c % 1000) as i64),
+            Fold::Count(|c| c % 3 == 0),
+        ];
+        for set in ContributingSet::table_one_rows() {
+            if !classify(set).unwrap().is_canonical() {
+                continue;
+            }
+            for (rows, cols) in [(1, 1), (1, 9), (9, 1), (11, 17), (17, 11)] {
+                let k = mix(rows, cols, set);
+                let grid = solve_row_major(&k).unwrap();
+                for fold in folds {
+                    let (got, _) = solve_fold(&k, None, fold).unwrap();
+                    let want = Folded::of_grid(fold, &grid);
+                    let label = format!("{set} {rows}x{cols}");
+                    assert_eq!(got.corner, Some(grid.get(rows - 1, cols - 1)), "{label}");
+                    assert_eq!(got.value, want.value, "{label}");
+                    assert_eq!(got.cells, (rows * cols) as u64, "{label}");
+                    if let Some((i, j, c)) = got.best {
+                        assert_eq!(c, grid.get(i, j), "{label}");
+                    }
+                }
+                // The fold values, by brute force.
+                let all: Vec<u64> = grid.to_row_major();
+                let last = &all[(rows - 1) * cols..];
+                let (max, _) = solve_fold(&k, None, folds[1]).unwrap();
+                assert_eq!(
+                    max.value,
+                    all.iter().map(|c| (c % 1000) as i64).max().unwrap()
+                );
+                let (min, _) = solve_fold(&k, None, folds[2]).unwrap();
+                assert_eq!(
+                    min.value,
+                    last.iter().map(|c| (c % 1000) as i64).min().unwrap()
+                );
+                assert_eq!(min.best.unwrap().0, rows - 1);
+                let (count, _) = solve_fold(&k, None, folds[3]).unwrap();
+                assert_eq!(
+                    count.value,
+                    all.iter().filter(|c| *c % 3 == 0).count() as i64
+                );
+            }
+        }
     }
 
     #[test]
@@ -589,16 +918,16 @@ mod tests {
     }
 
     #[test]
-    fn non_antidiagonal_patterns_are_rejected() {
+    fn non_canonical_sets_are_rejected() {
         let set = ContributingSet::new(&[RepCell::W]);
         let k = ClosureKernel::new(Dims::new(4, 4), set, |_, _, nb: &Neighbors<u32>| {
             nb.w.unwrap_or(0) + 1
         });
-        match solve_waves(&k, None, |_, _, _| {}) {
+        match solve_waves(&k, None, |_, _| {}) {
             Err(Error::PlanMismatch { .. }) => {}
             other => panic!("expected PlanMismatch, got {other:?}"),
         }
-        assert!(!supports_rolling(&k));
+        assert_eq!(rolling_bytes(&k), 0);
     }
 
     #[test]
@@ -613,7 +942,7 @@ mod tests {
             (9, 1, 3),
             (5, 5, 64), // more bands than waves: clamped
         ] {
-            let s = BandSchedule::new(rows, cols, bands);
+            let s = BandSchedule::new(Pattern::AntiDiagonal, rows, cols, bands);
             let num_waves = rows + cols - 1;
             assert!(s.bands() >= 1 && s.bands() <= bands.min(num_waves));
             assert_eq!(*s.ends().last().unwrap(), num_waves - 1, "{rows}x{cols}");
@@ -643,7 +972,7 @@ mod tests {
         // The streaming TTFB claim rests on this: the first band seals
         // after ~1/bands of the cells, far before the first full *row*
         // would (wave cols-1, i.e. ~half the schedule on squares).
-        let s = BandSchedule::new(512, 512, 32);
+        let s = BandSchedule::new(Pattern::AntiDiagonal, 512, 512, 32);
         let first_end = s.ends()[0];
         let first_cells: u64 = (0..=first_end).map(|w| s.wave_len(w) as u64).sum();
         assert!(
@@ -660,18 +989,28 @@ mod tests {
     }
 
     #[test]
-    fn rows_completed_matches_brute_force() {
-        let (rows, cols) = (9usize, 6usize);
-        let s = BandSchedule::new(rows, cols, 4);
-        for w in 0..rows + cols - 1 {
-            let brute = (0..rows).filter(|&r| w >= r + cols - 1).count();
-            assert_eq!(s.rows_completed(w), brute, "wave {w}");
+    fn every_pattern_schedules_bands_and_seals_rows_as_brute_force_says() {
+        for p in Pattern::ALL {
+            for (rows, cols) in [(9usize, 6usize), (6, 9), (1, 5), (5, 1), (7, 7)] {
+                let s = BandSchedule::new(p, rows, cols, 4);
+                let dims = Dims::new(rows, cols);
+                let waves = p.num_waves(rows, cols);
+                assert_eq!(*s.ends().last().unwrap(), waves - 1, "{p} {rows}x{cols}");
+                let cells: usize = (0..waves).map(|w| s.wave_len(w)).sum();
+                assert_eq!(cells, rows * cols);
+                for w in 0..waves {
+                    let brute = (0..rows)
+                        .filter(|&r| (0..cols).all(|j| wave_of(p, dims, r, j) <= w))
+                        .count();
+                    assert_eq!(s.rows_completed(w), brute, "{p} {rows}x{cols} wave {w}");
+                }
+            }
         }
     }
 
     #[test]
     fn band_events_carry_the_schedule_geometry() {
-        let s = BandSchedule::new(16, 16, 4);
+        let s = BandSchedule::new(Pattern::AntiDiagonal, 16, 16, 4);
         let mut cells = 0u64;
         let mut lo = 0usize;
         for (b, &end) in s.ends().to_vec().iter().enumerate() {
@@ -690,7 +1029,7 @@ mod tests {
         }
         assert_eq!(cells, 256);
         // Empty grids: no bands, nothing to stream.
-        assert_eq!(BandSchedule::new(0, 4, 3).bands(), 0);
+        assert_eq!(BandSchedule::new(Pattern::KnightMove, 0, 4, 3).bands(), 0);
     }
 
     #[test]
@@ -699,6 +1038,15 @@ mod tests {
         assert_eq!(full_table_bytes(&k), 64 * 64 * 4);
         assert_eq!(rolling_bytes(&k), 3 * 64 * 4);
         assert!(rolling_bytes(&k) < full_table_bytes(&k));
+        // k = max wave delta + 1 slots of the widest wave.
+        let horizontal = ContributingSet::new(&[RepCell::Nw, RepCell::N, RepCell::Ne]);
+        assert_eq!(rolling_bytes(&mix(64, 48, horizontal)), 2 * 48 * 8);
+        assert_eq!(
+            rolling_bytes(&mix(64, 48, ContributingSet::FULL)),
+            4 * 24 * 8
+        );
+        let l_shell = ContributingSet::new(&[RepCell::Nw]);
+        assert_eq!(rolling_bytes(&mix(64, 48, l_shell)), 2 * 111 * 8);
         assert_eq!(
             describe(MemoryMode::Rolling, 96 * 1024),
             "rolling (96.0 KiB)"

@@ -145,21 +145,26 @@ pub fn compatible(pattern: Pattern, set: ContributingSet) -> bool {
     set.iter().all(|c| allowed.contains(c))
 }
 
+/// Wave-index gap between a cell and its `dep` neighbour under
+/// `pattern`: the neighbour lives on wave `w - wave_delta` of a cell on
+/// wave `w`.
+pub fn wave_delta(pattern: Pattern, dep: RepCell) -> usize {
+    let (di, dj) = dep.offset();
+    match pattern {
+        Pattern::AntiDiagonal => (-(di + dj)) as usize,
+        Pattern::Horizontal => (-di) as usize,
+        Pattern::Vertical => (-dj) as usize,
+        Pattern::KnightMove => (-(2 * di + dj)) as usize,
+        // L-shells advance by exactly one per diagonal step.
+        Pattern::InvertedL | Pattern::MirroredInvertedL => 1,
+    }
+}
+
 /// Largest wave-index gap between a cell and any member of `set` under
 /// `pattern` — how far back the dependency frontier reaches.
 pub fn max_wave_delta(pattern: Pattern, set: ContributingSet) -> usize {
     set.iter()
-        .map(|c| {
-            let (di, dj) = c.offset();
-            match pattern {
-                Pattern::AntiDiagonal => (-(di + dj)) as usize,
-                Pattern::Horizontal => (-di) as usize,
-                Pattern::Vertical => (-dj) as usize,
-                Pattern::KnightMove => (-(2 * di + dj)) as usize,
-                // L-shells advance by exactly one per diagonal step.
-                Pattern::InvertedL | Pattern::MirroredInvertedL => 1,
-            }
-        })
+        .map(|c| wave_delta(pattern, c))
         .max()
         .unwrap_or(0)
 }

@@ -80,9 +80,8 @@ pub struct TunedConfig {
     pub params: ScheduleParams,
     /// The execution tier to run the bucket's solves on.
     pub tier: ExecTier,
-    /// How the bucket's solves materialize the table. `Rolling` is
-    /// chosen when the memory model says the full table busts the
-    /// platform budget (and the problem supports wave-band execution).
+    /// How the bucket's solves materialize the table: `Rolling` for
+    /// every tuned bucket.
     pub memory_mode: MemoryMode,
 }
 

@@ -8,9 +8,8 @@
 //! order in which the scheduler counts off the "first `t_share` cells"
 //! assigned to the CPU (§III).
 
-use crate::cell::ContributingSet;
+use crate::cell::RepCell;
 use crate::pattern::Pattern;
-use std::ops::Range;
 
 /// Table dimensions, in cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +43,7 @@ impl Dims {
 }
 
 /// Index of the wave containing cell `(i, j)` under `pattern`.
+#[inline]
 pub fn wave_of(pattern: Pattern, dims: Dims, i: usize, j: usize) -> usize {
     debug_assert!(dims.contains(i, j));
     match pattern {
@@ -72,41 +72,39 @@ pub fn wave_of(pattern: Pattern, dims: Dims, i: usize, j: usize) -> usize {
 /// cells nearest the table's left edge in every wave, matching the blue
 /// regions of Figs 3–6 and producing exactly the Table II transfer
 /// directions.
+#[inline]
 pub fn position_in_wave(pattern: Pattern, dims: Dims, i: usize, j: usize) -> usize {
     debug_assert!(dims.contains(i, j));
+    let w = wave_of(pattern, dims, i, j);
+    line_position(pattern, dims, w, i as isize, j as isize) as usize
+}
+
+/// Position of the point `(i, j)` along the line of wave `w`: for a
+/// cell of wave `w` its [`position_in_wave`], extended linearly past the
+/// table's edge. The cells of a wave fill one interval of positions on
+/// their line, so a neighbour that lies on the line but off the table
+/// lands outside `0..wave_len`: the position range is the bounds check.
+#[inline]
+fn line_position(pattern: Pattern, dims: Dims, w: usize, i: isize, j: isize) -> isize {
+    let wi = w as isize;
     match pattern {
-        Pattern::AntiDiagonal => {
-            let w = i + j;
-            let jlo = w.saturating_sub(dims.rows - 1);
-            j - jlo
-        }
+        Pattern::AntiDiagonal => j - w.saturating_sub(dims.rows - 1) as isize,
         Pattern::Horizontal => j,
         Pattern::Vertical => i,
-        Pattern::KnightMove => {
-            // j = w - 2i has fixed parity within a wave; consecutive
-            // positions differ by 2 in j.
-            let w = 2 * i + j;
-            let jlo = jlo_knight(dims, w);
-            (j - jlo) / 2
-        }
-        Pattern::InvertedL => {
-            let k = i.min(j);
-            if j == k {
-                // Column arm (includes the corner).
-                i - k
-            } else {
-                // Row arm, after the (rows - k) column-arm cells.
-                (dims.rows - k) + (j - k - 1)
-            }
-        }
+        // j and the wave's first column share the wave's parity.
+        Pattern::KnightMove => (j - jlo_knight(dims, w) as isize) / 2,
+        // The column arm (rows - w cells at j = w), then the row arm.
+        Pattern::InvertedL if j == wi => i - wi,
+        Pattern::InvertedL => (dims.rows as isize - wi) + (j - wi - 1),
         Pattern::MirroredInvertedL => {
-            position_in_wave(Pattern::InvertedL, dims, i, dims.cols - 1 - j)
+            line_position(Pattern::InvertedL, dims, w, i, dims.cols as isize - 1 - j)
         }
     }
 }
 
 /// Smallest column index present in knight-move wave `w`: the least
 /// `j ≡ w (mod 2)` with `(w - j)/2 < rows`.
+#[inline]
 fn jlo_knight(dims: Dims, w: usize) -> usize {
     let bound = w.saturating_sub(2 * (dims.rows - 1));
     // Round up to the parity of w.
@@ -119,6 +117,7 @@ fn jlo_knight(dims: Dims, w: usize) -> usize {
 
 /// The cell at `pos` within wave `w` — the inverse of
 /// [`position_in_wave`]. Panics (in debug builds) when out of range.
+#[inline]
 pub fn cell_at(pattern: Pattern, dims: Dims, w: usize, pos: usize) -> (usize, usize) {
     debug_assert!(
         pos < pattern.wave_len(dims.rows, dims.cols, w),
@@ -168,6 +167,7 @@ pub(crate) struct WaveSegment {
 
 /// The ≤ 2 linear segments making up wave `w` (in canonical order).
 /// Unused slots are `None`; empty segments are omitted.
+#[inline(always)]
 pub(crate) fn wave_segments(pattern: Pattern, dims: Dims, w: usize) -> [Option<WaveSegment>; 2] {
     let Dims { rows, cols } = dims;
     if dims.is_empty() || w >= pattern.num_waves(rows, cols) {
@@ -214,75 +214,56 @@ pub(crate) fn wave_segments(pattern: Pattern, dims: Dims, w: usize) -> [Option<W
     }
 }
 
-/// Canonical-position ranges of the cells of wave `w` whose declared
-/// neighbours (the directions in `set`) are *all* in bounds — the
-/// interior runs a bulk kernel may compute without boundary branches.
-/// At most two ranges (the arms of an inverted-L shell), in increasing
-/// position order; the wave's remaining cells are border cells.
-pub(crate) fn interior_runs(
+/// How far the `dep` neighbours of a segment's cells sit along their own
+/// wave `w_dep` from the cells' positions in theirs: the neighbour of the
+/// cell at position `p` is at position `p + shift` of wave `w_dep`. A
+/// segment's neighbours in one direction lie on a parallel line with the
+/// same step, so the shift is one constant per segment.
+#[inline]
+pub(crate) fn dep_shift(
     pattern: Pattern,
     dims: Dims,
-    set: ContributingSet,
+    w_dep: usize,
+    seg: &WaveSegment,
+    dep: RepCell,
+) -> isize {
+    let (oi, oj) = dep.offset();
+    let at = line_position(
+        pattern,
+        dims,
+        w_dep,
+        seg.i0 as isize + oi,
+        seg.j0 as isize + oj,
+    );
+    at - seg.pos0 as isize
+}
+
+/// Positions of row `row`'s cells within wave `w`, in increasing order:
+/// a whole segment lying along the row, or one cell of each segment
+/// crossing it.
+#[inline]
+pub(crate) fn row_positions(
+    pattern: Pattern,
+    dims: Dims,
     w: usize,
-) -> Vec<Range<usize>> {
-    let mut runs = Vec::with_capacity(2);
-    for seg in wave_segments(pattern, dims, w).into_iter().flatten() {
-        // Clamp p so every `(i0 + di*p + oi, j0 + dj*p + oj)` stays
-        // inside the table; each bound is linear in p.
-        let mut lo: i64 = 0;
-        let mut hi: i64 = seg.len as i64 - 1;
-        for dep in set.iter() {
-            let (oi, oj) = dep.offset();
-            clamp_linear(
-                &mut lo,
-                &mut hi,
-                seg.i0 + oi as i64,
-                seg.di,
-                dims.rows as i64 - 1,
-            );
-            clamp_linear(
-                &mut lo,
-                &mut hi,
-                seg.j0 + oj as i64,
-                seg.dj,
-                dims.cols as i64 - 1,
-            );
-        }
-        if lo <= hi {
-            let start = seg.pos0 + lo as usize;
-            runs.push(start..seg.pos0 + hi as usize + 1);
-        }
-    }
-    runs
-}
-
-/// Tightens `[lo, hi]` so that `0 <= a + b*p <= max` for all `p` in it.
-fn clamp_linear(lo: &mut i64, hi: &mut i64, a: i64, b: i64, max: i64) {
-    match b.cmp(&0) {
-        std::cmp::Ordering::Equal => {
-            if a < 0 || a > max {
-                *hi = *lo - 1;
-            }
-        }
-        std::cmp::Ordering::Greater => {
-            *lo = (*lo).max(div_ceil_i64(-a, b));
-            *hi = (*hi).min(div_floor_i64(max - a, b));
-        }
-        std::cmp::Ordering::Less => {
-            *lo = (*lo).max(div_ceil_i64(a - max, -b));
-            *hi = (*hi).min(div_floor_i64(a, -b));
-        }
-    }
-}
-
-fn div_floor_i64(x: i64, y: i64) -> i64 {
-    debug_assert!(y > 0);
-    x.div_euclid(y)
-}
-
-fn div_ceil_i64(x: i64, y: i64) -> i64 {
-    debug_assert!(y > 0);
-    -(-x).div_euclid(y)
+    row: usize,
+) -> impl Iterator<Item = usize> {
+    wave_segments(pattern, dims, w)
+        .into_iter()
+        .flatten()
+        .flat_map(move |s| {
+            let d = row as i64 - s.i0;
+            let q = match s.di {
+                0 if d == 0 => 0..s.len,
+                0 => 0..0,
+                di if d % di == 0 && (0..s.len as i64).contains(&(d / di)) => {
+                    let q = (d / di) as usize;
+                    q..q + 1
+                }
+                _ => 0..0,
+            };
+            s.pos0 + q.start..s.pos0 + q.end
+        })
 }
 
 /// Iterates the cells of wave `w` in canonical order.
@@ -515,31 +496,39 @@ mod tests {
         }
     }
 
+    /// The property the wave store computes through: within a segment,
+    /// the neighbour of the cell at position `p` is the cell at position
+    /// `p + shift` of its own wave, and it is on the table exactly when
+    /// that position is inside the wave.
     #[test]
-    fn interior_runs_are_exactly_the_fully_in_bounds_cells() {
+    fn dependency_shifts_find_every_neighbour_and_only_neighbours() {
+        use crate::schedule::{compatible, wave_delta};
         for set in ContributingSet::table_one_rows() {
-            for p in Pattern::ALL {
+            for p in Pattern::ALL.into_iter().filter(|&p| compatible(p, set)) {
                 for (r, c) in SHAPES {
                     let dims = Dims::new(r, c);
                     for w in 0..p.num_waves(r, c) {
-                        let runs = interior_runs(p, dims, set, w);
-                        assert!(runs.len() <= 2);
-                        // Sorted, disjoint, in-range.
-                        let mut last_end = 0;
-                        for run in &runs {
-                            assert!(run.start >= last_end && run.start < run.end);
-                            assert!(run.end <= p.wave_len(r, c, w));
-                            last_end = run.end;
-                        }
-                        // Membership matches per-cell bounds checking.
-                        for (pos, (i, j)) in wave_cells(p, dims, w).enumerate() {
-                            let in_run = runs.iter().any(|rg| rg.contains(&pos));
-                            let all_deps_in =
-                                set.iter().all(|dep| dep.source(i, j, r, c).is_some());
-                            assert_eq!(
-                                in_run, all_deps_in,
-                                "{p} {set} {r}x{c} wave {w} pos {pos} cell ({i},{j})"
-                            );
+                        for seg in wave_segments(p, dims, w).into_iter().flatten() {
+                            for dep in set.iter() {
+                                let delta = wave_delta(p, dep);
+                                for q in 0..seg.len {
+                                    let pos = seg.pos0 + q;
+                                    let (i, j) = cell_at(p, dims, w, pos);
+                                    let src = dep.source(i, j, r, c);
+                                    let label = format!("{p} {set} {r}x{c} ({i},{j}) {dep}");
+                                    if delta > w {
+                                        assert_eq!(src, None, "{label}");
+                                        continue;
+                                    }
+                                    let shift = dep_shift(p, dims, w - delta, &seg, dep);
+                                    let at = pos as isize + shift;
+                                    let len = p.wave_len(r, c, w - delta) as isize;
+                                    let found = (0..len)
+                                        .contains(&at)
+                                        .then(|| cell_at(p, dims, w - delta, at as usize));
+                                    assert_eq!(found, src, "{label}");
+                                }
+                            }
                         }
                     }
                 }
@@ -548,11 +537,26 @@ mod tests {
     }
 
     #[test]
-    fn interior_runs_of_out_of_range_waves_are_empty() {
-        let dims = Dims::new(3, 4);
-        let set = ContributingSet::new(&[RepCell::Nw]);
-        assert!(interior_runs(Pattern::AntiDiagonal, dims, set, 99).is_empty());
-        assert!(interior_runs(Pattern::AntiDiagonal, Dims::new(0, 4), set, 0).is_empty());
+    fn row_positions_are_the_rows_cells() {
+        for p in Pattern::ALL {
+            for (r, c) in SHAPES {
+                let dims = Dims::new(r, c);
+                for row in 0..r {
+                    let mut seen = 0;
+                    for w in 0..p.num_waves(r, c) {
+                        let got: Vec<usize> = row_positions(p, dims, w, row).collect();
+                        let want: Vec<usize> = wave_cells(p, dims, w)
+                            .enumerate()
+                            .filter(|&(_, (i, _))| i == row)
+                            .map(|(pos, _)| pos)
+                            .collect();
+                        assert_eq!(got, want, "{p} {r}x{c} row {row} wave {w}");
+                        seen += got.len();
+                    }
+                    assert_eq!(seen, c, "{p} {r}x{c} row {row}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! Every solve goes through one entry, [`ParallelEngine::run`], and one
 //! wave loop. A [`SolveSpec`] says what the run varies: the pattern,
-//! the memory mode (the full wave-major grid, or a rolling ring of
-//! three wave bands), the worker count, a tier cap, a trace sink, a
-//! band-stream hook and a fault injector. [`ParallelEngine::solve`] and
-//! [`ParallelEngine::solve_rolling`] are that call with the defaults.
+//! the memory mode (the full wave-major grid, or a ring of the last `k`
+//! waves), the answer's fold, the worker count, a tier cap, a trace
+//! sink, a band-stream hook and a fault injector.
+//! [`ParallelEngine::solve`] and [`ParallelEngine::solve_rolling`] are
+//! that call with the defaults.
 //!
 //! The perf-critical design points:
 //!
@@ -26,13 +27,12 @@
 //! * **Bulk interior runs.** When the kernel exposes a
 //!   [`WaveKernel`] and the executed pattern equals the set's raw
 //!   classification, each worker splits its chunk of a wave into the
-//!   *interior* runs precomputed by [`Layout::interior_runs`] and the
-//!   border remainder. Interior cells have every dependency in bounds,
-//!   so whole runs are handed to [`WaveKernel::compute_run`] as plain
-//!   slices — no per-cell `Option` checks, no bounds branches, and a
-//!   shape LLVM can autovectorize. Border cells still go through the
-//!   scalar [`Kernel::compute`] path, and kernels without a `WaveKernel`
-//!   are entirely unaffected.
+//!   *interior* run (every dependency in bounds) and the border
+//!   remainder. Interior runs are handed to [`WaveKernel::compute_run`]
+//!   as plain slices — no per-cell `Option` checks, no bounds branches,
+//!   and a shape LLVM can autovectorize. Border cells, and every cell of
+//!   a kernel without a `WaveKernel`, go through the scalar
+//!   [`Kernel::compute`] path.
 //! * **SIMD interior runs.** Kernels that additionally expose a
 //!   [`SimdWaveKernel`] get their interior runs routed through
 //!   [`SimdWaveKernel::compute_run_simd`] whenever the host has a
@@ -42,13 +42,17 @@
 //!   per process), [`ParallelEngine::with_tier`] and
 //!   [`SolveSpec::tier`] — compose by taking the lowest, downgrading
 //!   gracefully when a tier is unavailable for a kernel.
-//! * **One storage trait.** The wave loop hands each worker's stretch
-//!   of a wave to its store: the wave-major grid (border cells through
-//!   the grid's [`Layout`], interior runs precomputed per wave) or the
-//!   rolling ring of [`lddp_core::rolling::Ring`] (wave `w` in slot
-//!   `w % 3`, the same ring the one-thread band walk of `lddp-core`
-//!   computes its waves with). Both run the same kernel bodies, so the
-//!   memory modes agree bit for bit.
+//! * **One wave store.** The wave loop hands each worker's stretch of a
+//!   wave to [`WaveStore::compute`], which reads every neighbour at a
+//!   constant position shift along its own wave. The store is the
+//!   wave-major table, kept whole or modulo `k = max_wave_delta + 1`
+//!   waves; both memory modes run the same code on the same positions,
+//!   so they agree bit for bit, and one-thread rolling walks
+//!   (`lddp_core::rolling::solve_waves`) use it too.
+//! * **One fold.** Worker 0 folds each sealed wave into the answer
+//!   ([`Fold`]: the corner, the best score, the last row's minimum, a
+//!   count) behind its barrier, in both memory modes, and emits the
+//!   stream's bands there.
 //!
 //! With a trace sink, or a live registry on a pooled full-table run,
 //! the loop times every wave. The sink receives the timeline: one span
@@ -64,32 +68,30 @@
 //! *disjoint* chunk of that wave's contiguous range, and reads only
 //! cells from strictly earlier waves still held by the store —
 //! guaranteed by the pattern-compatibility check
-//! (`schedule::compatible`), the ring's three slots for rolling runs
-//! (which need at most two waves back), and re-asserted in debug
-//! builds. The pool's [`SenseBarrier`](crate::SenseBarrier) separates
-//! waves, carrying the release/acquire edges that make earlier-wave
-//! writes visible. Bulk runs obey the same discipline in slice form:
-//! the output slice lies in the current wave's worker-exclusive range,
-//! and every dependency slice lies in a sealed earlier wave (asserted
-//! in debug builds via the store's contiguity). The few `unsafe` blocks
-//! below encapsulate exactly this discipline.
+//! (`schedule::compatible`) and, for rings, by `k` slots reaching one
+//! wave further back than any dependency. The pool's
+//! [`SenseBarrier`](crate::SenseBarrier) separates waves, carrying the
+//! release/acquire edges that make earlier-wave writes visible. Each
+//! worker borrows its output stretch mutably and its dependency waves
+//! shared; the two never overlap, since a wave's slot differs from every
+//! slot it reads. The few `unsafe` blocks below encapsulate exactly
+//! this discipline.
 //!
 //! [`WaveKernel`]: lddp_core::kernel::WaveKernel
 //! [`WaveKernel::compute_run`]: lddp_core::kernel::WaveKernel::compute_run
 //! [`SimdWaveKernel`]: lddp_core::kernel::SimdWaveKernel
 //! [`SimdWaveKernel::compute_run_simd`]: lddp_core::kernel::SimdWaveKernel::compute_run_simd
 //! [`simd_available`]: lddp_core::kernel::simd_available
+//! [`WaveStore::compute`]: lddp_core::rolling::WaveStore::compute
 
 use crate::pool::{chunk_aligned, PoolError, WorkerPool};
 use lddp_chaos::FaultInjector;
-use lddp_core::cell::{ContributingSet, RepCell};
-use lddp_core::grid::{Grid, Layout, LayoutKind};
-use lddp_core::kernel::{ExecTier, Kernel, Neighbors, RunBody};
+use lddp_core::grid::{Grid, LayoutKind};
+use lddp_core::kernel::{ExecTier, Kernel, MemoryMode, RunBody};
 use lddp_core::pattern::{classify, Pattern};
-use lddp_core::rolling;
+use lddp_core::rolling::{BandEvent, BandSchedule, Fold, Folded, WaveStore};
 use lddp_core::schedule::compatible;
 use lddp_core::tuner::SweepPoint;
-use lddp_core::wavefront::{self, Dims};
 use lddp_core::{DegradeStep, Error, Result};
 use lddp_trace::live::LiveRegistry;
 use lddp_trace::{tracks, NullSink, Span, TraceSink};
@@ -105,10 +107,10 @@ struct SharedCells<T> {
     len: usize,
 }
 
-// SAFETY: all concurrent access goes through `read`/`write`/`slice`/
-// `slice_mut` under the wave/barrier discipline documented on the
-// module: writes within a wave target pairwise-disjoint indices, reads
-// target indices finalized before the last barrier.
+// SAFETY: all concurrent access goes through `slice`/`slice_mut` under
+// the wave/barrier discipline documented on the module: writes within a
+// wave target pairwise-disjoint ranges, reads target ranges finalized
+// before the last barrier.
 unsafe impl<T: Send> Sync for SharedCells<T> {}
 
 impl<T: Copy> SharedCells<T> {
@@ -117,28 +119,6 @@ impl<T: Copy> SharedCells<T> {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
         }
-    }
-
-    /// Reads a cell finalized in an earlier wave.
-    ///
-    /// # Safety
-    /// `idx < len` and no thread may be writing `idx` concurrently (it
-    /// belongs to a wave sealed by a barrier).
-    #[inline]
-    unsafe fn read(&self, idx: usize) -> T {
-        debug_assert!(idx < self.len);
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// Writes a cell of the current wave.
-    ///
-    /// # Safety
-    /// `idx < len` and `idx` is inside the calling worker's exclusive
-    /// chunk of the current wave.
-    #[inline]
-    unsafe fn write(&self, idx: usize, v: T) {
-        debug_assert!(idx < self.len);
-        unsafe { *self.ptr.add(idx) = v };
     }
 
     /// Borrows `base..base + len` as a slice of sealed cells.
@@ -158,53 +138,13 @@ impl<T: Copy> SharedCells<T> {
     /// # Safety
     /// The range is in bounds, lies entirely inside this worker's chunk
     /// of the current wave, and does not overlap any slice handed out
-    /// for sealed waves (current-wave and earlier-wave ranges are
-    /// disjoint in both stores).
+    /// for sealed waves (a wave's range and the ranges it reads are
+    /// disjoint in both memory modes).
     #[inline]
     #[allow(clippy::mut_from_ref)] // the aliasing discipline is the caller contract
     unsafe fn slice_mut(&self, base: usize, len: usize) -> &mut [T] {
         debug_assert!(base + len <= self.len);
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(base), len) }
-    }
-}
-
-/// Computes one worker's chunk of wave `w` cell by cell.
-///
-/// # Safety
-/// Caller upholds the wave/barrier discipline: `range` is this worker's
-/// exclusive slice of wave `w`, and all of wave `w`'s dependencies are
-/// sealed by an earlier barrier.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-unsafe fn compute_chunk<K: Kernel + ?Sized>(
-    kernel: &K,
-    set: ContributingSet,
-    pattern: Pattern,
-    dims: Dims,
-    layout: &Layout,
-    cells: &SharedCells<K::Cell>,
-    w: usize,
-    range: Range<usize>,
-) {
-    for pos in range {
-        let (i, j) = wavefront::cell_at(pattern, dims, w, pos);
-        let mut nbrs = Neighbors::empty();
-        for dep in set.iter() {
-            if let Some((si, sj)) = dep.source(i, j, dims.rows, dims.cols) {
-                debug_assert!(
-                    wavefront::wave_of(pattern, dims, si, sj) < w,
-                    "dependency must be sealed"
-                );
-                // SAFETY: (si, sj) lies in a wave sealed by a previous
-                // barrier (caller contract).
-                let v = unsafe { cells.read(layout.index(si, sj)) };
-                nbrs.set(dep, v);
-            }
-        }
-        let v = kernel.compute(i, j, &nbrs);
-        // SAFETY: `pos` is in this worker's exclusive chunk of wave `w`
-        // (caller contract); wave ranges are disjoint.
-        unsafe { cells.write(layout.index(i, j), v) };
     }
 }
 
@@ -219,210 +159,6 @@ fn env_forced_tier() -> Option<ExecTier> {
     })
 }
 
-/// Computes one contiguous interior run of wave `w` through the kernel's
-/// bulk path, materializing the dependency and output slices.
-///
-/// # Safety
-/// As [`compute_chunk`], plus: `run` must be (a sub-range of) an
-/// interior run reported by [`Layout::interior_runs`] for this
-/// `(pattern, set, w)`, so that every dependency of every cell in it is
-/// in bounds and each dependency direction occupies contiguous backing
-/// slots (the property tested in `lddp-core::grid`).
-#[allow(clippy::too_many_arguments)]
-unsafe fn compute_run_bulk<T: Copy + Send + Sync + PartialEq + std::fmt::Debug + Default>(
-    wk: RunBody<'_, T>,
-    set: ContributingSet,
-    pattern: Pattern,
-    dims: Dims,
-    layout: &Layout,
-    cells: &SharedCells<T>,
-    w: usize,
-    run: Range<usize>,
-) {
-    let len = run.len();
-    if len == 0 {
-        return;
-    }
-    let (i0, j0) = wavefront::cell_at(pattern, dims, w, run.start);
-    let out_base = layout.index(i0, j0);
-    if len > 1 {
-        let (il, jl) = wavefront::cell_at(pattern, dims, w, run.end - 1);
-        debug_assert_eq!(
-            layout.index(il, jl),
-            out_base + len - 1,
-            "wave run must be contiguous in a coalesced layout"
-        );
-    }
-    let mut dep_slices: [&[T]; 4] = [&[]; 4];
-    for dep in set.iter() {
-        let (si, sj) = dep
-            .source(i0, j0, dims.rows, dims.cols)
-            .expect("interior cells have every dependency in bounds");
-        let base = layout.index(si, sj);
-        debug_assert!(wavefront::wave_of(pattern, dims, si, sj) < w);
-        if len > 1 {
-            let (il, jl) = wavefront::cell_at(pattern, dims, w, run.end - 1);
-            let (sl_i, sl_j) = dep.source(il, jl, dims.rows, dims.cols).unwrap();
-            debug_assert_eq!(
-                layout.index(sl_i, sl_j),
-                base + len - 1,
-                "dependency run must be contiguous (layout contiguity property)"
-            );
-        }
-        // SAFETY: the whole dependency run lies in sealed earlier waves
-        // (asserted above); contiguity is the layout property the
-        // interior-run decomposition guarantees.
-        let sl = unsafe { cells.slice(base, len) };
-        dep_slices[dep as usize] = sl;
-    }
-    // SAFETY: the output run is inside this worker's exclusive chunk of
-    // wave `w`; it cannot overlap the dependency slices, which live in
-    // strictly earlier waves.
-    let out = unsafe { cells.slice_mut(out_base, len) };
-    wk.compute_run(
-        i0,
-        j0,
-        out,
-        dep_slices[RepCell::W as usize],
-        dep_slices[RepCell::Nw as usize],
-        dep_slices[RepCell::N as usize],
-        dep_slices[RepCell::Ne as usize],
-    );
-}
-
-/// Where a run keeps its cells, and how it computes a stretch of one
-/// wave there: the wave-major grid of a full-table solve, or the ring of
-/// three wave bands a rolling solve cycles through. The wave loop is
-/// generic over it, so dispatch happens per stretch, never per cell.
-trait Storage: Sync {
-    /// Computes positions `range` of wave `w`: border cells one by one
-    /// through [`Kernel::compute`], interior runs through `exec` when
-    /// given.
-    ///
-    /// # Safety
-    /// Caller upholds the wave/barrier discipline: `range` is this
-    /// worker's exclusive stretch of wave `w`, and every dependency of
-    /// wave `w` is sealed by an earlier barrier.
-    unsafe fn compute<K: Kernel>(
-        &self,
-        kernel: &K,
-        exec: Option<RunBody<'_, K::Cell>>,
-        cells: &SharedCells<K::Cell>,
-        w: usize,
-        range: Range<usize>,
-    );
-
-    /// Backing-array index of wave `w`'s first cell; the wave's cells
-    /// follow it contiguously, in wave order.
-    fn wave_start(&self, w: usize) -> usize;
-}
-
-/// The full table in the pattern's preferred layout, with the interior
-/// runs of every wave computed once, outside the workers: wave `w`
-/// owns `runs[starts[w]..starts[w + 1]]`.
-struct GridStore<'a> {
-    layout: &'a Layout,
-    pattern: Pattern,
-    set: ContributingSet,
-    runs: Vec<Range<usize>>,
-    starts: Vec<usize>,
-}
-
-impl<'a> GridStore<'a> {
-    fn new(layout: &'a Layout, pattern: Pattern, set: ContributingSet, bulk: bool) -> Self {
-        let dims = layout.dims();
-        let mut runs = Vec::new();
-        let mut starts = vec![0];
-        if bulk {
-            for w in 0..pattern.num_waves(dims.rows, dims.cols) {
-                runs.extend(layout.interior_runs(pattern, set, w));
-                starts.push(runs.len());
-            }
-        }
-        GridStore {
-            layout,
-            pattern,
-            set,
-            runs,
-            starts,
-        }
-    }
-}
-
-impl Storage for GridStore<'_> {
-    unsafe fn compute<K: Kernel>(
-        &self,
-        kernel: &K,
-        exec: Option<RunBody<'_, K::Cell>>,
-        cells: &SharedCells<K::Cell>,
-        w: usize,
-        range: Range<usize>,
-    ) {
-        let (set, pattern, layout) = (self.set, self.pattern, self.layout);
-        let dims = layout.dims();
-        // SAFETY (both closures): the caller's contract, for a part of
-        // `range`; a bulk run is a sub-range of one of wave `w`'s
-        // interior runs.
-        let cells_of = |r: Range<usize>| unsafe {
-            compute_chunk(kernel, set, pattern, dims, layout, cells, w, r)
-        };
-        let Some(body) = exec else {
-            return cells_of(range);
-        };
-        let run_of = |r: Range<usize>| unsafe {
-            compute_run_bulk(body, set, pattern, dims, layout, cells, w, r)
-        };
-        // Border cells between the interior runs that meet `range`.
-        let mut pos = range.start;
-        for run in &self.runs[self.starts[w]..self.starts[w + 1]] {
-            let (lo, hi) = (run.start.max(pos), run.end.min(range.end));
-            if lo < hi {
-                cells_of(pos..lo);
-                run_of(lo..hi);
-                pos = hi;
-            }
-        }
-        cells_of(pos..range.end);
-    }
-
-    fn wave_start(&self, w: usize) -> usize {
-        let (i, j) = wavefront::cell_at(self.pattern, self.layout.dims(), w, 0);
-        self.layout.index(i, j)
-    }
-}
-
-/// The rolling store: the ring of three wave bands, in one backing
-/// array of three slots.
-impl Storage for rolling::Ring {
-    unsafe fn compute<K: Kernel>(
-        &self,
-        kernel: &K,
-        exec: Option<RunBody<'_, K::Cell>>,
-        cells: &SharedCells<K::Cell>,
-        w: usize,
-        range: Range<usize>,
-    ) {
-        let band = self.band();
-        let j_lo = self.wave_cols(w).start;
-        // SAFETY: wave `w` writes only this worker's stretch of its own
-        // slot; its dependencies live in waves `w - 1` and `w - 2`, the
-        // other two slots, sealed by their barriers.
-        let (out, prev1, prev2) = unsafe {
-            (
-                cells.slice_mut(self.wave_start(w) + range.start, range.len()),
-                cells.slice(self.wave_start(w + 2), band),
-                cells.slice(self.wave_start(w + 1), band),
-            )
-        };
-        let cols = j_lo + range.start..j_lo + range.end;
-        self.compute_wave(kernel, exec, w, cols, out, prev1, prev2);
-    }
-
-    fn wave_start(&self, w: usize) -> usize {
-        (w % 3) * self.band()
-    }
-}
-
 /// What one worker measured about itself during an instrumented run.
 #[derive(Debug, Default)]
 struct WorkerTrace {
@@ -435,33 +171,20 @@ struct WorkerTrace {
     barrier_wait_s: Vec<f64>,
 }
 
-/// How a run keeps the table.
-#[derive(Clone, Copy, Default)]
-pub enum Memory<C> {
-    /// The whole grid, in the pattern's wave-major layout.
-    #[default]
-    Full,
-    /// Only a ring of three wave bands (`O(rows + cols)` bytes), for
-    /// anti-diagonal `{W, NW, N}` kernels. The run captures the
-    /// bottom-right corner and, when `best_of` is given, the arg-best
-    /// cell under that score (the Smith–Waterman endpoint).
-    Rolling {
-        /// Score of the arg-best capture, if one is wanted.
-        best_of: Option<fn(&C) -> i64>,
-    },
-}
-
 /// Everything one [`ParallelEngine::run`] can vary. The default is a
 /// full-table solve under the kernel's classified pattern on every
-/// worker, uncapped and uninstrumented.
+/// worker, folding the corner, uncapped and uninstrumented.
 #[derive(Clone, Copy, Default)]
 pub struct SolveSpec<'a, C> {
     /// Execution pattern; `None` takes the set's canonical
     /// classification. An explicit pattern must be compatible with the
     /// set (e.g. a `{NW}` problem under Horizontal, §V-B).
     pub pattern: Option<Pattern>,
-    /// Full grid or rolling ring.
-    pub memory: Memory<C>,
+    /// The whole wave-major grid, or a ring of the last
+    /// `max_wave_delta + 1` waves (`O(rows + cols)` bytes).
+    pub memory: MemoryMode,
+    /// What the run folds its sealed waves into ([`Solved::folded`]).
+    pub fold: Fold<C>,
     /// Active workers, clamped to `1..=threads()`; `None` uses all.
     pub threads: Option<usize>,
     /// Tier cap for this run, composed with the engine's pin and
@@ -469,8 +192,7 @@ pub struct SolveSpec<'a, C> {
     pub tier: Option<ExecTier>,
     /// Wall-clock instrumentation sink (see module docs).
     pub sink: Option<&'a dyn TraceSink>,
-    /// Streams sealed wave bands while the run proceeds. Rolling runs
-    /// only: a full-table run with a hook is rejected.
+    /// Streams sealed wave bands while the run proceeds.
     pub stream: Option<&'a StreamHook<'a, C>>,
     /// Fault injector consulted per (worker, wave). An injected run
     /// walks the degradation ladder: the configured run, then (when a
@@ -481,11 +203,11 @@ pub struct SolveSpec<'a, C> {
 }
 
 impl<C: Default> SolveSpec<'_, C> {
-    /// A rolling run capturing the corner and, with `best_of`, the
-    /// arg-best cell.
-    pub fn rolling(best_of: Option<fn(&C) -> i64>) -> Self {
+    /// A rolling run folding its sealed waves with `fold`.
+    pub fn rolling(fold: Fold<C>) -> Self {
         SolveSpec {
-            memory: Memory::Rolling { best_of },
+            memory: MemoryMode::Rolling,
+            fold,
             ..SolveSpec::default()
         }
     }
@@ -497,19 +219,15 @@ pub struct Solved<C> {
     /// The table, for full-memory runs; `None` for rolling runs — that
     /// is their point.
     pub grid: Option<Grid<C>>,
-    /// Bottom-right cell (`None` only for empty tables) — the answer
-    /// cell for corner-answer problems.
-    pub corner: Option<C>,
-    /// `(i, j, cell)` of the arg-best cell under a rolling run's
-    /// `best_of` score (ties to the earliest cell in wave order).
-    pub best: Option<(usize, usize, C)>,
+    /// The run's fold over its sealed waves: the corner (`None` only
+    /// for empty tables) and what [`SolveSpec::fold`] asked for.
+    pub folded: Folded<C>,
     /// Tier the interior runs executed on.
     pub tier: ExecTier,
     /// Waves walked.
     pub waves: usize,
-    /// Peak working-set bytes: the grid, or the three ring bands. This
-    /// is what the `lddp_engine_table_bytes{memory_mode}` gauge
-    /// reports.
+    /// Peak working-set bytes: the grid, or the ring's slots. This is
+    /// what the `lddp_engine_table_bytes{memory_mode}` gauge reports.
     pub peak_bytes: usize,
     /// Degradation rungs an injected run took, in order; empty when
     /// the configured run succeeded.
@@ -686,16 +404,19 @@ impl ParallelEngine {
     }
 
     /// Solves in rolling (wave-band) memory mode: no grid is
-    /// materialized, only a ring of three band buffers plus the
-    /// captured corner and, when `best_of` is given, arg-best cell.
-    /// Non-anti-diagonal kernels are rejected with
-    /// [`Error::PlanMismatch`].
+    /// materialized, only a ring of the last `k` waves plus the captured
+    /// corner and, when `best_of` is given, the arg-best cell under that
+    /// score (the Smith–Waterman endpoint). Sets without a canonical
+    /// execution are rejected with [`Error::PlanMismatch`].
     pub fn solve_rolling<K: Kernel>(
         &self,
         kernel: &K,
         best_of: Option<fn(&K::Cell) -> i64>,
     ) -> Result<Solved<K::Cell>> {
-        self.run(kernel, &SolveSpec::rolling(best_of))
+        self.run(
+            kernel,
+            &SolveSpec::rolling(best_of.map_or(Fold::Corner, Fold::Max)),
+        )
     }
 
     /// Runs `kernel` as `spec` says — the one entry every solve goes
@@ -753,30 +474,15 @@ impl ParallelEngine {
         if set.is_empty() {
             return Err(Error::EmptyContributingSet);
         }
-        let pattern = match spec.memory {
-            Memory::Rolling { .. } if !rolling::supports_rolling(kernel) => {
-                return Err(Error::PlanMismatch {
-                    expected: "anti-diagonal contributing set (rolling wave-band mode)".into(),
-                    found: format!("{set}"),
-                })
-            }
-            Memory::Rolling { .. } => Pattern::AntiDiagonal,
-            Memory::Full if spec.stream.is_some() => {
-                return Err(Error::PlanMismatch {
-                    expected: "rolling memory (streamed bands)".into(),
-                    found: "full table".into(),
-                })
-            }
-            Memory::Full => match spec.pattern {
-                Some(p) => p,
-                None => classify(set)
-                    .map(Pattern::canonical)
-                    .ok_or(Error::EmptyContributingSet)?,
-            },
+        let pattern = match spec.pattern {
+            Some(p) => p,
+            None => classify(set)
+                .map(Pattern::canonical)
+                .ok_or(Error::EmptyContributingSet)?,
         };
-        if !compatible(pattern, set) || spec.pattern.is_some_and(|p| p != pattern) {
+        if !compatible(pattern, set) {
             return Err(Error::PlanMismatch {
-                expected: format!("{}", spec.pattern.unwrap_or(pattern)),
+                expected: format!("{pattern}"),
                 found: format!("{set}"),
             });
         }
@@ -793,23 +499,16 @@ impl ParallelEngine {
         let pattern = self.pattern_of(kernel, spec)?;
         let (tier, exec) = self.resolve_exec(kernel, pattern, spec.tier);
         let dims = kernel.dims();
-        let best_of = match spec.memory {
-            Memory::Full => None,
-            Memory::Rolling { best_of } => Some(best_of),
-        };
-        let rolling = best_of.is_some();
-        let band = dims.rows.min(dims.cols);
-        let layout_kind = LayoutKind::preferred_for(pattern);
-        let mut grid = (!rolling).then(|| Grid::new(layout_kind, dims));
-        let mut ring = vec![K::Cell::default(); if rolling { 3 * band } else { 0 }];
-        let elem = std::mem::size_of::<K::Cell>();
+        let store = WaveStore::new(spec.memory, pattern, kernel.contributing_set(), dims);
+        let full = spec.memory == MemoryMode::Full;
+        let mut grid = full.then(|| Grid::new(LayoutKind::preferred_for(pattern), dims));
+        let mut ring = vec![K::Cell::default(); if full { 0 } else { store.len() }];
         let mut solved = Solved {
             grid: None,
-            corner: None,
-            best: None,
+            folded: Folded::default(),
             tier,
-            waves: 0,
-            peak_bytes: if rolling { ring.len() } else { dims.len() } * elem,
+            waves: store.num_waves(),
+            peak_bytes: store.len() * std::mem::size_of::<K::Cell>(),
             degraded: Vec::new(),
         };
         if dims.is_empty() {
@@ -817,8 +516,7 @@ impl ParallelEngine {
             return Ok(solved);
         }
         if let Some(live) = self.live.as_deref() {
-            let mode = if rolling { "rolling" } else { "full" };
-            set_table_bytes(live, mode, solved.peak_bytes);
+            set_table_bytes(live, spec.memory.as_str(), solved.peak_bytes);
         }
         let cells = SharedCells::new(match &mut grid {
             Some(g) => g.as_mut_slice(),
@@ -827,53 +525,38 @@ impl ParallelEngine {
         let waves = WaveRun {
             kernel,
             pattern,
-            dims,
             tier,
             exec,
+            memory: spec.memory,
+            fold: spec.fold,
             threads: spec.threads,
             injector: spec.injector,
             stream: spec.stream,
-            capture: rolling,
-            best_of: best_of.flatten(),
+            store: &store,
             cells: &cells,
         };
-        let sink = spec.sink.unwrap_or(&NullSink);
-        let set = kernel.contributing_set();
-        let captured = if rolling {
-            self.wave_loop(&waves, &rolling::Ring::new(dims, set), sink)?
-        } else {
-            let layout = Layout::new(layout_kind, dims);
-            let store = GridStore::new(&layout, pattern, set, exec.is_some());
-            self.wave_loop(&waves, &store, sink)?
-        };
-        solved.waves = pattern.num_waves(dims.rows, dims.cols);
-        solved.best = captured.best.map(|(_, i, j, c)| (i, j, c));
-        solved.corner = match &grid {
-            Some(g) => Some(g.get(dims.rows - 1, dims.cols - 1)),
-            None => captured.corner,
-        };
+        solved.folded = self.wave_loop(&waves, spec.sink.unwrap_or(&NullSink))?;
         solved.grid = grid;
         Ok(solved)
     }
 
     /// The wave loop — the only one. Each worker walks every wave:
-    /// draw injected faults, compute its chunk (border cells scalar,
-    /// interior runs bulk), meet at the barrier; worker 0 then captures
-    /// and streams the sealed wave of a rolling run. Generic over the
-    /// store, so dispatch happens per run, never per cell.
-    fn wave_loop<K: Kernel, S: Storage>(
+    /// draw injected faults, compute its chunk through the store (border
+    /// cells scalar, the interior run bulk), meet at the barrier; worker
+    /// 0 then folds the sealed wave and emits the stream's bands.
+    fn wave_loop<K: Kernel>(
         &self,
         run: &WaveRun<'_, K>,
-        store: &S,
         sink: &dyn TraceSink,
-    ) -> Result<Capture<K::Cell>> {
-        let (kernel, pattern, dims, exec) = (run.kernel, run.pattern, run.dims, run.exec);
-        let num_waves = pattern.num_waves(dims.rows, dims.cols);
+    ) -> Result<Folded<K::Cell>> {
+        let (kernel, store, exec) = (run.kernel, run.store, run.exec);
+        let dims = kernel.dims();
+        let num_waves = store.num_waves();
         let threads = run
             .threads
             .unwrap_or(self.threads)
             .min(self.threads)
-            .min(pattern.widest_wave(dims.rows, dims.cols))
+            .min(run.pattern.widest_wave(dims.rows, dims.cols))
             .max(1);
         // One worker cannot win on the pool: dispatching to it would
         // pay job hand-off, a spin barrier per wave and a context switch
@@ -884,14 +567,15 @@ impl ParallelEngine {
         let want_spans = sink.enabled();
         // Pooled full-table runs with a live registry time every wave
         // too: the registry's barrier histogram needs the per-wave
-        // waits. Rolling runs — the streams' hot path — give the
-        // registry their aggregates only: on a 2-vCPU host two clock
-        // reads per wave cost a rolling run 10–25% at 1024²–2048².
-        let timed = want_spans || (live.is_some() && pool.is_some() && !run.capture);
+        // waits. Rolling runs — the served hot path — give the registry
+        // their aggregates only: on a 2-vCPU host two clock reads per
+        // wave cost a rolling run 10–25% at 1024²–2048².
+        let timed =
+            want_spans || (live.is_some() && pool.is_some() && run.memory == MemoryMode::Full);
         let lanes = exec.map_or(1, |e| e.lanes());
         let schedule = run
             .stream
-            .map(|h| rolling::BandSchedule::new(dims.rows, dims.cols, h.bands));
+            .map(|h| BandSchedule::new(run.pattern, dims.rows, dims.cols, h.bands));
         let chaos_injected = |site: &str| {
             if let Some(live) = live {
                 live.counter(
@@ -931,14 +615,19 @@ impl ParallelEngine {
             let mut t0 = if timed { clock() } else { 0.0 };
             for w in 0..num_waves {
                 inject(t, w);
-                let len = pattern.wave_len(dims.rows, dims.cols, w);
+                let len = store.wave_len(w);
                 let my = chunk_aligned(t, threads, len, lanes);
                 let owned = my.len();
-                // SAFETY: chunks of a wave are disjoint across workers;
-                // the barrier seals each wave before the next reads it,
-                // and the store still holds every wave a dependency can
-                // reach.
-                unsafe { store.compute(kernel, exec, run.cells, w, my) };
+                if owned > 0 {
+                    // SAFETY: chunks of a wave are disjoint across
+                    // workers, and the store lends `sealed` only the
+                    // ranges of earlier waves, which never overlap wave
+                    // `w`'s; the barrier sealed those, and the store
+                    // still holds them.
+                    let out = unsafe { run.cells.slice_mut(store.base(w) + my.start, owned) };
+                    let sealed = |r: Range<usize>| unsafe { run.cells.slice(r.start, r.len()) };
+                    store.compute(kernel, exec, w, my, out, sealed);
+                }
                 if timed {
                     let t1 = clock();
                     if let Some(pool) = pool {
@@ -956,14 +645,13 @@ impl ParallelEngine {
                 } else if let Some(pool) = pool {
                     pool.barrier().wait();
                 }
-                if t == 0 && run.capture {
-                    // SAFETY: wave `w` is sealed by the barrier above.
-                    // Its ring slot is next written by wave `w + 3`,
-                    // which no worker reaches before worker 0 passes
-                    // the `w + 1` and `w + 2` barriers — i.e. after
-                    // this capture completes.
-                    let sealed = unsafe { run.cells.slice(store.wave_start(w), len) };
-                    cap.visit(run, schedule.as_ref(), w, num_waves, sealed);
+                if t == 0 {
+                    // SAFETY: wave `w` is sealed by the barrier above. A
+                    // ring next writes its slot at wave `w + k` (k ≥ 2),
+                    // which no worker reaches before worker 0 passes the
+                    // `w + 1` barrier — i.e. after this fold completes.
+                    let sealed = unsafe { run.cells.slice(store.base(w), len) };
+                    cap.visit(run, schedule.as_ref(), w, sealed);
                 }
             }
             if t == 0 {
@@ -986,7 +674,8 @@ impl ParallelEngine {
             traces[0].busy_s = total_s;
         }
         self.record(sink, run.tier, num_waves, dims.len(), &traces, total_s);
-        Ok(captured.into_inner().unwrap_or_else(|e| e.into_inner()))
+        let cap = captured.into_inner().unwrap_or_else(|e| e.into_inner());
+        Ok(cap.folded)
     }
 
     /// Emits a finished run's timeline into the sink and its counts
@@ -1151,70 +840,57 @@ fn set_table_bytes(live: &LiveRegistry, mode: &str, bytes: usize) {
 struct WaveRun<'a, K: Kernel> {
     kernel: &'a K,
     pattern: Pattern,
-    dims: Dims,
     tier: ExecTier,
     exec: Option<RunBody<'a, K::Cell>>,
+    memory: MemoryMode,
+    fold: Fold<K::Cell>,
     threads: Option<usize>,
     injector: Option<&'a dyn FaultInjector>,
     stream: Option<&'a StreamHook<'a, K::Cell>>,
-    /// Worker 0 captures each sealed wave (rolling runs, whose answers
-    /// have no grid to be read from).
-    capture: bool,
-    best_of: Option<fn(&K::Cell) -> i64>,
+    store: &'a WaveStore,
     cells: &'a SharedCells<K::Cell>,
 }
 
-/// Worker 0's running captures over the sealed waves of a rolling run.
-#[derive(Default)]
+/// Worker 0's fold over the sealed waves, and its stream's progress.
 struct Capture<C> {
-    corner: Option<C>,
-    /// `(score, i, j, cell)` of the best cell so far.
-    best: Option<(i64, usize, usize, C)>,
+    folded: Folded<C>,
     next_band: usize,
-    cells_done: u64,
     /// The consumer declined a band: emit no more.
     declined: bool,
 }
 
+impl<C> Default for Capture<C> {
+    fn default() -> Self {
+        Capture {
+            folded: Folded::default(),
+            next_band: 0,
+            declined: false,
+        }
+    }
+}
+
 impl<C: Copy> Capture<C> {
-    /// Folds sealed wave `w` into the captures and emits its band when
-    /// `w` closes one. Emission happens behind the sealing barrier but
-    /// before worker 0 starts wave `w + 1`: the other workers run ahead
-    /// until the next barrier, so a blocking emit (full channel)
-    /// throttles the whole pool — the slow-reader backpressure
-    /// contract. An emit returning `false` stops further emission while
-    /// the run completes.
+    /// Folds sealed wave `w` and emits its band when `w` closes one.
+    /// Emission happens behind the sealing barrier but before worker 0
+    /// starts wave `w + 1`: the other workers run ahead until the next
+    /// barrier, so a blocking emit (full channel) throttles the whole
+    /// pool — the slow-reader backpressure contract. An emit returning
+    /// `false` stops further emission while the run completes.
     fn visit<K: Kernel<Cell = C>>(
         &mut self,
         run: &WaveRun<'_, K>,
-        schedule: Option<&rolling::BandSchedule>,
+        schedule: Option<&BandSchedule>,
         w: usize,
-        num_waves: usize,
         sealed: &[C],
     ) {
-        if w + 1 == num_waves {
-            self.corner = sealed.last().copied();
-        }
-        if let Some(score) = run.best_of {
-            for (p, c) in sealed.iter().enumerate() {
-                let s = score(c);
-                if self.best.is_none_or(|(bs, ..)| s > bs) {
-                    let (i, j) = wavefront::cell_at(run.pattern, run.dims, w, p);
-                    self.best = Some((s, i, j, *c));
-                }
-            }
-        }
+        let dims = run.kernel.dims();
+        self.folded.visit(run.fold, run.pattern, dims, w, sealed);
         if let (Some(hook), Some(sched)) = (run.stream, schedule) {
-            self.cells_done += sealed.len() as u64;
             if !self.declined && sched.ends().get(self.next_band) == Some(&w) {
                 let score = sealed.last().map_or(0.0, |c| (hook.score_of)(c));
-                let ev = sched.event(
-                    self.next_band,
-                    w,
-                    self.cells_done,
-                    score,
-                    self.best.map(|(s, ..)| s as f64),
-                );
+                let f = &self.folded;
+                let best = f.best.map(|_| f.value as f64);
+                let ev = sched.event(self.next_band, w, f.cells, score, best);
                 self.next_band += 1;
                 self.declined = !(hook.emit)(ev);
             }
@@ -1222,13 +898,13 @@ impl<C: Copy> Capture<C> {
     }
 }
 
-/// How a streaming rolling run emits its bands — [`SolveSpec::stream`].
-/// The schedule is cut into `bands` near-equal-cell slices
+/// How a streaming run emits its bands — [`SolveSpec::stream`]. The
+/// schedule is cut into `bands` near-equal-cell slices
 /// ([`lddp_core::rolling::BandSchedule`]) and worker 0 calls `emit`
 /// behind each band's sealing barrier, so the solve of band `k + 1`
 /// overlaps delivery of band `k` — the pipeline structure of the
 /// Matsumae–Miyazaki GPU path. Emission is observation only: the answer
-/// is bit-identical to an unstreamed rolling run.
+/// is bit-identical to an unstreamed run.
 pub struct StreamHook<'a, C> {
     /// Requested band count; the schedule clamps it to the wave count,
     /// so tiny grids emit fewer (but at least one) bands.
@@ -1238,14 +914,14 @@ pub struct StreamHook<'a, C> {
     /// Called once per sealed band, in band order, from inside the
     /// solve. May block (that is the backpressure path); returns
     /// `false` to stop further emission while the solve completes.
-    pub emit: &'a (dyn Fn(rolling::BandEvent) -> bool + Sync),
+    pub emit: &'a (dyn Fn(BandEvent) -> bool + Sync),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lddp_core::cell::{ContributingSet, RepCell};
-    use lddp_core::kernel::{simd_available, ClosureKernel, SimdWaveKernel, WaveKernel};
+    use lddp_core::kernel::{simd_available, ClosureKernel, Neighbors, SimdWaveKernel, WaveKernel};
     use lddp_core::seq::solve_row_major;
     use lddp_core::wavefront::Dims;
     use lddp_trace::live::{parse_prometheus, LiveRegistry};
@@ -2218,8 +1894,8 @@ mod tests {
                     let engine = ParallelEngine::new(threads).with_tier(tier);
                     let r = engine.solve_rolling(&kernel, Some(cell_score)).unwrap();
                     let label = format!("{rows}x{cols} threads={threads} tier={tier:?}");
-                    assert_eq!(r.corner, Some(want_corner), "corner {label}");
-                    let (bi, bj, bc) = r.best.expect("best captured");
+                    assert_eq!(r.folded.corner, Some(want_corner), "corner {label}");
+                    let (bi, bj, bc) = r.folded.best.expect("best captured");
                     assert_eq!(bc, grid.get(bi, bj), "best cell mismatch {label}");
                     assert_eq!(cell_score(&bc), want_best, "best score {label}");
                     assert_eq!(r.waves, rows + cols - 1, "{label}");
@@ -2251,12 +1927,12 @@ mod tests {
                     };
                     let spec = SolveSpec {
                         stream: Some(&hook),
-                        ..SolveSpec::rolling(Some(cell_score))
+                        ..SolveSpec::rolling(Fold::Max(cell_score))
                     };
                     let got = engine.run(&kernel, &spec).unwrap();
                     let label = format!("{rows}x{cols} threads={threads} bands={bands}");
-                    assert_eq!(got.corner, want.corner, "{label}");
-                    assert_eq!(got.best, want.best, "{label}");
+                    assert_eq!(got.folded.corner, want.folded.corner, "{label}");
+                    assert_eq!(got.folded.best, want.folded.best, "{label}");
                     let events = events.into_inner().unwrap();
                     let waves = rows + cols - 1;
                     assert!(!events.is_empty(), "{label}");
@@ -2296,11 +1972,11 @@ mod tests {
         // The solve still finishes exactly even after the consumer bails.
         let spec = SolveSpec {
             stream: Some(&hook),
-            ..SolveSpec::rolling(Some(cell_score))
+            ..SolveSpec::rolling(Fold::Max(cell_score))
         };
         let got = engine.run(&kernel, &spec).unwrap();
-        assert_eq!(got.corner, want.corner);
-        assert_eq!(got.best, want.best);
+        assert_eq!(got.folded.corner, want.folded.corner);
+        assert_eq!(got.folded.best, want.folded.best);
         assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 3);
     }
 
@@ -2331,11 +2007,11 @@ mod tests {
         };
         let spec = SolveSpec {
             injector: Some(&inj),
-            ..SolveSpec::rolling(Some(cell_score))
+            ..SolveSpec::rolling(Fold::Max(cell_score))
         };
         let r = engine.run(&kernel, &spec).unwrap();
-        assert_eq!(r.corner, Some(want));
-        assert!(r.best.is_some());
+        assert_eq!(r.folded.corner, Some(want));
+        assert!(r.folded.best.is_some());
         assert_eq!(r.degraded, vec![DegradeStep::BulkToScalar]);
 
         // Persistent worker panics fall back to the sequential walk.
@@ -2350,10 +2026,10 @@ mod tests {
         }
         let spec = SolveSpec {
             injector: Some(&AlwaysPanic),
-            ..SolveSpec::rolling(None)
+            ..SolveSpec::rolling(Fold::Corner)
         };
         let r = engine.run(&kernel, &spec).unwrap();
-        assert_eq!(r.corner, Some(want));
+        assert_eq!(r.folded.corner, Some(want));
         assert_eq!(
             r.degraded,
             vec![DegradeStep::BulkToScalar, DegradeStep::ParallelToSequential]
@@ -2361,7 +2037,7 @@ mod tests {
         // The ladder leaves the engine healthy.
         assert_eq!(engine.pool_dead_workers(), 0);
         assert_eq!(
-            engine.solve_rolling(&kernel, None).unwrap().corner,
+            engine.solve_rolling(&kernel, None).unwrap().folded.corner,
             Some(want)
         );
     }

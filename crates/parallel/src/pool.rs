@@ -75,6 +75,7 @@ impl std::error::Error for PoolError {}
 /// one per chunk seam. The first boundary stays 0 and the last stays
 /// `len`, so the chunks always tile `0..len` exactly; when `len` is
 /// small relative to `n * align`, leading chunks may round to empty.
+#[inline]
 pub fn chunk_aligned(t: usize, n: usize, len: usize, align: usize) -> Range<usize> {
     let align = align.max(1);
     let bound = |t: usize| -> usize {

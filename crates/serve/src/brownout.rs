@@ -18,8 +18,7 @@
 //!
 //! A ladder configured with a `max_level` above 2 climbs further, but
 //! its higher levels act as level 2: forcing the rolling memory mode
-//! would save nothing, since every problem whose answer a rolling
-//! solve yields already rolls.
+//! would save nothing, since every problem already rolls.
 //!
 //! Interactive traffic is never shed by the ladder at any level — the
 //! queue's class budgets and the breaker remain its only admission

@@ -226,26 +226,6 @@ fn parse_head(head: &[u8]) -> Result<(HttpRequest, usize), String> {
     Ok((req, content_length))
 }
 
-/// Reads bytes one at a time until the `\r\n\r\n` header terminator
-/// (the client side: byte-at-a-time keeps the body untouched for
-/// `read_exact`).
-fn read_until_blank_line(stream: &mut TcpStream) -> Result<String, String> {
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() > MAX_HEAD {
-            return Err("response head too large".into());
-        }
-        match stream.read(&mut byte) {
-            Ok(0) => return Err("connection closed mid-response".into()),
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(format!("reading response: {e}")),
-        }
-    }
-    head.truncate(head.len() - 4);
-    String::from_utf8(head).map_err(|_| "response head is not UTF-8".into())
-}
-
 /// Standard reason phrase of the statuses this API emits.
 pub fn status_text(code: u16) -> &'static str {
     match code {
@@ -393,34 +373,31 @@ pub fn finish_chunked(stream: &mut impl Write) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Reads one CRLF-terminated line byte-at-a-time (chunk-size lines and
-/// trailers are tiny; bytewise reads keep the stream aligned).
-fn read_crlf_line(stream: &mut TcpStream) -> Result<String, String> {
-    let mut line = Vec::with_capacity(32);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err("connection closed mid-chunk".into()),
-            Ok(_) => {
-                line.push(byte[0]);
-                if line.ends_with(b"\r\n") {
-                    line.truncate(line.len() - 2);
-                    return String::from_utf8(line).map_err(|_| "chunk line is not UTF-8".into());
-                }
-                if line.len() > 1024 {
-                    return Err("chunk-size line too long".into());
-                }
-            }
-            Err(e) => return Err(format!("reading chunk: {e}")),
-        }
+/// Reads one CRLF-terminated line of at most `max` bytes through the
+/// connection's buffer, without the CRLF; `what` names the line in
+/// errors.
+fn read_crlf_line(reader: &mut impl BufRead, max: usize, what: &str) -> Result<String, String> {
+    let mut line = Vec::with_capacity(64);
+    reader
+        .take(max as u64 + 2)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| format!("reading {what}: {e}"))?;
+    if !line.ends_with(b"\r\n") {
+        return Err(if line.len() > max {
+            format!("{what} line too long")
+        } else {
+            format!("connection closed mid-{what}")
+        });
     }
+    line.truncate(line.len() - 2);
+    String::from_utf8(line).map_err(|_| format!("{what} line is not UTF-8"))
 }
 
 /// Reads one chunk of a chunked response body: `Some(data)` for a data
 /// chunk, `None` once the zero-length terminal chunk (and any trailers)
 /// has been consumed and the connection is back on a request boundary.
-fn read_chunk(stream: &mut TcpStream) -> Result<Option<String>, String> {
-    let size_line = read_crlf_line(stream)?;
+fn read_chunk(reader: &mut impl BufRead) -> Result<Option<String>, String> {
+    let size_line = read_crlf_line(reader, 1024, "chunk")?;
     // Tolerate chunk extensions (`1a;name=value`) by ignoring them.
     let size_hex = size_line.split(';').next().unwrap_or("").trim();
     let size = usize::from_str_radix(size_hex, 16)
@@ -430,26 +407,87 @@ fn read_chunk(stream: &mut TcpStream) -> Result<Option<String>, String> {
     }
     if size == 0 {
         // Discard trailers until the blank line that ends the body.
-        loop {
-            if read_crlf_line(stream)?.is_empty() {
-                return Ok(None);
-            }
-        }
+        while !read_crlf_line(reader, 1024, "chunk")?.is_empty() {}
+        return Ok(None);
     }
-    let mut data = vec![0u8; size];
-    stream
+    let mut data = vec![0u8; size + 2];
+    reader
         .read_exact(&mut data)
         .map_err(|e| format!("reading chunk data: {e}"))?;
-    let mut crlf = [0u8; 2];
-    stream
-        .read_exact(&mut crlf)
-        .map_err(|e| format!("reading chunk terminator: {e}"))?;
-    if &crlf != b"\r\n" {
+    if !data.ends_with(b"\r\n") {
         return Err("chunk data not CRLF-terminated".into());
     }
+    data.truncate(size);
     String::from_utf8(data)
         .map(Some)
         .map_err(|_| "chunk is not UTF-8".into())
+}
+
+/// The parts of a response head the client acts on.
+struct ResponseHead {
+    status: u16,
+    content_length: usize,
+    chunked: bool,
+    retry_after_s: Option<u64>,
+}
+
+impl ResponseHead {
+    /// Reads a response head through `reader`, up to its blank line.
+    fn read(reader: &mut impl BufRead) -> Result<ResponseHead, String> {
+        let status_line = read_crlf_line(reader, MAX_HEAD, "response")?;
+        let status = status_line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse::<u16>().ok())
+            .ok_or("response missing status code")?;
+        let mut head = ResponseHead {
+            status,
+            content_length: 0,
+            chunked: false,
+            retry_after_s: None,
+        };
+        let mut read = status_line.len();
+        loop {
+            let line = read_crlf_line(reader, MAX_HEAD, "response")?;
+            read += line.len() + 2;
+            if read > MAX_HEAD {
+                return Err("response head too large".into());
+            }
+            let Some((name, value)) = line.split_once(':') else {
+                if line.is_empty() {
+                    return Ok(head);
+                }
+                continue;
+            };
+            let (name, value) = (name.trim(), value.trim());
+            if name.eq_ignore_ascii_case("content-length") {
+                head.content_length = value
+                    .parse::<usize>()
+                    .map_err(|e| format!("bad content-length: {e}"))?;
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                head.chunked = value.eq_ignore_ascii_case("chunked");
+            } else if name.eq_ignore_ascii_case("retry-after") {
+                // Only the delta-seconds form; an unparseable value
+                // (e.g. an HTTP-date) degrades to "no hint".
+                head.retry_after_s = value.parse::<u64>().ok();
+            }
+        }
+    }
+
+    /// Reads the `Content-Length` body that follows the head.
+    fn read_body(&self, reader: &mut impl BufRead) -> Result<String, String> {
+        if self.content_length > MAX_BODY {
+            return Err(format!(
+                "response of {} bytes exceeds the cap",
+                self.content_length
+            ));
+        }
+        let mut payload = vec![0u8; self.content_length];
+        reader
+            .read_exact(&mut payload)
+            .map_err(|e| format!("reading response body: {e}"))?;
+        String::from_utf8(payload).map_err(|_| "response is not UTF-8".into())
+    }
 }
 
 /// What [`HttpConnection::request_stream`] observed: the status, the
@@ -470,9 +508,12 @@ pub struct StreamOutcome {
 /// (`Connection: keep-alive`), reading each response body by its
 /// `Content-Length` instead of waiting for EOF. This is what makes a
 /// load generator measure solve latency rather than TCP handshakes.
+/// Responses are read through one buffer kept across requests, as the
+/// server's request reader does, so a head costs a few reads, not one
+/// per byte.
 #[derive(Debug)]
 pub struct HttpConnection {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
     addr: String,
 }
 
@@ -494,7 +535,7 @@ impl HttpConnection {
         // disable it still works, just slower.
         stream.set_nodelay(true).ok();
         Ok(HttpConnection {
-            stream,
+            reader: BufReader::new(stream),
             addr: addr.to_string(),
         })
     }
@@ -522,55 +563,9 @@ impl HttpConnection {
         path: &str,
         body: Option<&str>,
     ) -> Result<(u16, String, Option<u64>), String> {
-        let body = body.unwrap_or("");
-        // Head and body leave in one segment (see `write_response`'s
-        // note on Nagle + delayed ACK).
-        let mut req = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        req.push_str(body);
-        self.stream
-            .write_all(req.as_bytes())
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| format!("sending request: {e}"))?;
-
-        let head = read_until_blank_line(&mut self.stream)?;
-        let mut lines = head.split("\r\n");
-        let status = lines
-            .next()
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or("response missing status code")?;
-        let mut content_length = 0usize;
-        let mut retry_after_s = None;
-        for line in lines {
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
-                        .trim()
-                        .parse::<usize>()
-                        .map_err(|e| format!("bad content-length: {e}"))?;
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    // Only the delta-seconds form; an unparseable value
-                    // (e.g. an HTTP-date) degrades to "no hint".
-                    retry_after_s = value.trim().parse::<u64>().ok();
-                }
-            }
-        }
-        if content_length > MAX_BODY {
-            return Err(format!(
-                "response of {content_length} bytes exceeds the cap"
-            ));
-        }
-        let mut payload = vec![0u8; content_length];
-        self.stream
-            .read_exact(&mut payload)
-            .map_err(|e| format!("reading response body: {e}"))?;
-        let payload = String::from_utf8(payload).map_err(|_| "response is not UTF-8")?;
-        Ok((status, payload, retry_after_s))
+        let head = self.send(method, path, body)?;
+        let payload = head.read_body(&mut self.reader)?;
+        Ok((head.status, payload, head.retry_after_s))
     }
 
     /// Sends one request and reads a possibly chunked response,
@@ -588,6 +583,29 @@ impl HttpConnection {
         body: Option<&str>,
         on_chunk: &mut dyn FnMut(&str),
     ) -> Result<StreamOutcome, String> {
+        let head = self.send(method, path, body)?;
+        let plain_body = if head.chunked {
+            while let Some(chunk) = read_chunk(&mut self.reader)? {
+                on_chunk(&chunk);
+            }
+            None
+        } else {
+            Some(head.read_body(&mut self.reader)?)
+        };
+        Ok(StreamOutcome {
+            status: head.status,
+            plain_body,
+            retry_after_s: head.retry_after_s,
+        })
+    }
+
+    /// Writes one request and reads the response's head.
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> Result<ResponseHead, String> {
         let body = body.unwrap_or("");
         // Head and body leave in one segment (see `write_response`'s
         // note on Nagle + delayed ACK).
@@ -597,61 +615,12 @@ impl HttpConnection {
             body.len()
         );
         req.push_str(body);
-        self.stream
+        let stream = self.reader.get_mut();
+        stream
             .write_all(req.as_bytes())
-            .and_then(|_| self.stream.flush())
+            .and_then(|_| stream.flush())
             .map_err(|e| format!("sending request: {e}"))?;
-
-        let head = read_until_blank_line(&mut self.stream)?;
-        let mut lines = head.split("\r\n");
-        let status = lines
-            .next()
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or("response missing status code")?;
-        let mut content_length = 0usize;
-        let mut chunked = false;
-        let mut retry_after_s = None;
-        for line in lines {
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
-                        .trim()
-                        .parse::<usize>()
-                        .map_err(|e| format!("bad content-length: {e}"))?;
-                } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                    chunked = value.trim().eq_ignore_ascii_case("chunked");
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    retry_after_s = value.trim().parse::<u64>().ok();
-                }
-            }
-        }
-        if !chunked {
-            if content_length > MAX_BODY {
-                return Err(format!(
-                    "response of {content_length} bytes exceeds the cap"
-                ));
-            }
-            let mut payload = vec![0u8; content_length];
-            self.stream
-                .read_exact(&mut payload)
-                .map_err(|e| format!("reading response body: {e}"))?;
-            let payload = String::from_utf8(payload).map_err(|_| "response is not UTF-8")?;
-            return Ok(StreamOutcome {
-                status,
-                plain_body: Some(payload),
-                retry_after_s,
-            });
-        }
-        while let Some(chunk) = read_chunk(&mut self.stream)? {
-            on_chunk(&chunk);
-        }
-        Ok(StreamOutcome {
-            status,
-            plain_body: None,
-            retry_after_s,
-        })
+        ResponseHead::read(&mut self.reader)
     }
 }
 
@@ -1065,6 +1034,59 @@ mod tests {
         assert_eq!(body, r#"{"ok":true}"#);
         drop(conn);
         server.join().unwrap();
+    }
+
+    /// Two keep-alive responses around a chunked stream, written ahead
+    /// of the requests (so one read can take in bytes of the next
+    /// response), once as whole segments and once one byte per write:
+    /// every byte must land in its own response.
+    #[test]
+    fn buffered_reads_keep_pipelined_responses_apart() {
+        let mut wire = Vec::new();
+        write_response_ex(&mut wire, 200, r#"{"first":1}"#, true, None).unwrap();
+        write_chunked_head(&mut wire, 200, true, &ResponseOptions::default()).unwrap();
+        write_chunk(&mut wire, r#"{"band":0}"#).unwrap();
+        write_chunk(&mut wire, r#"{"frame":"done"}"#).unwrap();
+        finish_chunked(&mut wire).unwrap();
+        write_response_ex(&mut wire, 429, r#"{"third":3}"#, true, Some(7)).unwrap();
+        for bytewise in [false, true] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let wire = wire.clone();
+            let server = std::thread::spawn(move || {
+                let (conn, _) = listener.accept().unwrap();
+                conn.set_nodelay(true).unwrap();
+                let mut requests = RequestReader::new(&conn);
+                for path in ["/stats", "/solve", "/healthz"] {
+                    assert_eq!(requests.read_request(T, T).unwrap().path, path);
+                    if path != "/stats" {
+                        continue;
+                    }
+                    let mut out = &conn;
+                    if bytewise {
+                        for b in &wire {
+                            out.write_all(std::slice::from_ref(b)).unwrap();
+                        }
+                    } else {
+                        out.write_all(&wire).unwrap();
+                    }
+                }
+            });
+            let mut conn = HttpConnection::connect(&addr, T).unwrap();
+            let first = conn.request_ex("GET", "/stats", None).unwrap();
+            assert_eq!(first, (200, r#"{"first":1}"#.to_string(), None));
+            let mut chunks = Vec::new();
+            let outcome = conn
+                .request_stream("POST", "/solve", Some("{}"), &mut |c| {
+                    chunks.push(c.to_string())
+                })
+                .unwrap();
+            assert_eq!((outcome.status, outcome.plain_body), (200, None));
+            assert_eq!(chunks, [r#"{"band":0}"#, r#"{"frame":"done"}"#]);
+            let third = conn.request_ex("GET", "/healthz", None).unwrap();
+            assert_eq!(third, (429, r#"{"third":3}"#.to_string(), Some(7)));
+            server.join().unwrap();
+        }
     }
 
     #[test]

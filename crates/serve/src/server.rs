@@ -310,9 +310,9 @@ pub trait SolveBackend: Sync {
 
     /// Whether `req`'s problem supports the rolling (wave-band) memory
     /// mode, for callers that route on it; the server does not consult
-    /// it. `false` (the default) opts out.
+    /// it. `true` (the default): every problem rolls.
     fn supports_rolling(&self, _req: &SolveRequest) -> bool {
-        false
+        true
     }
 
     /// Per-pool readiness for `/healthz`. Empty (the default) means

@@ -31,7 +31,7 @@
 //! serving stack (see docs/ROBUSTNESS.md), failing loudly when any
 //! recovered answer diverges from the oracle.
 
-use crate::parallel::{Memory, ParallelEngine, SolveSpec, Solved, StreamHook};
+use crate::parallel::{ParallelEngine, SolveSpec, StreamHook};
 use crate::platforms::{cpu_only, hetero_high, hetero_low, Platform};
 use crate::{Framework, PhaseStat};
 use hetero_sim::report::{utilization, Utilization};
@@ -40,7 +40,7 @@ use lddp_core::cell::{ContributingSet, RepCell};
 use lddp_core::grid::Grid;
 use lddp_core::kernel::{ExecTier, Kernel, MemoryMode};
 use lddp_core::pattern::classify;
-use lddp_core::rolling::{self, BandEvent};
+use lddp_core::rolling::{self, BandEvent, Fold, Folded};
 use lddp_core::schedule::{PhaseKind, ScheduleParams};
 use lddp_core::tuner::TuneResult;
 use lddp_core::tuner_cache::TunedConfig;
@@ -681,9 +681,9 @@ pub fn usage() -> String {
          execution tier of every engine in the process.\n\
          `solve --memory rolling` keeps only the live wavefronts\n\
          (O(n+m) bytes instead of the full table), as `serve` does for\n\
-         every problem whose answer they yield unless a request pins\n\
-         `memory_mode: full` (see DESIGN.md, \"Memory tiers\"); without\n\
-         the flag `solve` prints the full-table report. `bench --rolling`\n\
+         every problem unless a request pins `memory_mode: full` (see\n\
+         DESIGN.md, \"Memory tiers\"); without the flag `solve` prints\n\
+         the full-table report. `bench --rolling`\n\
          measures that tier's peak working set and throughput.\n\
          `chaos` runs a seeded fault-injection campaign across the engine\n\
          ladder, the hetero executor, and the serving stack, verifying\n\
@@ -788,17 +788,6 @@ pub fn run_solve(
     run_solve_traced(problem, n, platform_name, params, &NullSink).map(|o| o.summary)
 }
 
-/// How a problem's headline answer is read off a solve.
-enum Answer<K: Kernel> {
-    /// The bottom-right cell, which a rolling solve captures too.
-    Corner(fn(&K::Cell) -> String),
-    /// The best cell under a score, rendered from that score; a rolling
-    /// solve captures it too.
-    Best(fn(&K::Cell) -> i64, fn(i64) -> String),
-    /// A fold over the whole table: full-table solves only.
-    Table(fn(&K, &Grid<K::Cell>) -> String),
-}
-
 /// One problem of the registry: its seeded instance and how its answer
 /// is read. Every driver — the heterogeneous solve, the served solve,
 /// the sequential oracle, the tuner, `compare`, `balance` — builds the
@@ -810,7 +799,11 @@ struct Problem<K: Kernel> {
     instance: fn(usize) -> K,
     /// `(to_gpu, from_gpu)` bytes of the framework's device setup.
     io_bytes: fn(usize) -> (usize, usize),
-    answer: Answer<K>,
+    /// The fold the answer is read off: an engine run folds its sealed
+    /// waves, the oracle and the report their grids.
+    fold: Fold<K::Cell>,
+    /// The headline answer of the folded table.
+    answer: fn(&Folded<K::Cell>) -> String,
     /// A cell's running score in a streamed band frame.
     band_score: fn(&K::Cell) -> f64,
     gridless: Option<Gridless<K>>,
@@ -829,10 +822,16 @@ static LCS: Problem<problems::LcsKernel> = Problem {
     name: "lcs",
     instance: |n| problems::LcsKernel::new(seq(n, 3), seq(n, 4)),
     io_bytes: |n| (2 * n, 8),
-    answer: Answer::Corner(|c| format!("LCS length = {c}")),
+    fold: Fold::Corner,
+    answer: |f| format!("LCS length = {}", corner(f)),
     band_score: |c| f64::from(*c),
     gridless: Some(|k| (k.length_bitparallel(), k.bitparallel_bytes())),
 };
+
+/// The folded table's bottom-right cell.
+fn corner<C: Copy + Default>(f: &Folded<C>) -> C {
+    f.corner.unwrap_or_default()
+}
 
 /// The problem registry, in [`PROBLEMS`] order.
 static REGISTRY: [&dyn Entry; 11] = [
@@ -840,7 +839,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "levenshtein",
         instance: |n| problems::LevenshteinKernel::new(seq(n, 1), seq(n, 2)),
         io_bytes: |n| (2 * n, 8),
-        answer: Answer::Corner(|c| format!("edit distance = {c}")),
+        fold: Fold::Corner,
+        answer: |f| format!("edit distance = {}", corner(f)),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -849,7 +849,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "dtw",
         instance: |n| problems::DtwKernel::random_walk(n, n, 5),
         io_bytes: |n| (8 * n, 8),
-        answer: Answer::Corner(|c| format!("DTW distance = {c:.3}")),
+        fold: Fold::Corner,
+        answer: |f| format!("DTW distance = {:.3}", corner(f)),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -857,11 +858,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "checkerboard",
         instance: |n| problems::CheckerboardKernel::random(n, n, 9, 6),
         io_bytes: |n| (n * n, 0),
-        answer: Answer::Table(|k, g| {
-            let d = k.dims();
-            let best = (0..d.cols).map(|j| g.get(d.rows - 1, j)).min().unwrap();
-            format!("cheapest path cost = {best}")
-        }),
+        fold: Fold::LastRowMin(|c| i64::from(*c)),
+        answer: |f| format!("cheapest path cost = {}", f.value),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -869,14 +867,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "dithering",
         instance: |n| problems::DitherKernel::noise(n, n, 7),
         io_bytes: |n| (n * n, n * n),
-        answer: Answer::Table(|k, g: &Grid<problems::DitherCell>| {
-            let d = k.dims();
-            let on = (0..d.rows)
-                .flat_map(|i| (0..d.cols).map(move |j| (i, j)))
-                .filter(|&(i, j)| g.get(i, j).out == 255)
-                .count();
-            format!("{on} of {} pixels on", d.rows * d.cols)
-        }),
+        fold: Fold::Count(|c: &problems::DitherCell| c.out == 255),
+        answer: |f| format!("{} of {} pixels on", f.value, f.cells),
         band_score: |c| f64::from(c.out),
         gridless: None,
     },
@@ -889,11 +881,8 @@ static REGISTRY: [&dyn Entry; 11] = [
             problems::SeamCarvingKernel::new(n, n, energy)
         },
         io_bytes: |n| (4 * n * n, 0),
-        answer: Answer::Table(|k, g| {
-            let d = k.dims();
-            let best = (0..d.cols).map(|j| g.get(d.rows - 1, j)).min().unwrap();
-            format!("minimal seam energy = {best}")
-        }),
+        fold: Fold::LastRowMin(|c| *c as i64),
+        answer: |f| format!("minimal seam energy = {}", f.value),
         band_score: |c| *c as f64,
         gridless: None,
     },
@@ -901,10 +890,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "maxsquare",
         instance: |n| problems::MaxSquareKernel::random(n, n, 0.8, 8),
         io_bytes: |n| (n * n / 8, 8),
-        answer: Answer::Best(
-            |c| i64::from(*c),
-            |best| format!("largest all-ones square side = {best}"),
-        ),
+        fold: Fold::Max(|c| i64::from(*c)),
+        answer: |f| format!("largest all-ones square side = {}", f.value),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -912,7 +899,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "needleman-wunsch",
         instance: |n| problems::NeedlemanWunschKernel::new(seq(n, 9), seq(n, 10)),
         io_bytes: |n| (2 * n, 8),
-        answer: Answer::Corner(|c| format!("global alignment score = {c}")),
+        fold: Fold::Corner,
+        answer: |f| format!("global alignment score = {}", corner(f)),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -920,10 +908,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "smith-waterman",
         instance: |n| problems::SmithWatermanKernel::new(seq(n, 11), seq(n, 12)),
         io_bytes: |n| (2 * n, 8),
-        answer: Answer::Best(
-            |c: &problems::SwCell| i64::from(c.best()),
-            |best| format!("best local alignment score = {best}"),
-        ),
+        fold: Fold::Max(|c: &problems::SwCell| i64::from(c.best())),
+        answer: |f| format!("best local alignment score = {}", f.value),
         band_score: |c| f64::from(c.best()),
         gridless: None,
     },
@@ -934,7 +920,8 @@ static REGISTRY: [&dyn Entry; 11] = [
             problems::WeightedEditKernel::new(seq(n, 13), seq(n, 14), costs)
         },
         io_bytes: |n| (2 * n, 8),
-        answer: Answer::Corner(|c| format!("weighted edit distance = {c}")),
+        fold: Fold::Corner,
+        answer: |f| format!("weighted edit distance = {}", corner(f)),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -942,7 +929,8 @@ static REGISTRY: [&dyn Entry; 11] = [
         name: "fig9",
         instance: |n| problems::synthetic::fig9_kernel(Dims::new(n, n), 1),
         io_bytes: |_| (0, 0),
-        answer: Answer::Corner(|c| format!("corner value = {c}")),
+        fold: Fold::Corner,
+        answer: |f| format!("corner value = {}", corner(f)),
         band_score: |c| f64::from(*c),
         gridless: None,
     },
@@ -965,42 +953,9 @@ impl<K: Kernel> Problem<K> {
         Framework::new(platform_by_name(platform_name)).with_io_bytes(to_gpu, from_gpu)
     }
 
-    /// Whether a rolling solve yields the answer: a corner or best-cell
-    /// answer over an anti-diagonal `{W, NW, N}` kernel.
-    fn rolls(&self, kernel: &K) -> bool {
-        !matches!(self.answer, Answer::Table(_)) && rolling::supports_rolling(kernel)
-    }
-
-    /// The headline answer read off a full table.
-    fn render(&self, kernel: &K, grid: &Grid<K::Cell>) -> String {
-        let d = kernel.dims();
-        match &self.answer {
-            Answer::Corner(f) => f(&grid.get(d.rows - 1, d.cols - 1)),
-            Answer::Best(score, f) => f((0..d.rows)
-                .flat_map(|i| (0..d.cols).map(move |j| (i, j)))
-                .map(|(i, j)| score(&grid.get(i, j)))
-                .fold(0, i64::max)),
-            Answer::Table(f) => f(kernel, grid),
-        }
-    }
-
-    /// The headline answer of an engine run: off its grid when it has
-    /// one, off its captures when it rolled.
-    fn render_solved(&self, kernel: &K, s: &Solved<K::Cell>) -> String {
-        match (&s.grid, &self.answer) {
-            (Some(grid), _) => self.render(kernel, grid),
-            (None, Answer::Corner(f)) => f(&s.corner.unwrap_or_default()),
-            (None, Answer::Best(score, f)) => f(s.best.map_or(0, |(_, _, c)| score(&c))),
-            (None, Answer::Table(_)) => unreachable!("table answers never roll"),
-        }
-    }
-
-    /// The rolling run's arg-best score, for best-cell answers.
-    fn best_of(&self) -> Option<fn(&K::Cell) -> i64> {
-        match self.answer {
-            Answer::Best(score, _) => Some(score),
-            _ => None,
-        }
+    /// The headline answer of a finished grid.
+    fn render(&self, grid: &Grid<K::Cell>) -> String {
+        (self.answer)(&Folded::of_grid(self.fold, grid))
     }
 
     /// The served solve of [`solve_served`], on this problem's instance,
@@ -1038,17 +993,19 @@ impl<K: Kernel> Problem<K> {
         let gridless = self.gridless.filter(|_| {
             a.tier == Some(ExecTier::BitParallel) && a.injector.is_none() && emit.is_none()
         });
-        // A stream rolls whenever the problem can: a full-table solve
-        // only produces its answer at the very end.
-        let rolls = self.rolls(&kernel) && (emit.is_some() || a.memory == MemoryMode::Rolling);
         let (answer, tier, memory_mode, table_bytes) = if let Some(gridless) = gridless {
             let (cell, bytes) = gridless(&kernel);
-            let answer = match &self.answer {
-                Answer::Corner(f) => f(&cell),
-                _ => unreachable!("gridless answers are corners"),
+            let folded = Folded {
+                corner: Some(cell),
+                ..Folded::default()
             };
             // One bit-vector row, whatever the pin: no table is built.
-            (answer, ExecTier::BitParallel, MemoryMode::Rolling, bytes)
+            (
+                (self.answer)(&folded),
+                ExecTier::BitParallel,
+                MemoryMode::Rolling,
+                bytes,
+            )
         } else {
             let tier = a
                 .engine
@@ -1056,19 +1013,20 @@ impl<K: Kernel> Problem<K> {
                 .min(a.tier.unwrap_or(ExecTier::BitParallel));
             let d = kernel.dims();
             let widest = class.raw_pattern.canonical().widest_wave(d.rows, d.cols);
-            let hook = emit.filter(|_| rolls).map(|emit| StreamHook {
+            // A stream rolls: a full-table solve only answers at the end.
+            let memory = if emit.is_some() {
+                MemoryMode::Rolling
+            } else {
+                a.memory
+            };
+            let hook = emit.map(|emit| StreamHook {
                 bands: crate::serve_backend::STREAM_BANDS,
                 score_of: self.band_score,
                 emit,
             });
             let spec = SolveSpec {
-                memory: if rolls {
-                    Memory::Rolling {
-                        best_of: self.best_of(),
-                    }
-                } else {
-                    Memory::Full
-                },
+                memory,
+                fold: self.fold,
                 threads: served_workers(tier, widest),
                 tier: a.tier,
                 injector: a.injector,
@@ -1077,12 +1035,7 @@ impl<K: Kernel> Problem<K> {
             };
             let s = a.engine.run(&kernel, &spec).map_err(|e| e.to_string())?;
             degraded.extend(s.degraded.iter().map(|d| d.code().to_string()));
-            let mode = if rolls {
-                MemoryMode::Rolling
-            } else {
-                MemoryMode::Full
-            };
-            (self.render_solved(&kernel, &s), s.tier, mode, s.peak_bytes)
+            ((self.answer)(&s.folded), s.tier, memory, s.peak_bytes)
         };
         Ok(ServedSolve {
             summary: RunSummary {
@@ -1106,8 +1059,6 @@ impl<K: Kernel> Problem<K> {
 /// the drivers need, implemented once for every [`Problem`].
 trait Entry: Sync {
     fn name(&self) -> &'static str;
-    /// Whether a rolling solve yields the answer.
-    fn rolls(&self) -> bool;
     /// The sequential row-major oracle's answer.
     fn oracle(&self, n: usize) -> Result<String, String>;
     /// The traced heterogeneous solve of [`run_solve_traced`].
@@ -1172,14 +1123,10 @@ impl<K: Kernel> Entry for Problem<K> {
         self.name
     }
 
-    fn rolls(&self) -> bool {
-        Problem::rolls(self, &(self.instance)(2))
-    }
-
     fn oracle(&self, n: usize) -> Result<String, String> {
         let kernel = (self.instance)(n);
         let grid = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-        Ok(self.render(&kernel, &grid))
+        Ok(self.render(&grid))
     }
 
     fn hetero(
@@ -1205,7 +1152,7 @@ impl<K: Kernel> Entry for Problem<K> {
                 memory_mode: MemoryMode::Full,
                 table_bytes: rolling::full_table_bytes(&kernel),
                 hetero_ms: solution.total_s * 1e3,
-                answer: self.render(&kernel, &solution.grid),
+                answer: self.render(&solution.grid),
             },
             n,
             platform: platform_name.to_string(),
@@ -1309,11 +1256,12 @@ impl<K: Kernel> Entry for Problem<K> {
     ) -> Result<(String, Vec<DegradeStep>), String> {
         let kernel = (self.instance)(n);
         let spec = SolveSpec {
+            fold: self.fold,
             injector,
             ..SolveSpec::default()
         };
         let s = engine.run(&kernel, &spec).map_err(|e| e.to_string())?;
-        Ok((self.render_solved(&kernel, &s), s.degraded))
+        Ok(((self.answer)(&s.folded), s.degraded))
     }
 
     fn bench_quick(&self, n: usize, bench: &QuickBench) -> Result<String, String> {
@@ -1370,15 +1318,13 @@ pub struct SolveArgs<'a> {
     /// takes the problem's gridless path where it has one and caps
     /// nothing otherwise.
     pub tier: Option<ExecTier>,
-    /// Memory mode; `Rolling` applies to problems whose answer a
-    /// rolling solve yields, and the rest solve full-table.
+    /// Memory mode; a stream rolls whatever it says.
     pub memory: MemoryMode,
     /// The pool to solve on.
     pub engine: &'a ParallelEngine,
     /// Receives the sealed bands of a streamed solve, in order, from
     /// inside the solve; it may block (backpressure), and returning
-    /// `false` stops emission while the solve completes. A problem with
-    /// no band path sends none.
+    /// `false` stops emission while the solve completes.
     pub emit: Option<&'a (dyn Fn(BandEvent) -> bool + Sync)>,
     /// Consulted through the engine's degradation ladder, and once per
     /// request for a device fault that degrades the cost model to the
@@ -1411,10 +1357,9 @@ pub struct ServedSolve {
 ///    [`ExecTier::BitParallel`] and the problem has one (never under
 ///    injection or for streams);
 /// 2. otherwise one [`ParallelEngine::run`] on `engine`: rolling when
-///    the memory mode asks for it or a stream wants bands (problems
-///    whose answer a rolling solve yields), full-table otherwise, walking
-///    the degradation ladder when injected, on the workers
-///    [`served_workers`] gives it.
+///    the memory mode asks for it or a stream wants bands, full-table
+///    otherwise, folding the problem's answer, walking the degradation
+///    ladder when injected, on the workers [`served_workers`] gives it.
 ///
 /// The reported virtual time is the cost model's price: the framework's
 /// estimate for the legalized parameters, or, when `devices ≥ 2` and
@@ -1465,7 +1410,7 @@ pub fn run_solve_multi(
         platform: "high",
         params,
         tier: None,
-        memory: choose_memory_mode(problem_name),
+        memory: MemoryMode::Rolling,
         engine: &ParallelEngine::new(1),
         emit: None,
         injector: None,
@@ -1576,37 +1521,18 @@ pub fn select_tier(
     Ok(problem(problem_name)?.select_tier(n, engine))
 }
 
-/// Problems the rolling (wave-band) memory mode can serve: those whose
-/// headline answer is the corner value or the best cell of an
-/// anti-diagonal wave kernel, both captured on the fly — no full table,
-/// no traceback needed.
-pub fn rolling_supported(problem_name: &str) -> bool {
-    problem(problem_name).is_ok_and(|p| p.rolls())
-}
-
 /// `(full_table_bytes, rolling_bytes)` of the named instance.
 pub fn table_footprint(problem_name: &str, n: usize) -> Result<(usize, usize), String> {
     Ok(problem(problem_name)?.footprint(n))
 }
 
-/// The served memory mode of the named problem: the three-band ring
-/// whenever a rolling solve yields the answer, the full table
-/// otherwise. The ring is the fast path as well as the small one — its
-/// three bands stay in cache while the wave-major table streams through
-/// memory on every wave — so it is not a tuned choice.
-pub fn choose_memory_mode(problem_name: &str) -> MemoryMode {
-    if rolling_supported(problem_name) {
-        MemoryMode::Rolling
-    } else {
-        MemoryMode::Full
-    }
-}
-
 /// The tuning step the serving cache amortizes: the §V-A parameter
-/// sweep, the tier of [`select_tier`] and the memory mode of
-/// [`choose_memory_mode`]. Nothing is solved on `engine`: the tier is
-/// the availability order, which is what a wall-clock race finds
-/// without its noise.
+/// sweep, the tier of [`select_tier`] and the served memory mode, the
+/// ring. Nothing is solved on `engine`: the tier is the availability
+/// order, which is what a wall-clock race finds without its noise. The
+/// ring is the fast path as well as the small one — its `k` waves stay
+/// in cache while a wave-major table streams through memory on every
+/// wave — so the memory mode is not a tuned choice.
 pub fn tune_config(
     problem_name: &str,
     n: usize,
@@ -1615,7 +1541,7 @@ pub fn tune_config(
 ) -> Result<TunedConfig, String> {
     let params = tune_params(problem_name, n, platform_name)?;
     let tier = select_tier(problem_name, n, engine)?;
-    Ok(TunedConfig::new(params, tier).with_memory_mode(choose_memory_mode(problem_name)))
+    Ok(TunedConfig::new(params, tier).with_memory_mode(MemoryMode::Rolling))
 }
 
 /// Renders a [`SolveOutput`] as one machine-readable JSON object.
@@ -2429,7 +2355,7 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
         if !sol.degradation.is_empty() {
             cpu_only_reruns += 1;
         }
-        let answer = LCS.render(&kernel, &sol.grid);
+        let answer = LCS.render(&sol.grid);
         if answer != hetero_oracle {
             return Err(format!(
                 "chaos: hetero answer diverged after a device fault \
@@ -2527,12 +2453,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             // `--memory rolling` answers on the served ring; otherwise
             // this is the paper's heterogeneous full-table run.
             if memory == Some(MemoryMode::Rolling) {
-                if !rolling_supported(&problem) {
-                    return Err(format!(
-                        "problem '{problem}' has no rolling-mode solve \
-                         (its answer needs the full table)"
-                    ));
-                }
                 let engine = ParallelEngine::host();
                 let params = match params {
                     Some(p) => p,
@@ -3274,23 +3194,6 @@ mod tests {
         let names: Vec<&str> = REGISTRY.iter().map(|p| p.name()).collect();
         assert_eq!(names, PROBLEMS);
         assert!(problem("nonsense").is_err());
-        let rolling: Vec<&str> = PROBLEMS
-            .iter()
-            .copied()
-            .filter(|p| rolling_supported(p))
-            .collect();
-        assert_eq!(
-            rolling,
-            [
-                "levenshtein",
-                "lcs",
-                "dtw",
-                "maxsquare",
-                "needleman-wunsch",
-                "smith-waterman",
-                "weighted-edit"
-            ]
-        );
     }
 
     #[test]

@@ -273,10 +273,6 @@ impl SolveBackend for FleetBackend {
             .map(|s| s * 1e3)
     }
 
-    fn supports_rolling(&self, req: &SolveRequest) -> bool {
-        cli::rolling_supported(&req.problem)
-    }
-
     fn solve(
         &self,
         req: &SolveRequest,
@@ -459,8 +455,6 @@ mod tests {
                 * 1e3;
             assert!(est <= member + 1e-9);
         }
-        assert!(b.supports_rolling(&SolveRequest::new("lcs", 64)));
-        assert!(!b.supports_rolling(&SolveRequest::new("dithering", 64)));
     }
 
     #[test]

@@ -91,12 +91,6 @@ pub(crate) fn validate_request(
             req.platform
         ));
     }
-    if req.memory_mode == Some(MemoryMode::Rolling) && !cli::rolling_supported(&req.problem) {
-        return Err(format!(
-            "problem \"{}\" has no rolling-mode solve (its answer needs the full table)",
-            req.problem
-        ));
-    }
     Ok(())
 }
 
@@ -105,10 +99,10 @@ pub(crate) fn validate_request(
 /// key_platform)`, with tuner-cache misses counted in `live`. Pinned
 /// parameters skip tuning (never a cache hit) but take the same tier
 /// rule as a tuned request — requests pin schedule parameters, not
-/// execution machinery. The memory mode is the problem's
-/// ([`cli::choose_memory_mode`]) on every lookup, whatever a cache
-/// entry restored from an older file says, unless the request pins one
-/// (the batch key keeps pinned and unpinned requests apart).
+/// execution machinery. The memory mode is the ring on every lookup,
+/// whatever a cache entry restored from an older file says, unless the
+/// request pins one (the batch key keeps pinned and unpinned requests
+/// apart).
 pub(crate) fn tuned(
     cache: &TunerCache,
     live: Option<&LiveRegistry>,
@@ -138,9 +132,7 @@ pub(crate) fn tuned(
             })?
         }
     };
-    let memory = probe
-        .memory_mode
-        .unwrap_or_else(|| cli::choose_memory_mode(problem));
+    let memory = probe.memory_mode.unwrap_or(MemoryMode::Rolling);
     Ok((config.with_memory_mode(memory), hit))
 }
 
@@ -289,10 +281,6 @@ impl SolveBackend for FrameworkBackend {
             .map(|s| s * 1e3)
     }
 
-    fn supports_rolling(&self, req: &SolveRequest) -> bool {
-        cli::rolling_supported(&req.problem)
-    }
-
     fn solve(
         &self,
         req: &SolveRequest,
@@ -309,10 +297,10 @@ impl SolveBackend for FrameworkBackend {
         _sink: &dyn TraceSink,
         emit: &(dyn Fn(BandFrame) -> bool + Sync),
     ) -> Result<BackendSolve, String> {
-        // Wave problems stream bands off a rolling solve, whatever the
+        // Every problem streams bands off a rolling solve, whatever the
         // tuned memory mode: a full-table solve only produces its answer
-        // at the very end. Problems without a band path, and injected
-        // solves, send zero band frames, then the done frame.
+        // at the very end. Injected solves send zero band frames, then
+        // the done frame.
         self.serve(req, plan.config, Some(emit))
     }
 }
@@ -431,32 +419,23 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_rolling_pin_on_full_table_problems() {
+    fn validate_accepts_either_memory_pin_for_every_problem() {
         let b = FrameworkBackend::new();
-        let mut req = SolveRequest::new("dithering", 64);
-        req.memory_mode = Some(MemoryMode::Rolling);
-        assert!(b.validate(&req).is_err());
-        req.memory_mode = Some(MemoryMode::Full);
-        assert!(b.validate(&req).is_ok());
-        let mut wave = SolveRequest::new("lcs", 64);
-        wave.memory_mode = Some(MemoryMode::Rolling);
-        assert!(b.validate(&wave).is_ok());
+        for &problem in crate::cli::PROBLEMS {
+            for mode in MemoryMode::ALL {
+                let mut req = SolveRequest::new(problem, 64);
+                req.memory_mode = Some(mode);
+                assert!(b.validate(&req).is_ok(), "{problem} {mode}");
+            }
+        }
     }
 
     /// Pinned to rolling, and unpinned through the tuner: every problem
-    /// whose answer a rolling solve yields is served off the ring.
+    /// is served off the ring.
     #[test]
     fn rolling_mode_serves_the_oracle_answer_with_band_sized_tables() {
         let b = FrameworkBackend::new();
-        for problem in [
-            "lcs",
-            "levenshtein",
-            "dtw",
-            "needleman-wunsch",
-            "smith-waterman",
-            "weighted-edit",
-            "maxsquare",
-        ] {
+        for &problem in crate::cli::PROBLEMS {
             let req = SolveRequest::new(problem, 48);
             let pinned = TunedConfig::new(ScheduleParams::new(4, 16), ExecTier::Bulk)
                 .with_memory_mode(MemoryMode::Rolling);
@@ -466,9 +445,9 @@ mod tests {
             for config in [pinned, tuned] {
                 let served = b.solve(&req, config, &NullSink).unwrap();
                 assert_eq!(served.memory_mode, MemoryMode::Rolling, "{problem}");
-                // Three band buffers of ≤ 49 cells each, not a 49×49
-                // grid; tuned lcs runs the gridless bit-parallel kernel,
-                // one bit-vector row and its match table.
+                // k wave slots of ≤ 49 cells each, not a 49×49 grid;
+                // tuned lcs runs the gridless bit-parallel kernel, one
+                // bit-vector row and its match table.
                 let bound = if served.tier == ExecTier::BitParallel {
                     full / 4
                 } else {
@@ -528,8 +507,9 @@ mod tests {
     #[test]
     fn rolling_support_tracks_the_problem_registry() {
         let b = FrameworkBackend::new();
-        assert!(b.supports_rolling(&SolveRequest::new("lcs", 64)));
-        assert!(!b.supports_rolling(&SolveRequest::new("dithering", 64)));
+        for &problem in crate::cli::PROBLEMS {
+            assert!(b.supports_rolling(&SolveRequest::new(problem, 64)));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use lddp::core::kernel::Kernel;
 use lddp::core::pattern::classify;
 use lddp::core::seq::solve_row_major;
-use lddp::core::ContributingSet;
+use lddp::core::{ContributingSet, Dims, RepCell};
 use lddp::parallel::ParallelEngine;
 use lddp::platforms::{hetero_high, hetero_low};
 use lddp::problems::synthetic::mix_kernel;
@@ -403,7 +403,7 @@ where
                 .solve_rolling(kernel, None)
                 .unwrap();
             assert_eq!(
-                got.corner,
+                got.folded.corner,
                 Some(want),
                 "{label} tier={tier:?} threads={threads}"
             );
@@ -451,7 +451,11 @@ fn rolling_mode_corner_matches_full_table_for_dtw() {
             .unwrap()
             .get(d.rows - 1, d.cols - 1);
         let got = ParallelEngine::new(3).solve_rolling(&kernel, None).unwrap();
-        assert_eq!(got.corner.unwrap().to_bits(), want.to_bits(), "{la}x{lb}");
+        assert_eq!(
+            got.folded.corner.unwrap().to_bits(),
+            want.to_bits(),
+            "{la}x{lb}"
+        );
         assert_rolling_corner_matches_oracle(&kernel, &format!("dtw {la}x{lb}"));
     }
 }
@@ -471,7 +475,7 @@ fn rolling_mode_arg_best_matches_full_table_for_smith_waterman() {
             let got = ParallelEngine::new(threads)
                 .solve_rolling(&kernel, Some(|c: &lddp::problems::SwCell| c.best() as i64))
                 .unwrap();
-            let best = got.best.map(|(_, _, c)| c.best()).unwrap_or(0);
+            let best = got.folded.best.map(|(_, _, c)| c.best()).unwrap_or(0);
             assert_eq!(best, want, "sw {}x{}", a.len(), b.len());
         }
     }
@@ -479,10 +483,20 @@ fn rolling_mode_arg_best_matches_full_table_for_smith_waterman() {
 
 #[test]
 fn rolling_mode_rejects_non_wavefront_kernels() {
-    // Dithering schedules as a knight move — there is no anti-diagonal
-    // band to roll, so the engine must refuse rather than miscompute.
-    let kernel = lddp::problems::DitherKernel::gradient(9, 12);
-    assert!(ParallelEngine::new(2).solve_rolling(&kernel, None).is_err());
+    // A Vertical set has no canonical wavefront of its own (the
+    // framework runs it through the transpose adapter), so both memory
+    // modes must refuse it rather than miscompute. Knight-move
+    // dithering, by contrast, rolls on a ring of four waves.
+    let set = ContributingSet::new(&[RepCell::W, RepCell::Nw]);
+    let kernel = mix_kernel(Dims::new(9, 12), set);
+    let engine = ParallelEngine::new(2);
+    assert!(engine.solve_rolling(&kernel, None).is_err());
+    assert!(engine.solve(&kernel).is_err());
+    let dither = lddp::problems::DitherKernel::gradient(9, 12);
+    let want = solve_row_major(&dither).unwrap().get(8, 11);
+    let got = engine.solve_rolling(&dither, None).unwrap();
+    assert_eq!(got.folded.corner, Some(want));
+    assert_eq!(got.peak_bytes, lddp::core::rolling::rolling_bytes(&dither));
 }
 
 #[test]
@@ -504,11 +518,11 @@ fn rolling_mode_survives_chaos_with_oracle_answers() {
         let plan = FaultPlan::new(seed, cfg);
         let spec = lddp::parallel::SolveSpec {
             injector: Some(&plan),
-            ..lddp::parallel::SolveSpec::rolling(None)
+            ..lddp::parallel::SolveSpec::rolling(lddp::core::rolling::Fold::Corner)
         };
         let got = ParallelEngine::new(4).run(&kernel, &spec).unwrap();
         let steps = got.degraded;
-        assert_eq!(got.corner, Some(want), "seed {seed} steps {steps:?}");
+        assert_eq!(got.folded.corner, Some(want), "seed {seed} steps {steps:?}");
         degradations += steps.len();
     }
     // With these rates the ladder must actually fire somewhere in the

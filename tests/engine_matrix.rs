@@ -4,11 +4,14 @@
 //!
 //! Rows are kernel × memory mode × tier cap × threads × variant, where
 //! the variant is a plain solve, a solve injected through the
-//! degradation ladder, or (rolling only) a streamed solve. Shapes cover
+//! degradation ladder, or a streamed solve. Kernels cover every
+//! contributing set the engine accepts (each under its canonical
+//! pattern: anti-diagonal, horizontal, inverted-L, knight-move) and the
+//! case-study kernels, whose sets and run bodies differ. Shapes cover
 //! 0×N, 1×N, N×1, the SIMD lane boundaries and a non-square grid.
 //!
-//! * Full-table rows compare the whole grid.
-//! * Rolling rows compare the corner and the arg-best cell.
+//! * Full-table rows compare the whole grid and the fold.
+//! * Rolling rows compare the fold: the corner and the arg-best cell.
 //! * Streamed rows also check band order and strictly rising
 //!   `cells_done`, ending at the grid's cell count.
 //!
@@ -18,14 +21,17 @@
 use lddp::chaos::FaultInjector;
 use lddp::core::cell::{ContributingSet, RepCell};
 use lddp::core::grid::Grid;
-use lddp::core::kernel::{ExecTier, Kernel};
-use lddp::core::rolling::BandEvent;
+use lddp::core::kernel::{ExecTier, Kernel, MemoryMode};
+use lddp::core::pattern::{classify, Pattern};
+use lddp::core::rolling::{BandEvent, Fold};
 use lddp::core::seq::solve_row_major;
+use lddp::core::wavefront::all_cells;
 use lddp::core::{DegradeStep, Dims};
-use lddp::parallel::{ParallelEngine, SolveSpec, StreamHook};
-use lddp::problems::synthetic::mix_kernel;
+use lddp::parallel::{ParallelEngine, SolveSpec, Solved, StreamHook};
+use lddp::problems::synthetic::{fig9_kernel, mix_kernel};
 use lddp::problems::{
-    DtwKernel, LcsKernel, LevenshteinKernel, NeedlemanWunschKernel, SmithWatermanKernel, SwCell,
+    CheckerboardKernel, DitherCell, DitherKernel, DtwKernel, LcsKernel, LevenshteinKernel,
+    NeedlemanWunschKernel, SeamCarvingKernel, SmithWatermanKernel, SwCell,
 };
 use lddp::workloads::random_seq;
 use std::sync::{Mutex, Once};
@@ -56,6 +62,12 @@ impl Bits for u64 {
 impl Bits for f32 {
     fn bits(&self) -> Vec<u64> {
         vec![u64::from(self.to_bits())]
+    }
+}
+
+impl Bits for DitherCell {
+    fn bits(&self) -> Vec<u64> {
+        vec![u64::from(self.out), u64::from(self.err.to_bits())]
     }
 }
 
@@ -147,86 +159,34 @@ fn quiet_injected_panics() {
 /// A corner and an arg-best `(i, j, cell)`, as bit patterns.
 type CaptureBits = (Option<Vec<u64>>, Option<(usize, usize, Vec<u64>)>);
 
-/// What a rolling row captured.
-struct Captured<C> {
-    corner: Option<C>,
-    best: Option<(usize, usize, C)>,
+/// What a row folded: the corner and the arg-best cell.
+fn captured<C: Bits>(s: &Solved<C>) -> CaptureBits {
+    (
+        s.folded.corner.map(|v| v.bits()),
+        s.folded.best.map(|(i, j, v)| (i, j, v.bits())),
+    )
 }
 
-// The engine entry points each variant goes through.
-
-fn full<K: Kernel>(engine: &ParallelEngine, k: &K) -> Grid<K::Cell> {
-    engine.solve(k).unwrap()
-}
-
-fn full_injected<K: Kernel>(
+/// One engine run of `kernel` in `memory`, folding the arg-best under
+/// `score`, optionally injected or streamed.
+fn run<'a, K: Kernel>(
     engine: &ParallelEngine,
     k: &K,
-    inj: &dyn FaultInjector,
-) -> (Grid<K::Cell>, Vec<DegradeStep>) {
-    let s = engine
-        .run(
-            k,
-            &SolveSpec {
-                injector: Some(inj),
-                ..SolveSpec::default()
-            },
-        )
-        .unwrap();
-    (s.grid.expect("full-table run"), s.degraded)
-}
-
-fn rolling<K: Kernel>(
-    engine: &ParallelEngine,
-    k: &K,
-    best_of: fn(&K::Cell) -> i64,
-) -> lddp::core::Result<Captured<K::Cell>> {
-    let s = engine.solve_rolling(k, Some(best_of))?;
-    Ok(Captured {
-        corner: s.corner,
-        best: s.best,
-    })
-}
-
-fn rolling_injected<K: Kernel>(
-    engine: &ParallelEngine,
-    k: &K,
-    best_of: fn(&K::Cell) -> i64,
-    inj: &dyn FaultInjector,
-) -> lddp::core::Result<(Captured<K::Cell>, Vec<DegradeStep>)> {
-    let s = engine.run(
+    memory: MemoryMode,
+    score: fn(&K::Cell) -> i64,
+    injector: Option<&'a dyn FaultInjector>,
+    stream: Option<&'a StreamHook<'a, K::Cell>>,
+) -> lddp::core::Result<Solved<K::Cell>> {
+    engine.run(
         k,
         &SolveSpec {
-            injector: Some(inj),
-            ..SolveSpec::rolling(Some(best_of))
+            memory,
+            fold: Fold::Max(score),
+            injector,
+            stream,
+            ..SolveSpec::default()
         },
-    )?;
-    Ok((
-        Captured {
-            corner: s.corner,
-            best: s.best,
-        },
-        s.degraded,
-    ))
-}
-
-fn rolling_streamed<K: Kernel>(
-    engine: &ParallelEngine,
-    k: &K,
-    best_of: fn(&K::Cell) -> i64,
-    hook: &StreamHook<'_, K::Cell>,
-) -> lddp::core::Result<Captured<K::Cell>> {
-    let s = engine.run(
-        k,
-        &SolveSpec {
-            stream: Some(hook),
-            ..SolveSpec::rolling(Some(best_of))
-        },
-    )?;
-    Ok(Captured {
-        corner: s.corner,
-        best: s.best,
-    })
+    )
 }
 
 /// The rungs the ladder must take for `inj` on a solve at `tier`.
@@ -244,33 +204,27 @@ fn expected_steps(tier: ExecTier, waves: usize, wave_fault: bool) -> Vec<Degrade
     steps
 }
 
-/// The oracle's corner and arg-best (ties to the earliest cell in wave
-/// order: increasing wave, then increasing column).
-fn oracle_captures<C: Bits>(grid: &Grid<C>, dims: Dims, score: fn(&C) -> i64) -> CaptureBits {
+/// The oracle's corner and arg-best (ties to the earliest cell in the
+/// executed pattern's wave order).
+fn oracle_captures<C: Bits>(
+    grid: &Grid<C>,
+    pattern: Pattern,
+    dims: Dims,
+    score: fn(&C) -> i64,
+) -> CaptureBits {
     if dims.is_empty() {
         return (None, None);
     }
     let corner = Some(grid.get(dims.rows - 1, dims.cols - 1).bits());
     let mut best: Option<(i64, usize, usize, C)> = None;
-    for w in 0..dims.rows + dims.cols - 1 {
-        let j_lo = w.saturating_sub(dims.rows - 1);
-        let j_hi = (dims.cols - 1).min(w);
-        for j in j_lo..=j_hi {
-            let c = grid.get(w - j, j);
-            let s = score(&c);
-            if best.is_none_or(|(bs, ..)| s > bs) {
-                best = Some((s, w - j, j, c));
-            }
+    for (i, j) in all_cells(pattern, dims) {
+        let c = grid.get(i, j);
+        let s = score(&c);
+        if best.is_none_or(|(bs, ..)| s > bs) {
+            best = Some((s, i, j, c));
         }
     }
     (corner, best.map(|(_, i, j, c)| (i, j, c.bits())))
-}
-
-fn captured_bits<C: Bits>(c: &Captured<C>) -> CaptureBits {
-    (
-        c.corner.map(|v| v.bits()),
-        c.best.map(|(i, j, v)| (i, j, v.bits())),
-    )
 }
 
 fn grid_bits<C: Bits>(grid: &Grid<C>, dims: Dims) -> Vec<Vec<u64>> {
@@ -282,7 +236,7 @@ fn grid_bits<C: Bits>(grid: &Grid<C>, dims: Dims) -> Vec<Vec<u64>> {
 
 /// Checks one streamed row's frames: bands in order, strictly rising
 /// `cells_done`, the last frame at the grid's cell count.
-fn check_frames(frames: &[BandEvent], dims: Dims, label: &str) {
+fn check_frames(frames: &[BandEvent], dims: Dims, waves: usize, label: &str) {
     if dims.is_empty() {
         assert!(frames.is_empty(), "{label}: empty grids stream nothing");
         return;
@@ -302,16 +256,14 @@ fn check_frames(frames: &[BandEvent], dims: Dims, label: &str) {
     let last = frames.last().unwrap();
     assert_eq!(last.cells_done, (dims.rows * dims.cols) as u64, "{label}");
     assert_eq!(last.cells_total, (dims.rows * dims.cols) as u64, "{label}");
-    assert_eq!(last.wave_hi, dims.rows + dims.cols - 2, "{label}");
+    assert_eq!(last.wave_hi, waves - 1, "{label}");
+    assert_eq!(last.rows_completed, dims.rows, "{label}");
 }
 
-/// Runs every row of the matrix for one kernel. `rolling_ok` says
-/// whether the kernel's set is an anti-diagonal wavefront; when it is
-/// not, every rolling variant must refuse the kernel.
+/// Runs every row of the matrix for one kernel.
 fn check_kernel<K>(
     name: &str,
     kernel: &K,
-    rolling_ok: bool,
     score: fn(&K::Cell) -> i64,
     stream_score: fn(&K::Cell) -> f64,
 ) where
@@ -320,17 +272,15 @@ fn check_kernel<K>(
 {
     quiet_injected_panics();
     let dims = kernel.dims();
+    let pattern = classify(kernel.contributing_set()).unwrap();
+    assert!(
+        pattern.is_canonical(),
+        "{name}: the engine refuses {pattern}"
+    );
     let oracle = solve_row_major(kernel).unwrap();
     let want_grid = grid_bits(&oracle, dims);
-    let want_caps = oracle_captures(&oracle, dims, score);
-    let waves = if dims.is_empty() {
-        0
-    } else {
-        lddp::core::pattern::classify(kernel.contributing_set())
-            .map(|p| p.canonical())
-            .unwrap()
-            .num_waves(dims.rows, dims.cols)
-    };
+    let want_caps = oracle_captures(&oracle, pattern, dims, score);
+    let waves = pattern.num_waves(dims.rows, dims.cols);
     let wave_fault = WaveFault(waves / 2);
     for cap in TIER_CAPS {
         for threads in THREADS {
@@ -340,28 +290,32 @@ fn check_kernel<K>(
                 "{name} {}x{} tier<={cap:?} ({tier}) threads={threads}",
                 dims.rows, dims.cols
             );
-
-            // Full table: plain and through the ladder.
-            let got = full(&engine, kernel);
-            assert_eq!(grid_bits(&got, dims), want_grid, "{label} full");
-            for (inj, is_wave) in [
-                (&BulkFault as &dyn FaultInjector, false),
-                (&wave_fault as &dyn FaultInjector, true),
-            ] {
-                let (got, steps) = full_injected(&engine, kernel, inj);
-                assert_eq!(grid_bits(&got, dims), want_grid, "{label} full injected");
-                // A one-worker full-table solve may compute on the
-                // calling thread without consulting the injector, and
-                // then takes no rung; the answer check above holds
-                // either way.
-                let want = expected_steps(tier, waves, is_wave);
-                assert!(
-                    steps == want || (threads == 1 && steps.is_empty()),
-                    "{label} full injected rungs: got {steps:?}, want {want:?}"
-                );
+            for memory in MemoryMode::ALL {
+                let label = format!("{label} {memory}");
+                let got = run(&engine, kernel, memory, score, None, None).unwrap();
+                assert_eq!(captured(&got), want_caps, "{label}");
+                assert_eq!(got.waves, waves, "{label}");
+                if let Some(grid) = &got.grid {
+                    assert_eq!(grid_bits(grid, dims), want_grid, "{label}");
+                }
+                // Through the ladder.
+                for (inj, is_wave) in [
+                    (&BulkFault as &dyn FaultInjector, false),
+                    (&wave_fault as &dyn FaultInjector, true),
+                ] {
+                    let got = run(&engine, kernel, memory, score, Some(inj), None).unwrap();
+                    assert_eq!(captured(&got), want_caps, "{label} injected");
+                    if let Some(grid) = &got.grid {
+                        assert_eq!(grid_bits(grid, dims), want_grid, "{label} injected");
+                    }
+                    assert_eq!(
+                        got.degraded,
+                        expected_steps(tier, waves, is_wave),
+                        "{label} injected rungs"
+                    );
+                }
             }
-
-            // Rolling: plain, through the ladder, streamed.
+            // Streamed off the ring.
             let frames: Mutex<Vec<BandEvent>> = Mutex::new(Vec::new());
             let emit = |ev: BandEvent| {
                 frames.lock().unwrap().push(ev);
@@ -372,35 +326,17 @@ fn check_kernel<K>(
                 score_of: stream_score,
                 emit: &emit,
             };
-            if !rolling_ok {
-                assert!(rolling(&engine, kernel, score).is_err(), "{label}");
-                assert!(
-                    rolling_injected(&engine, kernel, score, &BulkFault).is_err(),
-                    "{label}"
-                );
-                assert!(
-                    rolling_streamed(&engine, kernel, score, &hook).is_err(),
-                    "{label}"
-                );
-                continue;
-            }
-            let got = rolling(&engine, kernel, score).unwrap();
-            assert_eq!(captured_bits(&got), want_caps, "{label} rolling");
-            for (inj, is_wave) in [
-                (&BulkFault as &dyn FaultInjector, false),
-                (&wave_fault as &dyn FaultInjector, true),
-            ] {
-                let (got, steps) = rolling_injected(&engine, kernel, score, inj).unwrap();
-                assert_eq!(captured_bits(&got), want_caps, "{label} rolling injected");
-                assert_eq!(
-                    steps,
-                    expected_steps(tier, waves, is_wave),
-                    "{label} rolling injected rungs"
-                );
-            }
-            let got = rolling_streamed(&engine, kernel, score, &hook).unwrap();
-            assert_eq!(captured_bits(&got), want_caps, "{label} streamed");
-            check_frames(&frames.lock().unwrap(), dims, &label);
+            let got = run(
+                &engine,
+                kernel,
+                MemoryMode::Rolling,
+                score,
+                None,
+                Some(&hook),
+            )
+            .unwrap();
+            assert_eq!(captured(&got), want_caps, "{label} streamed");
+            check_frames(&frames.lock().unwrap(), dims, waves, &label);
         }
     }
 }
@@ -421,7 +357,7 @@ fn levenshtein_rows() {
     for &(r, c) in SHAPES {
         if let Some((a, b)) = seqs(r, c) {
             let k = LevenshteinKernel::new(a, b);
-            check_kernel("levenshtein", &k, true, |c| *c as i64, |c| *c as f64);
+            check_kernel("levenshtein", &k, |c| *c as i64, |c| *c as f64);
         }
     }
 }
@@ -431,7 +367,7 @@ fn lcs_rows() {
     for &(r, c) in SHAPES {
         if let Some((a, b)) = seqs(r, c) {
             let k = LcsKernel::new(a, b);
-            check_kernel("lcs", &k, true, |c| *c as i64, |c| *c as f64);
+            check_kernel("lcs", &k, |c| *c as i64, |c| *c as f64);
         }
     }
 }
@@ -441,7 +377,7 @@ fn needleman_wunsch_rows() {
     for &(r, c) in SHAPES {
         if let Some((a, b)) = seqs(r, c) {
             let k = NeedlemanWunschKernel::new(a, b);
-            check_kernel("needleman-wunsch", &k, true, |c| *c as i64, |c| *c as f64);
+            check_kernel("needleman-wunsch", &k, |c| *c as i64, |c| *c as f64);
         }
     }
 }
@@ -454,7 +390,6 @@ fn smith_waterman_rows() {
             check_kernel(
                 "smith-waterman",
                 &k,
-                true,
                 |c| c.best() as i64,
                 |c| c.best() as f64,
             );
@@ -466,7 +401,7 @@ fn smith_waterman_rows() {
 fn dtw_rows() {
     for &(r, c) in SHAPES {
         let k = DtwKernel::random_walk(r, c, 5);
-        check_kernel("dtw", &k, true, |c| c.to_bits() as i64, |c| f64::from(*c));
+        check_kernel("dtw", &k, |c| c.to_bits() as i64, |c| f64::from(*c));
     }
 }
 
@@ -476,21 +411,77 @@ fn scalar_only_kernel_rows() {
     for &(r, c) in SHAPES {
         let k = mix_kernel(Dims::new(r, c), set);
         assert!(k.wave_kernel().is_none() && k.simd_kernel().is_none());
-        check_kernel("mix{W,NW,N}", &k, true, |c| (*c >> 1) as i64, |c| *c as f64);
+        check_kernel("mix{W,NW,N}", &k, |c| (*c >> 1) as i64, |c| *c as f64);
+    }
+}
+
+/// `mix_kernel` over every contributing set the engine accepts: the
+/// sets whose classification is canonical. The rest (the Vertical and
+/// mirrored inverted-L rows) are refused in both memory modes.
+#[test]
+fn every_contributing_set_rows() {
+    for set in ContributingSet::table_one_rows() {
+        let pattern = classify(set).unwrap();
+        if !pattern.is_canonical() {
+            let k = mix_kernel(Dims::new(5, 7), set);
+            for memory in MemoryMode::ALL {
+                let spec = SolveSpec {
+                    memory,
+                    ..SolveSpec::default()
+                };
+                assert!(ParallelEngine::new(2).run(&k, &spec).is_err(), "{set}");
+            }
+            continue;
+        }
+        for &(r, c) in SHAPES {
+            let k = mix_kernel(Dims::new(r, c), set);
+            assert!(k.wave_kernel().is_none() && k.simd_kernel().is_none());
+            check_kernel(
+                &format!("mix{set}"),
+                &k,
+                |c| (*c >> 1) as i64,
+                |c| *c as f64,
+            );
+        }
     }
 }
 
 #[test]
-fn non_anti_diagonal_set_rows_run_full_table_only() {
-    let set = ContributingSet::new(&[RepCell::Nw, RepCell::N, RepCell::Ne]);
+fn fig9_rows() {
     for &(r, c) in SHAPES {
-        let k = mix_kernel(Dims::new(r, c), set);
+        let k = fig9_kernel(Dims::new(r, c), 1);
+        check_kernel("fig9", &k, |c| i64::from(*c), |c| f64::from(*c));
+    }
+}
+
+#[test]
+fn checkerboard_rows() {
+    for &(r, c) in SHAPES {
+        let k = CheckerboardKernel::random(r, c, 9, 6);
+        check_kernel("checkerboard", &k, |c| -i64::from(*c), |c| f64::from(*c));
+    }
+}
+
+#[test]
+fn seam_rows() {
+    for &(r, c) in SHAPES {
+        let energy = (0..r * c)
+            .map(|x| (x as u32).wrapping_mul(2654435761) % 64)
+            .collect();
+        let k = SeamCarvingKernel::new(r, c, energy);
+        check_kernel("seam", &k, |c| -(*c as i64), |c| *c as f64);
+    }
+}
+
+#[test]
+fn dithering_rows() {
+    for &(r, c) in SHAPES {
+        let k = DitherKernel::noise(r, c, 7);
         check_kernel(
-            "mix{NW,N,NE}",
+            "dithering",
             &k,
-            false,
-            |c| (*c >> 1) as i64,
-            |c| *c as f64,
+            |c| i64::from(c.err.to_bits()),
+            |c| f64::from(c.out),
         );
     }
 }

@@ -87,22 +87,31 @@ fn streamed_answers_are_bit_identical_across_all_wave_problems() {
     });
 }
 
-/// Full-table problems have no band path: the stream degrades to zero
-/// band frames followed by a correct done frame.
+/// Every pattern streams off its ring: knight-move dithering and
+/// horizontal checkerboard send their wave bands in order, with
+/// strictly rising progress ending at the grid's cell count, and a done
+/// frame whose answer is the sequential oracle's.
 #[test]
-fn full_table_problems_stream_zero_bands_but_answer() {
+fn every_pattern_streams_its_wave_bands() {
     let n = 48;
     let backend = FrameworkBackend::new();
     let server = Server::new(config(2), &backend, &NullSink);
     server.run(None, |client| {
-        let oracle = lddp::cli::run_solve_seq("dithering", n).unwrap();
-        let mut bands = 0usize;
-        let resp = client
-            .solve_stream(SolveRequest::new("dithering", n), &mut |_| bands += 1)
-            .unwrap();
-        assert_eq!(bands, 0, "no band path for a full-table answer");
-        assert_eq!(resp.answer, oracle);
-        assert_eq!(resp.ttfb_ms, 0.0, "no band, no first-band timestamp");
+        for problem in ["dithering", "checkerboard"] {
+            let oracle = lddp::cli::run_solve_seq(problem, n).unwrap();
+            let mut frames: Vec<BandFrame> = Vec::new();
+            let resp = client
+                .solve_stream(SolveRequest::new(problem, n), &mut |f| {
+                    frames.push(f.clone())
+                })
+                .unwrap();
+            assert_eq!(resp.answer, oracle, "{problem}");
+            assert!(resp.ttfb_ms > 0.0, "{problem}: no first-band timestamp");
+            check_frames(problem, &frames);
+            let last = frames.last().unwrap();
+            assert_eq!(last.rows, n, "{problem}");
+            assert_eq!(last.cells_done, (n * n) as u64, "{problem}");
+        }
     });
 }
 
