@@ -18,9 +18,11 @@
 //! (a cached `t_switch` tuned near the top of the bucket can exceed a
 //! smaller instance's wave count).
 //!
-//! The cache is thread-safe and intentionally tiny: a mutexed map plus
-//! hit/miss counters. Single-flight de-duplication is left to the
-//! caller (the serve batcher already serializes tunes per batch key).
+//! The cache is thread-safe and intentionally tiny: a mutexed map,
+//! the set of keys whose sweep is running, and hit/miss counters.
+//! [`TunerCache::get_or_tune`] sweeps each key once: concurrent misses
+//! on one key wait for the first caller's sweep and take its result
+//! (a waiter blocks its thread meanwhile).
 //! [`TunerCache::save_to`] / [`TunerCache::load_from`] persist the map
 //! as a small JSON document so tier and schedule choices survive
 //! process restarts (the serve binary pre-warms from it on start and
@@ -32,10 +34,10 @@ use crate::kernel::{ExecTier, MemoryMode};
 use crate::schedule::ScheduleParams;
 use crate::wavefront::Dims;
 use lddp_trace::json::{self, escape, Json};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Cache key: problem + power-of-two dims bucket + platform.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -107,8 +109,31 @@ impl TunedConfig {
 #[derive(Debug, Default)]
 pub struct TunerCache {
     map: Mutex<HashMap<TuneKey, TunedConfig>>,
+    /// Keys a [`TunerCache::get_or_tune`] caller is sweeping.
+    sweeping: Mutex<HashSet<TuneKey>>,
+    /// Signalled whenever a sweep ends, however it ends.
+    swept: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// A running sweep's claim on its key: dropping it, on success, error
+/// or panic, releases the key and wakes the waiters.
+struct Sweep<'a> {
+    cache: &'a TunerCache,
+    key: &'a TuneKey,
+}
+
+impl Drop for Sweep<'_> {
+    fn drop(&mut self) {
+        let mut sweeping = self
+            .cache
+            .sweeping
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        sweeping.remove(self.key);
+        self.cache.swept.notify_all();
+    }
 }
 
 impl TunerCache {
@@ -134,17 +159,31 @@ impl TunerCache {
     }
 
     /// The cached config for `key`, tuning via `tune` on a miss and
-    /// caching the result. Returns `(config, hit)`. The tune closure
-    /// runs outside the cache lock, so concurrent misses on the same
-    /// key may tune redundantly (both results are equal; last wins).
+    /// caching the result. Returns `(config, hit)`. Each key is swept
+    /// once: a caller that misses while another caller's sweep of the
+    /// same key runs waits for it and returns its result as a hit. A
+    /// sweep that errors or panics caches nothing and wakes its
+    /// waiters, and the first of them sweeps again. Sweeps of
+    /// different keys run concurrently, outside every lock.
     pub fn get_or_tune<E>(
         &self,
         key: &TuneKey,
         tune: impl FnOnce() -> std::result::Result<TunedConfig, E>,
     ) -> std::result::Result<(TunedConfig, bool), E> {
-        if let Some(config) = self.get(key) {
-            return Ok((config, true));
+        let mut sweeping = self.sweeping.lock().unwrap();
+        loop {
+            if let Some(config) = self.map.lock().unwrap().get(key).copied() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((config, true));
+            }
+            if sweeping.insert(key.clone()) {
+                break;
+            }
+            sweeping = self.swept.wait(sweeping).unwrap();
         }
+        drop(sweeping);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let _claim = Sweep { cache: self, key };
         let config = tune()?;
         self.insert(key.clone(), config);
         Ok((config, false))
@@ -277,6 +316,8 @@ fn decode_entry(e: &Json) -> Option<(TuneKey, TunedConfig)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     fn cfg(t_switch: usize, t_share: usize, tier: ExecTier) -> TunedConfig {
         TunedConfig::new(ScheduleParams::new(t_switch, t_share), tier)
@@ -322,6 +363,71 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert!(!cache.is_empty());
+    }
+
+    /// Two callers miss one cold key together: the first sweeps, the
+    /// second waits and takes the first's result.
+    #[test]
+    fn concurrent_misses_on_one_key_sweep_once() {
+        let cache = TunerCache::new();
+        let key = TuneKey::new("levenshtein", Dims::new(1024, 1024), "high");
+        let (running, release) = (Barrier::new(2), Barrier::new(2));
+        let second_sweeps = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.get_or_tune(&key, || -> Result<_, ()> {
+                    running.wait();
+                    release.wait();
+                    Ok(cfg(4, 16, ExecTier::Simd))
+                })
+            });
+            running.wait();
+            let second = s.spawn(|| {
+                cache.get_or_tune(&key, || -> Result<_, ()> {
+                    second_sweeps.fetch_add(1, Ordering::SeqCst);
+                    Ok(cfg(0, 99, ExecTier::Scalar))
+                })
+            });
+            // Let the second caller reach the key while the sweep runs;
+            // one that comes later finds the entry, a hit all the same.
+            std::thread::sleep(Duration::from_millis(50));
+            release.wait();
+            let tuned = cfg(4, 16, ExecTier::Simd);
+            assert_eq!(first.join().unwrap(), Ok((tuned, false)));
+            assert_eq!(second.join().unwrap(), Ok((tuned, true)));
+        });
+        assert_eq!(second_sweeps.load(Ordering::SeqCst), 0);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    /// A sweep that panics caches nothing and wakes the caller waiting
+    /// on its key, which then sweeps the key itself.
+    #[test]
+    fn a_panicking_sweep_hands_its_key_to_the_waiter() {
+        let cache = TunerCache::new();
+        let key = TuneKey::new("dtw", Dims::new(2048, 2048), "low");
+        let (running, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.get_or_tune(&key, || -> Result<TunedConfig, ()> {
+                    running.wait();
+                    release.wait();
+                    panic!("the first sweep fails");
+                })
+            });
+            running.wait();
+            let second = s.spawn(|| {
+                cache.get_or_tune(&key, || -> Result<_, ()> { Ok(cfg(2, 8, ExecTier::Bulk)) })
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            release.wait();
+            assert!(first.join().is_err(), "the first sweep panicked");
+            assert_eq!(
+                second.join().unwrap(),
+                Ok((cfg(2, 8, ExecTier::Bulk), false))
+            );
+        });
+        assert_eq!(cache.get(&key), Some(cfg(2, 8, ExecTier::Bulk)));
     }
 
     #[test]

@@ -52,6 +52,8 @@ use lddp_serve::{Priority, ServeConfig, Server, SolveBackend, SolveRequest};
 use lddp_trace::json::{escape, num};
 use lddp_trace::live::LiveRegistry;
 use lddp_trace::{chrome, NullSink, TraceSink};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Parsed command line.
@@ -623,10 +625,20 @@ pub fn parse_set(text: &str) -> Result<ContributingSet, String> {
     Ok(set)
 }
 
-fn platform_by_name(name: &str) -> Platform {
+/// The cost-model preset `name` selects: `low`, `cpu-only` (also
+/// `cpu`), and `high` for any other name.
+fn preset(name: &str) -> &'static str {
     match name {
+        "low" => "low",
+        "cpu" | "cpu-only" => "cpu-only",
+        _ => "high",
+    }
+}
+
+fn platform_by_name(name: &str) -> Platform {
+    match preset(name) {
         "low" => hetero_low(),
-        "cpu" | "cpu-only" => cpu_only(),
+        "cpu-only" => cpu_only(),
         _ => hetero_high(),
     }
 }
@@ -945,6 +957,84 @@ fn problem(name: &str) -> Result<&'static dyn Entry, String> {
         .ok_or_else(|| format!("unknown problem '{name}'"))
 }
 
+/// Entries the price memo holds before it is cleared. Full, it is
+/// 140–170 KiB of B-tree nodes; a fleet serving three problems at one
+/// size prices twelve keys.
+const PRICE_MEMO_CAP: usize = 1024;
+
+/// What a cost-model price is a function of: the instance (a registry
+/// problem and its side, which fix every table the model walks), the
+/// platform preset, the caller's `(t_switch, t_share)` before
+/// legalization, and the devices it is priced on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct PriceKey {
+    problem: &'static str,
+    n: usize,
+    preset: &'static str,
+    params: (usize, usize),
+    devices: usize,
+}
+
+impl PriceKey {
+    fn new(
+        problem: &'static str,
+        n: usize,
+        platform: &str,
+        params: ScheduleParams,
+        devices: usize,
+    ) -> PriceKey {
+        PriceKey {
+            problem,
+            n,
+            preset: preset(platform),
+            params: (params.t_switch, params.t_share),
+            devices,
+        }
+    }
+}
+
+/// A bounded memo of the cost model's prices: `(the parameters the
+/// price carries, seconds)` per [`PriceKey`]. A price reads the table's
+/// shape and the platform's constants, never a cell value, so a hit
+/// returns exactly the bits a miss computes. Pricing runs outside the
+/// lock; two concurrent misses of one key price it twice, to the same
+/// bits. A full memo is cleared before the next insert, so distinct
+/// keys cannot grow it past [`PRICE_MEMO_CAP`].
+struct PriceMemo {
+    map: Mutex<BTreeMap<PriceKey, (ScheduleParams, f64)>>,
+}
+
+impl PriceMemo {
+    const fn new() -> PriceMemo {
+        PriceMemo {
+            map: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The price of `key`: the memo's, or `price`'s on a miss, which is
+    /// kept unless it failed.
+    fn get_or_price<E>(
+        &self,
+        key: PriceKey,
+        price: impl FnOnce() -> Result<(ScheduleParams, f64), E>,
+    ) -> Result<(ScheduleParams, f64), E> {
+        if let Some(&hit) = self.map.lock().unwrap().get(&key) {
+            return Ok(hit);
+        }
+        let priced = price()?;
+        let mut map = self.map.lock().unwrap();
+        if map.len() >= PRICE_MEMO_CAP {
+            map.clear();
+        }
+        map.insert(key, priced);
+        Ok(priced)
+    }
+}
+
+/// Every price the served solve and [`estimate_virtual`] report, per
+/// process.
+static PRICES: PriceMemo = PriceMemo::new();
+
 impl<K: Kernel> Problem<K> {
     /// The framework on `platform_name`, with this instance's device
     /// setup bytes.
@@ -956,6 +1046,32 @@ impl<K: Kernel> Problem<K> {
     /// The headline answer of a finished grid.
     fn render(&self, grid: &Grid<K::Cell>) -> String {
         (self.answer)(&Folded::of_grid(self.fold, grid))
+    }
+
+    /// The cost model's price of this problem's instance `kernel` of
+    /// side `n`, the value [`PRICES`] keeps: with 2 or more `devices`,
+    /// the multi-device model's price of the [`split_plan`] split (the
+    /// raw pattern must be canonical), else the framework's estimate on
+    /// `platform_name` with `params` legalized for the instance. Returns
+    /// the parameters the price carries and seconds.
+    fn price(
+        &self,
+        kernel: &K,
+        n: usize,
+        platform_name: &str,
+        params: ScheduleParams,
+        devices: usize,
+    ) -> lddp_core::Result<(ScheduleParams, f64)> {
+        if devices >= 2 {
+            let (plan, params) = split_plan(kernel, params, devices)?;
+            let platform = fleet_multi_platform(devices);
+            let run = hetero_sim::multi::run_multi(kernel, &plan, &platform, false)?;
+            return Ok((params, run.total_s));
+        }
+        let fw = self.framework(n, platform_name);
+        let class = fw.classify(kernel)?;
+        let legal = params.clamped_for(class.exec_pattern, kernel.dims());
+        Ok((legal, fw.estimate(kernel, legal)?))
     }
 
     /// The served solve of [`solve_served`], on this problem's instance,
@@ -973,21 +1089,25 @@ impl<K: Kernel> Problem<K> {
         // One device-fault draw per injected request: the modelled
         // device dying costs the request its heterogeneous speedup, not
         // its answer. A split is a price on the multi-device model; the
-        // engine below answers it like any other request.
+        // engine below answers it like any other request. Every other
+        // price is the memo's once its key has been priced.
         let (priced, devices) = match a.injector {
             Some(inj) if inj.active() && inj.device_fault(0) => {
                 degraded.push(DegradeStep::HeteroToCpuOnly.code().to_string());
                 (fw.cpu_baseline(&kernel).map(|s| (params, s)), 1)
             }
-            _ if a.devices >= 2 && class.raw_pattern.is_canonical() => {
-                let platform = fleet_multi_platform(a.devices);
-                let priced = split_plan(&kernel, a.params, a.devices).and_then(|(plan, params)| {
-                    hetero_sim::multi::run_multi(&kernel, &plan, &platform, false)
-                        .map(|r| (params, r.total_s))
+            _ => {
+                let devices = if a.devices >= 2 && class.raw_pattern.is_canonical() {
+                    a.devices
+                } else {
+                    1
+                };
+                let key = PriceKey::new(self.name, a.n, a.platform, a.params, devices);
+                let priced = PRICES.get_or_price(key, || {
+                    self.price(&kernel, a.n, a.platform, a.params, devices)
                 });
-                (priced, a.devices)
+                (priced, devices)
             }
-            _ => (fw.estimate(&kernel, params).map(|s| (params, s)), 1),
         };
         let (params, hetero_s) = priced.map_err(|e| e.to_string())?;
         let gridless = self.gridless.filter(|_| {
@@ -1080,7 +1200,8 @@ trait Entry: Sync {
         io: bool,
         refined: bool,
     ) -> Result<TuneResult, String>;
-    /// The §IV estimate with `params` legalized for the instance.
+    /// The §IV estimate with `params` legalized for the instance, from
+    /// the price memo once its key has been priced.
     fn estimate(
         &self,
         n: usize,
@@ -1197,11 +1318,14 @@ impl<K: Kernel> Entry for Problem<K> {
         platform_name: &str,
         params: ScheduleParams,
     ) -> Result<f64, String> {
-        let kernel = (self.instance)(n);
-        let fw = self.framework(n, platform_name);
-        let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-        let legal = params.clamped_for(class.exec_pattern, kernel.dims());
-        fw.estimate(&kernel, legal).map_err(|e| e.to_string())
+        // A hit builds no instance.
+        let key = PriceKey::new(self.name, n, platform_name, params, 1);
+        PRICES
+            .get_or_price(key, || {
+                self.price(&(self.instance)(n), n, platform_name, params, 1)
+            })
+            .map(|(_, s)| s)
+            .map_err(|e| e.to_string())
     }
 
     fn compare(&self, n: usize, platform_name: &str) -> Result<CompareOutput, String> {
@@ -1364,8 +1488,10 @@ pub struct ServedSolve {
 /// The reported virtual time is the cost model's price: the framework's
 /// estimate for the legalized parameters, or, when `devices ≥ 2` and
 /// the problem's pattern allows a direct column split, the multi-device
-/// model's price of that split. Answer strings are byte-identical
-/// across every path.
+/// model's price of that split. Either is priced once per key
+/// (problem, n, preset, params, devices) and read from a bounded memo
+/// after that; an injected device fault's CPU-only price is drawn per
+/// request. Answer strings are byte-identical across every path.
 pub fn solve_served(args: &SolveArgs<'_>) -> Result<ServedSolve, String> {
     problem(args.problem)?.serve(args)
 }
@@ -1448,6 +1574,9 @@ pub fn split_plan<K: Kernel>(
 /// platform preset with the given parameters (legalized for the
 /// instance) — the scoring input of the fleet dispatcher, which
 /// compares this estimate across every pool before placing a batch.
+/// Prices are memoized per process: a repeated key returns the first
+/// call's bits without building the instance, and a one-device served
+/// solve of the same request shares its entry.
 pub fn estimate_virtual(
     problem_name: &str,
     n: usize,
@@ -3187,6 +3316,98 @@ mod tests {
             !engine.pool_started(),
             "tuning must not solve on the engine"
         );
+    }
+
+    #[test]
+    fn a_price_memo_hit_does_not_price() {
+        let memo = PriceMemo::new();
+        let params = ScheduleParams::new(2, 16);
+        let key = PriceKey::new("lcs", 64, "high", params, 1);
+        let stored = (params, 1.25e-3);
+        assert_eq!(memo.get_or_price(key, || Ok::<_, ()>(stored)), Ok(stored));
+        let hit = memo.get_or_price(key, || -> Result<_, ()> { panic!("a hit priced") });
+        assert_eq!(hit, Ok(stored));
+        // Preset names that select one platform share a key; a failed
+        // price is not kept.
+        assert_eq!(
+            PriceKey::new("lcs", 64, "cpu", params, 1),
+            PriceKey::new("lcs", 64, "cpu-only", params, 1)
+        );
+        let split = PriceKey::new("lcs", 64, "high", params, 3);
+        assert_eq!(
+            memo.get_or_price(split, || Err("no split")),
+            Err("no split")
+        );
+        assert_eq!(
+            memo.get_or_price(split, || Ok::<_, &str>(stored)),
+            Ok(stored)
+        );
+    }
+
+    #[test]
+    fn a_full_price_memo_clears_and_stays_within_its_cap() {
+        let memo = PriceMemo::new();
+        let len = || memo.map.lock().unwrap().len();
+        for n in 0..=PRICE_MEMO_CAP {
+            let key = PriceKey::new("lcs", n, "high", ScheduleParams::default(), 1);
+            memo.get_or_price(key, || Ok::<_, ()>((ScheduleParams::default(), n as f64)))
+                .unwrap();
+            assert!(len() <= PRICE_MEMO_CAP, "{} entries", len());
+        }
+        // The insert past the cap found the memo full and cleared it.
+        assert_eq!(len(), 1);
+    }
+
+    #[test]
+    fn distinct_pinned_params_keep_the_price_memo_within_its_cap() {
+        let memo = PriceMemo::new();
+        let kernel = (LCS.instance)(2);
+        for t in 0..=PRICE_MEMO_CAP {
+            let params = ScheduleParams::new(t, t);
+            let key = PriceKey::new(LCS.name, 2, "high", params, 1);
+            let (_, s) = memo
+                .get_or_price(key, || LCS.price(&kernel, 2, "high", params, 1))
+                .unwrap();
+            assert!(s.is_finite() && s > 0.0, "{params:?}: {s}");
+            assert!(memo.map.lock().unwrap().len() <= PRICE_MEMO_CAP);
+        }
+    }
+
+    /// Every registry problem on both presets, priced whole and split: a
+    /// key's second served solve reports its first one's bits, and a
+    /// one-device solve reports what `estimate_virtual` returns.
+    #[test]
+    fn repeated_keys_keep_their_price_bits_across_the_registry() {
+        let engine = ParallelEngine::new(1);
+        let params = ScheduleParams::new(4, 16);
+        for problem in PROBLEMS {
+            for n in [2, 257, 1024] {
+                for platform in ["high", "low"] {
+                    for devices in [1, 3] {
+                        let args = SolveArgs {
+                            problem,
+                            n,
+                            platform,
+                            params,
+                            tier: None,
+                            memory: MemoryMode::Rolling,
+                            engine: &engine,
+                            emit: None,
+                            injector: None,
+                            devices,
+                        };
+                        let first = solve_served(&args).unwrap().summary.hetero_ms;
+                        let second = solve_served(&args).unwrap().summary.hetero_ms;
+                        let at = format!("{problem} n={n} {platform} devices={devices}");
+                        assert_eq!(first.to_bits(), second.to_bits(), "{at}");
+                        if devices == 1 {
+                            let estimate = estimate_virtual(problem, n, platform, params).unwrap();
+                            assert_eq!(first.to_bits(), (estimate * 1e3).to_bits(), "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

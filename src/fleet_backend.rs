@@ -1,7 +1,8 @@
 //! The fleet [`SolveBackend`]: a heterogeneous worker-pool fleet behind
 //! `lddp-serve`. Every admitted batch is scored with the §IV cost model
 //! once per fleet platform (tuned parameters per platform, amortized
-//! through the [`TunerCache`]) and placed by the
+//! through the [`TunerCache`]; each price computed once per key, then
+//! read from `cli`'s price memo) and placed by the
 //! [`Dispatcher`](lddp_fleet::Dispatcher) on the pool with the earliest
 //! predicted completion — backlog plus estimate, not raw speed. Large
 //! grids are priced as a cross-device
@@ -15,7 +16,7 @@
 //! mechanism-only.
 
 use crate::cli;
-use crate::serve_backend::{backend_solve, serve, tuned, validate_request};
+use crate::serve_backend::{admission_ms, backend_solve, serve, tuned, validate_request};
 use lddp_chaos::FaultInjector;
 use lddp_core::tuner_cache::{TunedConfig, TunerCache};
 use lddp_fleet::{default_fleet, Fleet};
@@ -252,25 +253,15 @@ impl SolveBackend for FleetBackend {
 
     fn estimate_ms(&self, req: &SolveRequest) -> Option<f64> {
         // Feasibility against the *best* fleet member: admission must
-        // not reject work some pool could still finish in time. Pinned
-        // parameters are honoured; otherwise a nominal probe keeps
-        // admission cheap (no tuning sweep). Virtual milliseconds, the
-        // §IV model's clock.
-        let params = req
-            .params
-            .unwrap_or_else(|| lddp_core::schedule::ScheduleParams::new(2, 16));
+        // not reject work some pool could still finish in time. Each
+        // member is priced with the parameters `plan` would place it on
+        // (pinned, else cached tuned, else nominal), never a sweep.
         (0..self.fleet.len())
             .filter_map(|idx| {
-                cli::estimate_virtual(
-                    &req.problem,
-                    req.n,
-                    cost_platform(&self.fleet.pool(idx).spec.name),
-                    params,
-                )
-                .ok()
+                let name = &self.fleet.pool(idx).spec.name;
+                admission_ms(&self.cache, req, name, cost_platform(name))
             })
             .min_by(|a, b| a.total_cmp(b))
-            .map(|s| s * 1e3)
     }
 
     fn solve(
@@ -455,6 +446,37 @@ mod tests {
                 * 1e3;
             assert!(est <= member + 1e-9);
         }
+    }
+
+    /// Admission prices every member with the parameters placement
+    /// uses: once `plan` has tuned the key, the estimate is the cheapest
+    /// member's tuned price, and a deadline between that and the
+    /// nominal `(2, 16)` price (3.76 against 4.52 ms on `high`) is
+    /// admitted.
+    #[test]
+    fn admission_prices_members_with_their_tuned_parameters() {
+        let b = FleetBackend::new();
+        let req = SolveRequest::new("levenshtein", 1024);
+        b.plan(&req, &NullSink).unwrap();
+        let tuned = (0..b.fleet().len())
+            .map(|idx| {
+                let (config, hit) = b.tuned_for(&req, idx).unwrap();
+                assert!(hit, "plan tuned member {idx}");
+                let platform = cost_platform(&b.fleet().pool(idx).spec.name);
+                cli::estimate_virtual("levenshtein", 1024, platform, config.params).unwrap() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(b.estimate_ms(&req), Some(tuned));
+        let mut tight = req;
+        tight.deadline_ms = Some(4);
+        let server = lddp_serve::Server::new(lddp_serve::ServeConfig::default(), &b, &NullSink);
+        server.run(None, |client| {
+            let admitted = client.submit(tight).expect("a 4 ms deadline is feasible");
+            // Answered or timed out on the wall clock: either way it was
+            // admitted, not refused as infeasible.
+            let _ = admitted.recv();
+        });
+        assert_eq!(server.snapshot().rejected_infeasible, 0);
     }
 
     #[test]

@@ -136,6 +136,30 @@ pub(crate) fn tuned(
     Ok((config.with_memory_mode(memory), hit))
 }
 
+/// The admission price of `req` on the `platform` cost model, in
+/// virtual milliseconds, the clock `SolveResponse::virtual_ms` reports:
+/// with pinned parameters, else the configuration `cache` holds for
+/// `(problem, dims bucket, key_platform)`, else the nominal `(2, 16)`.
+/// Never a tuning sweep, so admission stays cheap; a warm key is priced
+/// with the parameters it is placed and solved with.
+pub(crate) fn admission_ms(
+    cache: &TunerCache,
+    req: &SolveRequest,
+    key_platform: &str,
+    platform: &str,
+) -> Option<f64> {
+    let params = req
+        .params
+        .or_else(|| {
+            let key = TuneKey::new(req.problem.as_str(), Dims::new(req.n, req.n), key_platform);
+            cache.get(&key).map(|c| c.params)
+        })
+        .unwrap_or_else(|| ScheduleParams::new(2, 16));
+    cli::estimate_virtual(&req.problem, req.n, platform, params)
+        .ok()
+        .map(|s| s * 1e3)
+}
+
 /// The reply half of a served solve.
 pub(crate) fn backend_solve(served: cli::ServedSolve, placed_on: Option<String>) -> BackendSolve {
     let s = served.summary;
@@ -263,22 +287,7 @@ impl SolveBackend for FrameworkBackend {
     }
 
     fn estimate_ms(&self, req: &SolveRequest) -> Option<f64> {
-        // Admission-time feasibility must stay cheap: pinned or cached
-        // parameters when available, a nominal probe otherwise — never
-        // a tuning sweep. The returned figure is the §IV cost model's
-        // *virtual* (modelled-platform) milliseconds, the same clock
-        // `SolveResponse::virtual_ms` reports.
-        let params = req
-            .params
-            .or_else(|| {
-                let key =
-                    TuneKey::new(req.problem.as_str(), Dims::new(req.n, req.n), &req.platform);
-                self.cache.get(&key).map(|c| c.params)
-            })
-            .unwrap_or_else(|| ScheduleParams::new(2, 16));
-        cli::estimate_virtual(&req.problem, req.n, &req.platform, params)
-            .ok()
-            .map(|s| s * 1e3)
+        admission_ms(&self.cache, req, &req.platform, &req.platform)
     }
 
     fn solve(
