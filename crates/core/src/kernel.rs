@@ -150,9 +150,9 @@ pub fn simd_available() -> bool {
 /// True when the host additionally exposes the AVX-512 foundation
 /// subset (`avx512f`). Detection groundwork only: no kernel body
 /// dispatches to 512-bit vectors yet, so [`simd_backend`] still names
-/// the tier that actually runs (`avx2`) — but `bench --quick` and the
-/// server's `/healthz` surface this bit so deployments can see the
-/// vector headroom an AVX-512 tier would unlock.
+/// the tier that actually runs (`avx2`) — but the server's `/healthz`
+/// surfaces this bit so deployments can see the vector headroom an
+/// AVX-512 tier would unlock.
 pub fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

@@ -20,7 +20,6 @@
 pub mod balance;
 pub mod cpu;
 pub mod exec;
-pub mod fault;
 pub mod gpu;
 pub mod link;
 pub mod multi;

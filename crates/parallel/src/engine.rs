@@ -19,11 +19,10 @@
 //! * **Persistent workers.** The engine owns a lazily created
 //!   [`WorkerPool`] (long-lived threads plus a reusable sense-reversing
 //!   barrier) instead of re-spawning a `thread::scope` per solve. The
-//!   pool is created on first use and shared by every subsequent solve,
-//!   every [`tune_worker_count`](ParallelEngine::tune_worker_count)
-//!   candidate, and — through `Clone`, which shares the pool — every
-//!   batch the serving path executes. A run with one worker and no
-//!   injector computes inline on the calling thread instead.
+//!   pool is created on first use and shared by every subsequent solve
+//!   and — through `Clone`, which shares the pool — every batch the
+//!   serving path executes. A run with one worker and no injector
+//!   computes inline on the calling thread instead.
 //! * **Bulk interior runs.** When the kernel exposes a
 //!   [`WaveKernel`] and the executed pattern equals the set's raw
 //!   classification, each worker splits its chunk of a wave into the
@@ -91,7 +90,6 @@ use lddp_core::kernel::{ExecTier, Kernel, MemoryMode, RunBody};
 use lddp_core::pattern::{classify, Pattern};
 use lddp_core::rolling::{BandEvent, BandSchedule, Fold, Folded, WaveStore};
 use lddp_core::schedule::compatible;
-use lddp_core::tuner::SweepPoint;
 use lddp_core::{DegradeStep, Error, Result};
 use lddp_trace::live::LiveRegistry;
 use lddp_trace::{tracks, NullSink, Span, TraceSink};
@@ -705,57 +703,6 @@ impl ParallelEngine {
         if let Some(live) = self.live.as_deref() {
             record_live(live, tier, 1, waves, cells, traces);
         }
-    }
-
-    /// Sweeps active worker counts over the shared pool and returns the
-    /// fastest (`best`, full sweep), measuring one solve per candidate.
-    /// Candidates are clamped to `1..=threads()` and deduplicated after
-    /// clamping; an empty candidate list sweeps `1..=threads()`. Ties
-    /// prefer the smaller worker count.
-    pub fn tune_worker_count<K: Kernel>(
-        &self,
-        kernel: &K,
-        candidates: &[usize],
-    ) -> Result<(usize, Vec<SweepPoint>)> {
-        let mut seen = Vec::new();
-        let clamped: Vec<usize> = if candidates.is_empty() {
-            (1..=self.threads).collect()
-        } else {
-            candidates
-                .iter()
-                .map(|&c| c.clamp(1, self.threads))
-                .collect()
-        };
-        let mut sweep = Vec::with_capacity(clamped.len());
-        for c in clamped {
-            if seen.contains(&c) {
-                continue;
-            }
-            seen.push(c);
-            let t0 = Instant::now();
-            self.run(
-                kernel,
-                &SolveSpec {
-                    threads: Some(c),
-                    ..SolveSpec::default()
-                },
-            )?;
-            sweep.push(SweepPoint {
-                value: c,
-                time: t0.elapsed().as_secs_f64(),
-            });
-        }
-        let best = sweep
-            .iter()
-            .min_by(|a, b| {
-                a.time
-                    .partial_cmp(&b.time)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.value.cmp(&b.value))
-            })
-            .map(|p| p.value)
-            .expect("sweep is non-empty");
-        Ok((best, sweep))
     }
 
     /// Maps a pool-run outcome to the engine's error taxonomy, healing
@@ -1380,30 +1327,6 @@ mod tests {
     }
 
     #[test]
-    fn tune_worker_count_sweeps_the_shared_pool() {
-        let kernel = mix_kernel(
-            Dims::new(48, 48),
-            ContributingSet::new(&[RepCell::W, RepCell::Nw, RepCell::N]),
-        );
-        let engine = ParallelEngine::new(4);
-        let (best, sweep) = engine.tune_worker_count(&kernel, &[1, 2, 4, 4, 9]).unwrap();
-        // 9 clamps to 4 and deduplicates: candidates are 1, 2, 4.
-        assert_eq!(
-            sweep.iter().map(|p| p.value).collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        assert!(sweep.iter().all(|p| p.time >= 0.0));
-        assert!([1, 2, 4].contains(&best));
-
-        // Empty candidate list sweeps 1..=threads.
-        let (_, full) = engine.tune_worker_count(&kernel, &[]).unwrap();
-        assert_eq!(
-            full.iter().map(|p| p.value).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-    }
-
-    #[test]
     fn clones_share_the_worker_pool() {
         let engine = ParallelEngine::new(3);
         let kernel = mix_kernel(
@@ -1776,11 +1699,11 @@ mod tests {
         assert_eq!(solves, 2.0);
     }
 
-    /// BENCH_pr5 regression: at 1 thread the engine must not stand up
-    /// the persistent worker pool even when a live registry or trace
-    /// sink forces the instrumented path. The pool's job hand-off and
-    /// per-wave spin barrier made `pool_speedup < 1` on a single core
-    /// while the families it records stayed mandatory for serving.
+    /// At 1 thread the engine must not stand up the persistent worker
+    /// pool even when a live registry or trace sink forces the
+    /// instrumented path: the pool's job hand-off and per-wave spin
+    /// barrier would make a one-worker solve slower than an inline one,
+    /// while the families it records stay mandatory for serving.
     #[test]
     fn single_thread_instrumented_solve_skips_the_pool() {
         let set = ContributingSet::new(&[RepCell::W, RepCell::Nw, RepCell::N]);

@@ -87,7 +87,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Sizing knobs of one server.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker threads executing batches.
     pub workers: usize,

@@ -54,7 +54,7 @@ use lddp_trace::live::LiveRegistry;
 use lddp_trace::{chrome, NullSink, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,23 +132,8 @@ pub enum Command {
     Serve {
         /// Listen address (`host:port`).
         addr: String,
-        /// Worker threads executing batches.
-        workers: usize,
-        /// Admission-queue capacity (interactive class).
-        queue_cap: usize,
-        /// Batch-class queue capacity (`None` = same as `queue_cap`).
-        batch_queue_cap: Option<usize>,
-        /// Per-tenant admission quota, requests/second (`None` = no
-        /// quotas).
-        tenant_rps: Option<f64>,
-        /// Token-bucket burst size for tenant quotas.
-        tenant_burst: Option<f64>,
-        /// Most jobs one batch may carry.
-        max_batch: usize,
-        /// Default per-request deadline, milliseconds.
-        deadline_ms: Option<u64>,
-        /// Per-solve watchdog budget, milliseconds.
-        watchdog_ms: Option<u64>,
+        /// Server sizing: [`ServeConfig::default`] with the flags given.
+        config: ServeConfig,
         /// Optional path for a Chrome trace of the whole serve run,
         /// written at shutdown.
         trace: Option<String>,
@@ -161,55 +146,7 @@ pub enum Command {
         fleet: bool,
     },
     /// Generate load against a solve server and report latency.
-    Loadgen {
-        /// Target server (`host:port`); `None` drives an in-process
-        /// server instead.
-        addr: Option<String>,
-        /// Problem name.
-        problem: String,
-        /// Instance size.
-        n: usize,
-        /// Platform preset name.
-        platform: String,
-        /// Requests to send (0 = until `--duration` elapses).
-        requests: usize,
-        /// Open-loop arrival rate; `None` = closed loop.
-        rps: Option<f64>,
-        /// Wall-clock cap on the run, seconds.
-        duration_s: Option<f64>,
-        /// Closed-loop worker count.
-        concurrency: usize,
-        /// Per-request deadline, milliseconds.
-        deadline_ms: Option<u64>,
-        /// Skip the sequential-oracle answer check.
-        no_verify: bool,
-        /// Attempts per request (1 = no retries).
-        retries: u32,
-        /// Instance-size mix cycled round-robin across requests
-        /// (empty = every request uses `n`).
-        mix: Vec<usize>,
-        /// Service class stamped on every request.
-        priority: Priority,
-        /// Tenant name stamped on every request (empty = unattributed).
-        tenant: String,
-        /// Drive the in-process server with the fleet backend.
-        fleet: bool,
-        /// Consume `POST /solve?stream=1` band streams and report
-        /// time-to-first-band percentiles.
-        stream: bool,
-        /// Cap (milliseconds) on honoring 429/503 `Retry-After` hints.
-        retry_after_cap_ms: Option<u64>,
-    },
-    /// Quick wall-clock benchmark of the real thread engine.
-    Bench {
-        /// Instance side per problem.
-        n: usize,
-        /// Run the score-only rolling-band benchmark instead of the
-        /// full-table tier sweep.
-        rolling: bool,
-        /// Optional JSON output path (also printed to stdout).
-        out: Option<String>,
-    },
+    Loadgen(LoadgenOpts),
     /// Run a seeded fault-injection campaign (see docs/ROBUSTNESS.md).
     Chaos {
         /// Seed for the deterministic fault plan.
@@ -246,6 +183,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
         Some(c) => c,
     };
+    // An unknown command is named as such, whatever flags follow it.
+    const COMMANDS: &[&str] = &[
+        "classify", "solve", "balance", "tune", "compare", "trace", "serve", "loadgen", "chaos",
+    ];
+    if !COMMANDS.contains(&cmd) {
+        return Err(format!("unknown command '{cmd}'; try help"));
+    }
     let mut set = None;
     let mut problem = None;
     let mut n = None;
@@ -257,9 +201,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut out = None;
     let mut metrics = None;
     let mut addr = None;
-    let mut workers = None;
-    let mut queue_cap = None;
-    let mut max_batch = None;
+    let mut config = ServeConfig::default();
     let mut deadline_ms = None;
     let mut requests = None;
     let mut rps = None;
@@ -267,19 +209,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut concurrency = None;
     let mut no_verify = false;
     let mut trace_out = None;
-    let mut quick = false;
-    let mut watchdog_ms = None;
     let mut retries = None;
     let mut seed = None;
     let mut campaign = None;
     let mut tune_cache = None;
     let mut fleet = false;
     let mut memory = None;
-    let mut rolling = false;
     let mut mix: Vec<usize> = Vec::new();
-    let mut batch_queue_cap = None;
-    let mut tenant_rps = None;
-    let mut tenant_burst = None;
     let mut priority = None;
     let mut tenant = None;
     let mut stream = false;
@@ -337,21 +273,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a number")?;
-                workers = Some(v.parse::<usize>().map_err(|e| format!("--workers: {e}"))?);
+                config.workers = v.parse::<usize>().map_err(|e| format!("--workers: {e}"))?;
             }
             "--queue-cap" => {
                 let v = it.next().ok_or("--queue-cap needs a number")?;
-                queue_cap = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("--queue-cap: {e}"))?,
-                );
+                config.queue_capacity = v
+                    .parse::<usize>()
+                    .map_err(|e| format!("--queue-cap: {e}"))?;
             }
             "--max-batch" => {
                 let v = it.next().ok_or("--max-batch needs a number")?;
-                max_batch = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("--max-batch: {e}"))?,
-                );
+                config.max_batch = v
+                    .parse::<usize>()
+                    .map_err(|e| format!("--max-batch: {e}"))?;
             }
             "--deadline-ms" => {
                 let v = it.next().ok_or("--deadline-ms needs a number")?;
@@ -388,11 +322,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 );
             }
             "--no-verify" => no_verify = true,
-            "--quick" => quick = true,
-            "--rolling" => rolling = true,
             "--watchdog-ms" => {
                 let v = it.next().ok_or("--watchdog-ms needs a number")?;
-                watchdog_ms = Some(
+                config.watchdog_ms = Some(
                     v.parse::<u64>()
                         .map_err(|e| format!("--watchdog-ms: {e}"))?,
                 );
@@ -443,7 +375,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             "--batch-queue-cap" => {
                 let v = it.next().ok_or("--batch-queue-cap needs a number")?;
-                batch_queue_cap = Some(
+                config.batch_queue_capacity = Some(
                     v.parse::<usize>()
                         .map_err(|e| format!("--batch-queue-cap: {e}"))?,
                 );
@@ -454,7 +386,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 if !r.is_finite() || r <= 0.0 {
                     return Err("--tenant-rps must be a positive rate".into());
                 }
-                tenant_rps = Some(r);
+                config.tenant_quota_rps = Some(r);
             }
             "--tenant-burst" => {
                 let v = it.next().ok_or("--tenant-burst needs a number")?;
@@ -464,7 +396,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 if !b.is_finite() || b < 1.0 {
                     return Err("--tenant-burst must be at least 1".into());
                 }
-                tenant_burst = Some(b);
+                config.tenant_quota_burst = b;
             }
             "--priority" => {
                 let v = it.next().ok_or("--priority needs interactive|batch")?;
@@ -539,14 +471,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "serve" => Ok(Command::Serve {
             addr: addr.unwrap_or_else(|| "127.0.0.1:8700".to_string()),
-            workers: workers.unwrap_or(4),
-            queue_cap: queue_cap.unwrap_or(256),
-            batch_queue_cap,
-            tenant_rps,
-            tenant_burst,
-            max_batch: max_batch.unwrap_or(8),
-            deadline_ms,
-            watchdog_ms,
+            config: ServeConfig {
+                default_deadline_ms: deadline_ms,
+                ..config
+            },
             trace: trace_out,
             tune_cache,
             fleet,
@@ -563,7 +491,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         .into(),
                 );
             }
-            Ok(Command::Loadgen {
+            Ok(Command::Loadgen(LoadgenOpts {
                 addr,
                 problem: problem.ok_or("loadgen requires --problem")?,
                 n: n.unwrap_or(256),
@@ -581,28 +509,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 fleet,
                 stream,
                 retry_after_cap_ms,
-            })
-        }
-        "bench" => {
-            if quick == rolling {
-                return Err(
-                    "bench needs exactly one of --quick or --rolling (the full suite \
-                     runs under `cargo bench`)"
-                        .into(),
-                );
-            }
-            Ok(Command::Bench {
-                n: n.unwrap_or(512),
-                rolling,
-                out,
-            })
+            }))
         }
         "chaos" => Ok(Command::Chaos {
             seed: seed.unwrap_or(42),
             campaign: campaign.unwrap_or_else(|| "quick".to_string()),
             out,
         }),
-        other => Err(format!("unknown command '{other}'; try help")),
+        other => unreachable!("'{other}' is not in COMMANDS"),
     }
 }
 
@@ -670,7 +584,6 @@ pub fn usage() -> String {
          \x20                  [--no-verify] [--retries A] [--mix 48,96,1100]\n\
          \x20                  [--priority interactive|batch] [--tenant NAME] [--fleet]\n\
          \x20                  [--stream] [--retry-after-cap-ms MS]\n\
-         \x20 lddp-cli bench   --quick|--rolling [--n N] [--out BENCH.json]\n\
          \x20 lddp-cli chaos   [--seed S] [--campaign quick|heavy] [--out report.json]\n\
          \n\
          `trace` writes a Perfetto-loadable Chrome trace-event timeline\n\
@@ -695,8 +608,7 @@ pub fn usage() -> String {
          (O(n+m) bytes instead of the full table), as `serve` does for\n\
          every problem unless a request pins `memory_mode: full` (see\n\
          DESIGN.md, \"Memory tiers\"); without the flag `solve` prints\n\
-         the full-table report. `bench --rolling`\n\
-         measures that tier's peak working set and throughput.\n\
+         the full-table report.\n\
          `chaos` runs a seeded fault-injection campaign across the engine\n\
          ladder, the hetero executor, and the serving stack, verifying\n\
          every recovered answer against the oracle (docs/ROBUSTNESS.md).\n\
@@ -1231,12 +1143,6 @@ trait Entry: Sync {
         engine: &ParallelEngine,
         injector: Option<&dyn FaultInjector>,
     ) -> Result<(String, Vec<DegradeStep>), String>;
-    fn bench_quick(&self, n: usize, bench: &QuickBench) -> Result<String, String>;
-    fn worker_sweep(
-        &self,
-        n: usize,
-        engine: &ParallelEngine,
-    ) -> Result<(usize, Vec<lddp_core::tuner::SweepPoint>), String>;
 }
 
 impl<K: Kernel> Entry for Problem<K> {
@@ -1386,20 +1292,6 @@ impl<K: Kernel> Entry for Problem<K> {
         };
         let s = engine.run(&kernel, &spec).map_err(|e| e.to_string())?;
         Ok(((self.answer)(&s.folded), s.degraded))
-    }
-
-    fn bench_quick(&self, n: usize, bench: &QuickBench) -> Result<String, String> {
-        bench.entry(self, n)
-    }
-
-    fn worker_sweep(
-        &self,
-        n: usize,
-        engine: &ParallelEngine,
-    ) -> Result<(usize, Vec<lddp_core::tuner::SweepPoint>), String> {
-        engine
-            .tune_worker_count(&(self.instance)(n), &[])
-            .map_err(|e| e.to_string())
     }
 }
 
@@ -1992,7 +1884,7 @@ fn serve_with(
 }
 
 /// Loadgen knobs as parsed from the command line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenOpts {
     /// Target server; `None` = in-process.
     pub addr: Option<String>,
@@ -2121,254 +2013,6 @@ pub fn run_loadgen(opts: &LoadgenOpts) -> Result<String, String> {
         }
     };
     Ok(report.to_json())
-}
-
-/// Problems covered by `bench --quick`: the kernels with a bulk
-/// [`lddp_core::kernel::WaveKernel`] fast path.
-pub const BENCH_PROBLEMS: &[&str] = &[
-    "lcs",
-    "levenshtein",
-    "needleman-wunsch",
-    "smith-waterman",
-    "dtw",
-];
-
-/// Runs `f` several times and returns the best wall-clock seconds —
-/// minimum, not mean, because scheduling noise only ever adds time.
-fn best_secs(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// The engines `bench --quick` times every problem on.
-struct QuickBench {
-    engine: ParallelEngine,
-    bulk: ParallelEngine,
-    simd: ParallelEngine,
-    scalar: ParallelEngine,
-    iters: usize,
-}
-
-impl QuickBench {
-    /// One problem's entry: cells/s per tier, pooled vs fresh-engine
-    /// solves, and the single-worker guard.
-    fn entry<K: Kernel>(&self, p: &Problem<K>, n: usize) -> Result<String, String> {
-        let (engine, iters) = (&self.engine, self.iters);
-        let threads = engine.threads();
-        let kernel = (p.instance)(n);
-        let d = kernel.dims();
-        let cells = (d.rows * d.cols) as f64;
-        // Warm the pool, the allocator, and the page cache once before
-        // timing.
-        engine.solve(&kernel).map_err(|e| e.to_string())?;
-        let time = |e: &ParallelEngine| {
-            best_secs(iters, || {
-                e.solve(&kernel).unwrap();
-            })
-        };
-        let auto_s = time(engine);
-        let bulk_s = time(&self.bulk);
-        // On hosts without SIMD support (or for kernels without a SIMD
-        // hook) this measures the downgraded tier — the recorded "tier"
-        // key says which one actually ran.
-        let simd_s = time(&self.simd);
-        let scalar_s = time(&self.scalar);
-        // A fresh engine per solve pays thread spawn + teardown — the
-        // pre-pool cost model.
-        let spawn_s = best_secs(iters, || {
-            ParallelEngine::new(threads).solve(&kernel).unwrap();
-        });
-        let bitparallel = match p.gridless {
-            Some(gridless) => {
-                let bp_s = best_secs(iters, || {
-                    std::hint::black_box(gridless(&kernel));
-                });
-                format!(",\"cells_per_s_bitparallel\":{}", num(cells / bp_s))
-            }
-            None => String::new(),
-        };
-        // Single-worker regression guard on the two problems the
-        // roadmap flagged: with one thread both the pooled and the
-        // fresh-engine paths bypass the pool's barrier handoff, so the
-        // ratio must sit near 1.0. The pre-bypass engine paid the spin
-        // barrier here and reported pool_speedup well below 1; a
-        // lenient floor keeps that from coming back silently.
-        let one_thread = if matches!(p.name, "lcs" | "needleman-wunsch") {
-            let pool_1t = time(&ParallelEngine::new(1));
-            let spawn_1t = best_secs(iters, || {
-                ParallelEngine::new(1).solve(&kernel).unwrap();
-            });
-            let speedup_1t = spawn_1t / pool_1t;
-            if speedup_1t < 0.5 {
-                return Err(format!(
-                    "bench regression: {} pool_speedup_1t = {speedup_1t:.3} (< 0.5); the \
-                     single-worker solve is paying a pool handoff it should bypass",
-                    p.name
-                ));
-            }
-            format!(
-                ",\"solve_ms_pool_1t\":{},\"solve_ms_spawn_1t\":{},\"pool_speedup_1t\":{}",
-                num(pool_1t * 1e3),
-                num(spawn_1t * 1e3),
-                num(speedup_1t),
-            )
-        } else {
-            String::new()
-        };
-        Ok(format!(
-            "{{\"problem\":\"{}\",\"cells\":{},\"tier\":\"{}\",\
-             \"cells_per_s_scalar\":{},\"cells_per_s_bulk\":{},\"cells_per_s_simd\":{},\
-             \"bulk_speedup\":{},\"simd_speedup\":{}{},\
-             \"solve_ms_pool\":{},\"solve_ms_spawn\":{},\"pool_speedup\":{}{}}}",
-            escape(p.name),
-            num(cells),
-            engine.select_tier(&kernel).as_str(),
-            num(cells / scalar_s),
-            num(cells / bulk_s),
-            num(cells / simd_s),
-            num(scalar_s / bulk_s),
-            num(bulk_s / simd_s),
-            bitparallel,
-            num(auto_s * 1e3),
-            num(spawn_s * 1e3),
-            num(spawn_s / auto_s),
-            one_thread,
-        ))
-    }
-}
-
-/// Quick wall-clock benchmark of the real thread engine: cells/s per
-/// problem across the execution tiers (scalar, bulk, SIMD, and — for
-/// `lcs` — the bit-parallel row kernel), pooled-vs-fresh-engine solve
-/// times, and a worker-count sweep through the shared pool. Prints (and
-/// optionally writes) one JSON object — the perf trajectory record CI
-/// archives as `BENCH_pr5.json` so future changes have a baseline.
-pub fn run_bench_quick(n: usize, out_path: Option<&str>) -> Result<String, String> {
-    // Bench with a live registry attached — the numbers CI compares
-    // against the baseline must include the telemetry the serving path
-    // always pays, not a telemetry-free best case.
-    let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
-    let engine = ParallelEngine::host().with_live(live);
-    let bench = QuickBench {
-        bulk: engine.clone().with_tier(Some(ExecTier::Bulk)),
-        simd: engine.clone().with_tier(Some(ExecTier::Simd)),
-        scalar: engine.clone().with_tier(Some(ExecTier::Scalar)),
-        engine,
-        iters: 3,
-    };
-    let threads = bench.engine.threads();
-    let mut entries: Vec<String> = Vec::new();
-    for name in BENCH_PROBLEMS {
-        entries.push(problem(name)?.bench_quick(n, &bench)?);
-    }
-
-    // §V-A-style worker-count sweep, every candidate through the same
-    // pool (no fresh thread set per point).
-    let (best, points) = problem("lcs")?.worker_sweep(n, &bench.engine)?;
-    let points: Vec<String> = points
-        .iter()
-        .map(|p| format!("{{\"workers\":{},\"ms\":{}}}", p.value, num(p.time * 1e3)))
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"quick\",\"n\":{n},\"threads\":{threads},\"iters\":{},\
-         \"simd\":\"{}\",\"avx512\":{},\"problems\":[{}],\"worker_sweep\":\
-         {{\"problem\":\"lcs\",\"best_workers\":{best},\"points\":[{}]}}}}",
-        bench.iters,
-        lddp_core::kernel::simd_backend(),
-        lddp_core::kernel::avx512_available(),
-        entries.join(","),
-        points.join(",")
-    );
-    if let Some(path) = out_path {
-        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(json)
-}
-
-/// Score-only benchmark of the rolling (wave-band) memory mode: each
-/// wave problem is solved with only the ring of three live wavefronts
-/// resident, and the entry records the measured peak working set next
-/// to the full-table footprint it avoided. CI runs this at n = 8192
-/// under a virtual-memory cap the full table could not allocate — the
-/// run completing at all is the proof that the linear-space tier stays
-/// inside its `O(rows + cols)` budget. Answers are not oracle-checked
-/// here (a full-table oracle would defeat the memory cap); bit-identity
-/// is covered by the property tests at smaller sizes.
-pub fn run_bench_rolling(n: usize, out_path: Option<&str>) -> Result<String, String> {
-    let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
-    let engine = ParallelEngine::host().with_live(live);
-    let threads = engine.threads();
-    let iters = 2;
-
-    let mut entries: Vec<String> = Vec::new();
-    for problem in BENCH_PROBLEMS {
-        let (full_bytes, band_bytes) = table_footprint(problem, n)?;
-        let cells = (n * n) as f64;
-        let mut last: Option<RunSummary> = None;
-        let mut err: Option<String> = None;
-        let args = SolveArgs {
-            problem,
-            n,
-            platform: "high",
-            params: ScheduleParams::default(),
-            tier: None,
-            memory: MemoryMode::Rolling,
-            engine: &engine,
-            emit: None,
-            injector: None,
-            devices: 1,
-        };
-        let secs = best_secs(iters, || match solve_served(&args) {
-            Ok(s) => last = Some(s.summary),
-            Err(e) => err = Some(e),
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        let summary = last.expect("best_secs ran at least once");
-        // The ring must actually be band-sized. Equality with the
-        // analytic floor holds today; the lenient bound only has to
-        // catch a rolling path that quietly re-materializes the grid.
-        if n >= 64 && summary.table_bytes.saturating_mul(4) > full_bytes {
-            return Err(format!(
-                "bench regression: {problem} rolling peak {} bytes is not meaningfully \
-                 below the {} byte full table",
-                summary.table_bytes, full_bytes
-            ));
-        }
-        entries.push(format!(
-            "{{\"problem\":\"{}\",\"cells\":{},\"tier\":\"{}\",\
-             \"full_table_bytes\":{},\"rolling_band_bytes\":{},\"rolling_peak_bytes\":{},\
-             \"table_shrink\":{},\"cells_per_s\":{},\"solve_ms\":{},\"answer\":\"{}\"}}",
-            escape(problem),
-            num(cells),
-            summary.tier.as_str(),
-            full_bytes,
-            band_bytes,
-            summary.table_bytes,
-            num(full_bytes as f64 / summary.table_bytes.max(1) as f64),
-            num(cells / secs),
-            num(secs * 1e3),
-            escape(&summary.answer),
-        ));
-    }
-
-    let json = format!(
-        "{{\"bench\":\"rolling\",\"n\":{n},\"threads\":{threads},\"iters\":{iters},\
-         \"simd\":\"{}\",\"avx512\":{},\"problems\":[{}]}}",
-        lddp_core::kernel::simd_backend(),
-        lddp_core::kernel::avx512_available(),
-        entries.join(",")
-    );
-    if let Some(path) = out_path {
-        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(json)
 }
 
 /// Problems the chaos campaign drives through the engine's
@@ -2647,79 +2291,18 @@ pub fn execute(cmd: Command) -> Result<String, String> {
         } => run_trace(&problem, n, &platform, params, &out, metrics.as_deref()),
         Command::Serve {
             addr,
-            workers,
-            queue_cap,
-            batch_queue_cap,
-            tenant_rps,
-            tenant_burst,
-            max_batch,
-            deadline_ms,
-            watchdog_ms,
+            config,
             trace,
             tune_cache,
             fleet,
         } => run_serve(
             &addr,
-            ServeConfig {
-                workers,
-                queue_capacity: queue_cap,
-                batch_queue_capacity: batch_queue_cap,
-                tenant_quota_rps: tenant_rps,
-                tenant_quota_burst: tenant_burst
-                    .unwrap_or(ServeConfig::default().tenant_quota_burst),
-                max_batch,
-                default_deadline_ms: deadline_ms,
-                watchdog_ms,
-                ..ServeConfig::default()
-            },
+            config,
             trace.as_deref(),
             tune_cache.as_deref(),
             fleet,
         ),
-        Command::Loadgen {
-            addr,
-            problem,
-            n,
-            platform,
-            requests,
-            rps,
-            duration_s,
-            concurrency,
-            deadline_ms,
-            no_verify,
-            retries,
-            mix,
-            priority,
-            tenant,
-            fleet,
-            stream,
-            retry_after_cap_ms,
-        } => run_loadgen(&LoadgenOpts {
-            addr,
-            problem,
-            n,
-            platform,
-            requests,
-            rps,
-            duration_s,
-            concurrency,
-            deadline_ms,
-            no_verify,
-            retries,
-            mix,
-            priority,
-            tenant,
-            fleet,
-            stream,
-            retry_after_cap_ms,
-        }),
-        Command::Bench { n, rolling, out } => {
-            if rolling {
-                run_bench_rolling(n, out.as_deref())
-            } else {
-                run_bench_quick(n, out.as_deref())
-            }
-        }
+        Command::Loadgen(opts) => run_loadgen(&opts),
         Command::Chaos {
             seed,
             campaign,
@@ -2992,18 +2575,20 @@ mod tests {
             parse(&argv("serve")).unwrap(),
             Command::Serve {
                 addr: "127.0.0.1:8700".into(),
-                workers: 4,
-                queue_cap: 256,
-                batch_queue_cap: None,
-                tenant_rps: None,
-                tenant_burst: None,
-                max_batch: 8,
-                deadline_ms: None,
-                watchdog_ms: None,
+                config: ServeConfig::default(),
                 trace: None,
                 tune_cache: None,
                 fleet: false,
             }
+        );
+        let defaults = ServeConfig::default();
+        assert_eq!(
+            (
+                defaults.workers,
+                defaults.queue_capacity,
+                defaults.max_batch
+            ),
+            (4, 256, 8)
         );
         assert_eq!(
             parse(&argv(
@@ -3015,14 +2600,17 @@ mod tests {
             .unwrap(),
             Command::Serve {
                 addr: "0.0.0.0:9000".into(),
-                workers: 2,
-                queue_cap: 32,
-                batch_queue_cap: Some(16),
-                tenant_rps: Some(5.0),
-                tenant_burst: Some(10.0),
-                max_batch: 4,
-                deadline_ms: Some(500),
-                watchdog_ms: Some(250),
+                config: ServeConfig {
+                    workers: 2,
+                    queue_capacity: 32,
+                    batch_queue_capacity: Some(16),
+                    tenant_quota_rps: Some(5.0),
+                    tenant_quota_burst: 10.0,
+                    max_batch: 4,
+                    default_deadline_ms: Some(500),
+                    watchdog_ms: Some(250),
+                    ..ServeConfig::default()
+                },
                 trace: Some("serve.trace.json".into()),
                 tune_cache: Some("tc.json".into()),
                 fleet: true,
@@ -3040,7 +2628,7 @@ mod tests {
     fn parse_loadgen_defaults_and_flags() {
         assert_eq!(
             parse(&argv("loadgen --problem lcs")).unwrap(),
-            Command::Loadgen {
+            Command::Loadgen(LoadgenOpts {
                 addr: None,
                 problem: "lcs".into(),
                 n: 256,
@@ -3058,7 +2646,7 @@ mod tests {
                 fleet: false,
                 stream: false,
                 retry_after_cap_ms: None,
-            }
+            })
         );
         let cmd = parse(&argv(
             "loadgen --addr 127.0.0.1:8700 --problem dtw --n 128 --requests 500 \
@@ -3069,7 +2657,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Loadgen {
+            Command::Loadgen(LoadgenOpts {
                 addr: Some("127.0.0.1:8700".into()),
                 problem: "dtw".into(),
                 n: 128,
@@ -3087,14 +2675,14 @@ mod tests {
                 fleet: false,
                 stream: true,
                 retry_after_cap_ms: Some(500),
-            }
+            })
         );
         assert!(parse(&argv("loadgen --problem lcs --priority urgent")).is_err());
         assert!(parse(&argv("loadgen --problem lcs --retry-after-cap-ms soon")).is_err());
         match parse(&argv("loadgen --problem lcs --fleet")).unwrap() {
-            Command::Loadgen { fleet, addr, .. } => {
-                assert!(fleet);
-                assert!(addr.is_none());
+            Command::Loadgen(opts) => {
+                assert!(opts.fleet);
+                assert!(opts.addr.is_none());
             }
             other => panic!("expected Loadgen, got {other:?}"),
         }
@@ -3141,79 +2729,39 @@ mod tests {
         assert!(parse(&argv("chaos --seed many")).is_err());
     }
 
+    /// The in-process form of the memory-capped
+    /// `solve --problem P --n 8192 --memory rolling --json` CI step:
+    /// every wave problem answers off its ring.
     #[test]
-    fn parse_bench_requires_quick() {
-        assert_eq!(
-            parse(&argv("bench --quick")).unwrap(),
-            Command::Bench {
-                n: 512,
-                rolling: false,
-                out: None,
-            }
-        );
-        assert_eq!(
-            parse(&argv("bench --quick --n 128 --out BENCH_pr3.json")).unwrap(),
-            Command::Bench {
-                n: 128,
-                rolling: false,
-                out: Some("BENCH_pr3.json".into()),
-            }
-        );
-        assert_eq!(
-            parse(&argv("bench --rolling --n 8192 --out BENCH_pr8.json")).unwrap(),
-            Command::Bench {
-                n: 8192,
-                rolling: true,
-                out: Some("BENCH_pr8.json".into()),
-            }
-        );
-        assert!(parse(&argv("bench")).is_err());
-        assert!(parse(&argv("bench --quick --rolling")).is_err());
-        assert!(parse(&argv("bench")).is_err(), "full suite is cargo bench");
-    }
-
-    #[test]
-    fn quick_bench_emits_parseable_json_with_all_problems() {
-        let text = run_bench_quick(24, None).unwrap();
-        let parsed = lddp_trace::json::parse(&text).expect("bench JSON parses");
-        let problems = match parsed.get("problems") {
-            Some(lddp_trace::json::Json::Arr(items)) => items.clone(),
-            other => panic!("problems array missing: {other:?}"),
-        };
-        assert_eq!(problems.len(), BENCH_PROBLEMS.len());
-        for entry in &problems {
-            for key in [
-                "cells_per_s_scalar",
-                "cells_per_s_bulk",
-                "cells_per_s_simd",
-                "bulk_speedup",
-                "simd_speedup",
-                "solve_ms_pool",
-                "solve_ms_spawn",
-                "pool_speedup",
-            ] {
-                match entry.get(key) {
-                    Some(lddp_trace::json::Json::Num(v)) => {
-                        assert!(*v > 0.0, "{key} must be positive, got {v}")
-                    }
-                    other => panic!("{key} missing or non-numeric: {other:?}"),
-                }
-            }
-            let tier = entry.get("tier").and_then(|j| j.as_str()).expect("tier");
-            assert!(ExecTier::parse(tier).is_some(), "unknown tier {tier:?}");
-            let is_lcs = entry.get("problem").and_then(|j| j.as_str()) == Some("lcs");
-            assert_eq!(
-                entry.get("cells_per_s_bitparallel").is_some(),
-                is_lcs,
-                "bit-parallel throughput is reported exactly for lcs"
+    fn rolling_solve_json_reports_a_ring_sized_table_and_the_oracle_answer() {
+        for problem in [
+            "lcs",
+            "levenshtein",
+            "needleman-wunsch",
+            "smith-waterman",
+            "dtw",
+        ] {
+            let cmd = format!("solve --problem {problem} --n 300 --memory rolling --json");
+            let text = execute(parse(&argv(&cmd)).unwrap()).unwrap();
+            let reply = lddp_trace::json::parse(&text).expect("solve JSON parses");
+            let field = |key: &str| reply.get(key).and_then(|j| j.as_str());
+            assert_eq!(field("memory_mode"), Some("rolling"), "{problem}");
+            let bytes = match reply.get("table_bytes") {
+                Some(lddp_trace::json::Json::Num(b)) => *b as usize,
+                other => panic!("{problem}: table_bytes missing: {other:?}"),
+            };
+            let (full, ring) = table_footprint(problem, 300).unwrap();
+            assert!(
+                bytes <= ring && bytes * 4 < full,
+                "{problem}: {bytes} B against a {ring} B ring and a {full} B table"
             );
+            let oracle = run_solve_seq(problem, 300).unwrap();
+            assert_eq!(field("answer"), Some(oracle.as_str()), "{problem}");
         }
-        assert!(parsed.get("simd").and_then(|j| j.as_str()).is_some());
-        let sweep = parsed.get("worker_sweep").expect("worker_sweep present");
-        assert!(matches!(
-            sweep.get("best_workers"),
-            Some(lddp_trace::json::Json::Num(_))
-        ));
+        for flag in ["--quick", "--rolling"] {
+            let err = parse(&argv(&format!("bench {flag}"))).unwrap_err();
+            assert!(err.contains("unknown command 'bench'"), "{err}");
+        }
     }
 
     fn served(problem: &str, tier: Option<ExecTier>, engine: &ParallelEngine) -> RunSummary {
